@@ -4,10 +4,9 @@ from .errors import ConfigError, GhostbenchError, SolverError
 from .optics import (ObjectMask, OpticalConfig, SlitGeometry, coherence_length,
                      config_for_coherence_length, grid_coords, load_config,
                      load_mask_pgm, make_double_slit, save_config, save_mask_pgm)
-from .speckle import (SpeckleFrame, SpeckleStats, aperture_sample_count,
-                      export_frame_pgm, intensity_stats, synthesize_frame)
-from .forward import MeasurementRecord, MeasurementSet, bucket_measure, run_campaign
-from .recon_gi import GiImage, gi_reconstruct, write_image_csv
+from .speckle import SpeckleStats, aperture_sample_count, intensity_stats, synthesize_frame
+from .forward import MeasurementSet, bucket_measure, run_campaign
+from .recon_gi import gi_reconstruct, write_image_csv
 from .recon_gics import (GicsParams, SensingSystem, SolveReport, build_sensing,
                          gics_reconstruct, gpsr_solve, ista_reference,
                          kkt_residual, lasso_objective, soft_threshold,

@@ -95,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        return _fail("--threads must be >= 1", EXIT_USAGE)
     return args.func(args)
 
 

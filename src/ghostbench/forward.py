@@ -2,84 +2,101 @@
 
 The reference arm carries the same frame as the object plane (perfect arm
 correlation); detector noise is modeled as additive Gaussian noise on the
-bucket only, seeded per record so campaigns are reproducible regardless of
-execution order or worker count.
+bucket only, seeded per frame so campaigns are reproducible regardless of
+the order in which frames are acquired.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .optics import ObjectMask, OpticalConfig
-from .speckle import SpeckleFrame, synthesize_frame
+from .speckle import SEED_LIMIT, synthesize_frame
 from . import ioutil
 
 # Extra entropy word separating the bucket-noise stream from the frame stream.
 _NOISE_STREAM = 0x4255434B
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    frame: SpeckleFrame
-    bucket: float
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float array that no caller can write through.
+
+    An array that owns its data and is already read-only is kept as it is;
+    anything else, including a read-only view of a writeable base, is copied.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.owndata and not arr.flags.writeable:
+        return arr
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Paired (reference frame, bucket value) records from one campaign."""
+    """One campaign: row i of ``intensities`` is reference frame i, ``buckets[i]`` its bucket.
 
-    records: tuple[MeasurementRecord, ...]
+    ``intensities`` is a read-only (m, grid_n, grid_n) stack and ``buckets`` a
+    read-only length-m vector; ``seed`` is the campaign's master seed.
+    """
+
+    intensities: np.ndarray
+    buckets: np.ndarray
     config: OpticalConfig
+    seed: int
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if len(self.records) < 1:
-            raise ConfigError("a measurement set needs at least one record")
+        intensities = _frozen(self.intensities)
+        buckets = _frozen(self.buckets)
+        if intensities.ndim != 3 or intensities.shape[1] != intensities.shape[2]:
+            raise ConfigError(f"intensities must be an (m, n, n) stack, got {intensities.shape}")
+        if intensities.shape[0] < 1:
+            raise ConfigError("a measurement set needs at least one frame")
+        if buckets.shape != (intensities.shape[0],):
+            raise ConfigError(
+                f"need one bucket per frame: {buckets.shape} buckets for "
+                f"{intensities.shape[0]} frames")
+        if not np.isfinite(intensities).all() or intensities.min() < 0:
+            raise ConfigError("frame intensities must be finite and non-negative")
+        if not (intensities.mean(axis=(1, 2)) > 0).all():
+            raise ConfigError("a frame intensity has non-positive mean")
+        if not (0 <= int(self.seed) < SEED_LIMIT):
+            raise ConfigError("seed must fit an unsigned 64-bit integer")
         if not (self.noise_sigma >= 0 and np.isfinite(self.noise_sigma)):
             raise ConfigError("noise_sigma must be finite and non-negative")
-        if self.noise_sigma == 0 and any(r.bucket < 0 for r in self.records):
+        if self.noise_sigma == 0 and (buckets < 0).any():
             raise ConfigError("noiseless buckets cannot be negative")
+        object.__setattr__(self, "intensities", intensities)
+        object.__setattr__(self, "buckets", buckets)
 
     @property
     def m(self) -> int:
-        return len(self.records)
-
-    @cached_property
-    def buckets(self) -> np.ndarray:
-        out = np.array([r.bucket for r in self.records], dtype=float)
-        out.flags.writeable = False
-        return out
-
-    def intensity_stack(self) -> np.ndarray:
-        """(m, grid_n, grid_n) view stack of the reference intensities."""
-        return np.stack([r.frame.intensity for r in self.records])
+        return self.intensities.shape[0]
 
     def to_csv(self, path: str | Path) -> None:
         lines = ["frame_index,bucket"]
-        lines += [f"{r.frame.frame_index},{r.bucket!r}" for r in self.records]
+        lines += [f"{i},{bucket!r}" for i, bucket in enumerate(self.buckets.tolist())]
         ioutil.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def bucket_measure(frame: SpeckleFrame, mask: ObjectMask) -> float:
+def bucket_measure(intensity: np.ndarray, mask: ObjectMask) -> float:
     """Total intensity transmitted by the mask: sum of intensity * transmittance."""
-    if frame.intensity.shape != mask.values.shape:
+    if intensity.shape != mask.values.shape:
         raise ConfigError(
-            f"frame grid {frame.intensity.shape} does not match mask grid {mask.values.shape}")
-    return float(np.sum(frame.intensity * mask.values))
+            f"frame grid {intensity.shape} does not match mask grid {mask.values.shape}")
+    return float(np.sum(intensity * mask.values))
 
 
 def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                 noise_sigma: float = 0.0, workers: int = 1) -> MeasurementSet:
-    """Acquire m records: frame r, its bucket, optional additive Gaussian noise.
+                 noise_sigma: float = 0.0) -> MeasurementSet:
+    """Acquire m frames, their buckets and optional additive Gaussian bucket noise.
 
-    Record r uses frame_index r (0-based).  Output is bit-identical for fixed
-    inputs whatever the worker count.
+    Frame i is ``synthesize_frame(config, master_seed, i)`` (0-based); both it
+    and its noise draw depend on (master_seed, i) alone.
     """
     if m < 1:
         raise ConfigError("a campaign needs m >= 1 measurements")
@@ -89,17 +106,13 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
     if not (noise_sigma >= 0 and np.isfinite(noise_sigma)):
         raise ConfigError("noise_sigma must be finite and non-negative")
 
-    def acquire(index: int) -> MeasurementRecord:
-        frame = synthesize_frame(config, master_seed, index)
-        bucket = bucket_measure(frame, mask)
+    intensities = np.empty((m, config.grid_n, config.grid_n))
+    buckets = np.empty(m)
+    for i in range(m):
+        intensities[i] = synthesize_frame(config, master_seed, i)
+        buckets[i] = bucket_measure(intensities[i], mask)
         if noise_sigma > 0:
-            rng = np.random.default_rng([int(master_seed), index, _NOISE_STREAM])
-            bucket += noise_sigma * rng.standard_normal()
-        return MeasurementRecord(frame, bucket)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(acquire, range(m)))
-    else:
-        records = tuple(acquire(i) for i in range(m))
-    return MeasurementSet(records, config, noise_sigma)
+            rng = np.random.default_rng([int(master_seed), i, _NOISE_STREAM])
+            buckets[i] += noise_sigma * rng.standard_normal()
+    intensities.flags.writeable = False
+    return MeasurementSet(intensities, buckets, config, int(master_seed), noise_sigma)

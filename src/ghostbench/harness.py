@@ -27,8 +27,8 @@ Scenario file keys (prefix.name, ``#`` comments):
   gics.bb_step_max, gics.debias, gics.nonneg   (optional solver knobs)
 
 Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
-metrics.csv, solve.csv.  All files are written atomically and are a pure
-function of the scenario file bytes.
+gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
+atomically and are a pure function of the scenario file bytes.
 """
 from __future__ import annotations
 
@@ -459,12 +459,12 @@ def selftest(verbose: bool = True) -> bool:
     brute = 0.0
     for i in range(config.grid_n):
         for j in range(config.grid_n):
-            brute += frame.intensity[i, j] * mask.values[i, j]
+            brute += frame[i, j] * mask.values[i, j]
     record("bucket two-loop oracle",
            abs(bucket_measure(frame, mask) - brute) <= 1e-9 * max(brute, 1.0))
 
     again = synthesize_frame(config, 11, 0)
-    record("speckle determinism", np.array_equal(frame.intensity, again.intensity))
+    record("speckle determinism", np.array_equal(frame, again))
 
     rng = np.random.default_rng(42)
     design = rng.standard_normal((30, 80))

@@ -1,54 +1,30 @@
 """Ghost-image reconstruction by bucket/reference intensity-fluctuation correlation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .forward import MeasurementSet
+from .metrics import ReconImage
 from . import ioutil
 
 
-@dataclass(frozen=True)
-class GiImage:
-    """Fluctuation-correlation estimate; raw values may go negative (estimator noise)."""
+def gi_reconstruct(ms: MeasurementSet) -> ReconImage:
+    """Correlation image <B * I(x,y)> - <B><I(x,y)> over the campaign frames.
 
-    values: np.ndarray
-    m_used: int
-    normalized: bool = False
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if not np.isfinite(values).all():
-            raise ConfigError("reconstruction contains non-finite values")
-        if self.normalized and (values.min() < 0 or values.max() > 1):
-            raise ConfigError("normalized image must lie in [0, 1]")
-        arr = values.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-
-def gi_reconstruct(ms: MeasurementSet, normalize: bool = False) -> GiImage:
-    """Correlation image <B * I(x,y)> - <B><I(x,y)> over the campaign records.
-
-    Negative estimator noise is kept unless min-max normalization is requested.
-    The reduction runs over a fixed stacked array, so results are reproducible
-    to the last bit for a given measurement set.
+    Negative estimator noise is kept.  The reduction runs over the set's fixed
+    intensity stack, so results are reproducible to the last bit for a given
+    measurement set.
     """
     if ms.m < 2:
-        raise ConfigError("fluctuation correlation needs at least 2 records")
-    stack = ms.intensity_stack()
+        raise ConfigError("fluctuation correlation needs at least 2 frames")
+    stack = ms.intensities
     buckets = ms.buckets
-    m = ms.m
-    values = np.tensordot(buckets, stack, axes=(0, 0)) / m \
+    values = np.tensordot(buckets, stack, axes=(0, 0)) / ms.m \
         - buckets.mean() * stack.mean(axis=0)
-    if normalize:
-        lo = values.min()
-        span = values.max() - lo
-        values = (values - lo) / span if span > 0 else np.zeros_like(values)
-    return GiImage(values, m_used=m, normalized=normalize)
+    return ReconImage(values, "GI", f"gi:m={ms.m}:seed={ms.seed}")
 
 
 def write_image_csv(img, path: str | Path) -> None:

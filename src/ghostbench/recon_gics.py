@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .forward import MeasurementSet
+from .forward import MeasurementSet, _frozen
 from .metrics import ReconImage
 from . import ioutil
 
@@ -71,10 +71,10 @@ class SensingSystem:
     rhs_offset: float
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        col_scale = np.asarray(self.col_scale, dtype=float)
-        col_offset = np.asarray(self.col_offset, dtype=float)
+        rows = _frozen(self.rows)
+        rhs = _frozen(self.rhs)
+        col_scale = _frozen(self.col_scale)
+        col_offset = _frozen(self.col_offset)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ConfigError("sensing rows must be a non-empty 2-D matrix")
         if rhs.shape != (rows.shape[0],):
@@ -87,9 +87,7 @@ class SensingSystem:
                           ("col_offset", col_offset)):
             if not np.isfinite(arr).all():
                 raise ConfigError(f"sensing {name} contains non-finite values")
-            frozen = arr.copy()
-            frozen.flags.writeable = False
-            object.__setattr__(self, name, frozen)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_arrays(cls, rows: np.ndarray, rhs: np.ndarray) -> "SensingSystem":
@@ -118,10 +116,10 @@ def build_sensing(ms: MeasurementSet, centered: bool = True,
     """Flatten the campaign into rows/rhs; optionally center and unit-RMS-scale columns.
 
     A zero-variance column (dead pixel) keeps scale 1 and triggers a warning.
+    The rows are the one copy of the intensity stack, centered and scaled in place.
     """
-    stack = ms.intensity_stack()
-    m = stack.shape[0]
-    rows = stack.reshape(m, -1).astype(float)
+    m = ms.m
+    rows = ms.intensities.reshape(m, -1).astype(float)
     rhs = np.array(ms.buckets, dtype=float)
     n = rows.shape[1]
 
@@ -129,7 +127,7 @@ def build_sensing(ms: MeasurementSet, centered: bool = True,
     rhs_offset = 0.0
     if centered:
         col_offset = rows.mean(axis=0)
-        rows = rows - col_offset
+        rows -= col_offset
         rhs_offset = float(rhs.mean())
         rhs = rhs - rhs_offset
 
@@ -141,9 +139,10 @@ def build_sensing(ms: MeasurementSet, centered: bool = True,
             warnings.warn(f"{int(dead.sum())} zero-variance column(s); scale left at 1",
                           stacklevel=2)
             scale[dead] = 1.0
-        rows = rows / scale
+        rows /= scale
         col_scale = scale
 
+    rows.flags.writeable = False
     return SensingSystem(rows, rhs, col_scale, centered, col_offset, rhs_offset)
 
 
@@ -331,7 +330,7 @@ def gics_reconstruct(ms: MeasurementSet, params: GicsParams, centered: bool = Tr
     physical = solution / system.col_scale
     physical = np.maximum(physical, 0.0)
     grid_n = ms.config.grid_n
-    digest = f"gics:m={ms.m}:tau={params.tau!r}:seed={ms.records[0].frame.seed}"
+    digest = f"gics:m={ms.m}:tau={params.tau!r}:seed={ms.seed}"
     image = ReconImage(physical.reshape(grid_n, grid_n), "GICS", digest)
     return image, report
 

@@ -21,49 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .optics import OpticalConfig
-from . import ioutil
 
 # Minimum source samples across the aperture; below this the rasterized
 # aperture is too coarse for the target sinc correlation.  Raise
 # OpticalConfig.source_oversample to satisfy it for wide-coherence setups.
 MIN_APERTURE_SAMPLES = 8
 
-_SEED_LIMIT = 2**64
-
-
-@dataclass(frozen=True)
-class SpeckleFrame:
-    """One reference-plane intensity realization plus its provenance."""
-
-    intensity: np.ndarray
-    seed: int
-    frame_index: int
-
-    def __post_init__(self):
-        intensity = np.asarray(self.intensity, dtype=float)
-        if intensity.ndim != 2 or intensity.shape[0] != intensity.shape[1]:
-            raise ConfigError(f"frame intensity must be square 2-D, got {intensity.shape}")
-        if not np.isfinite(intensity).all() or intensity.min() < 0:
-            raise ConfigError("frame intensity must be finite and non-negative")
-        if intensity.mean() <= 0:
-            raise ConfigError("frame intensity has non-positive mean")
-        if not (0 <= int(self.seed) < _SEED_LIMIT):
-            raise ConfigError("seed must fit an unsigned 64-bit integer")
-        if int(self.frame_index) < 0:
-            raise ConfigError("frame_index must be non-negative")
-        arr = intensity.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "intensity", arr)
-
-    @property
-    def grid_n(self) -> int:
-        return self.intensity.shape[0]
+SEED_LIMIT = 2**64
 
 
 @dataclass(frozen=True)
@@ -103,9 +72,9 @@ def _dft_factor(grid_n: int, n_src: int, k: int) -> np.ndarray:
     return w
 
 
-def synthesize_frame(config: OpticalConfig, master_seed: int, frame_index: int) -> SpeckleFrame:
-    """Synthesize one speckle frame; pure in (config, master_seed, frame_index)."""
-    if not (0 <= int(master_seed) < _SEED_LIMIT):
+def synthesize_frame(config: OpticalConfig, master_seed: int, frame_index: int) -> np.ndarray:
+    """One (grid_n, grid_n) speckle intensity; pure in (config, master_seed, frame_index)."""
+    if not (0 <= int(master_seed) < SEED_LIMIT):
         raise ConfigError("master_seed must fit an unsigned 64-bit integer")
     if int(frame_index) < 0:
         raise ConfigError("frame_index must be non-negative")
@@ -122,12 +91,13 @@ def synthesize_frame(config: OpticalConfig, master_seed: int, frame_index: int) 
     noise = rng.standard_normal((2, k, k))
     amplitudes = np.sqrt(0.5) * (noise[0] + 1j * noise[1])
     field = (w @ amplitudes) @ w.T
-    intensity = (field.real**2 + field.imag**2) / float(k * k)
-    return SpeckleFrame(intensity, int(master_seed), int(frame_index))
+    return (field.real**2 + field.imag**2) / float(k * k)
 
 
 def intensity_stats(frames, pixel_pitch: float, max_lag: int | None = None) -> SpeckleStats:
     """Ensemble statistics over frames of identical geometry.
+
+    ``frames`` is an (m, n, n) intensity stack or a sequence of (n, n) arrays.
 
     mean_intensity averages the per-pixel ensemble mean over the central half
     of the field; contrast is std/mean of the central pixel across the
@@ -135,17 +105,18 @@ def intensity_stats(frames, pixel_pitch: float, max_lag: int | None = None) -> S
     row lags 0..max_lag, averaged over rows and base positions and normalized
     to 1 at lag 0; measured_lc interpolates the profile's first zero crossing.
     """
-    frames = list(frames)
+    frames = [np.asarray(f, dtype=float) for f in frames]
     if len(frames) < 2:
         raise ConfigError("need at least 2 frames for ensemble statistics")
-    shape = frames[0].intensity.shape
-    for f in frames[1:]:
-        if f.intensity.shape != shape:
-            raise ConfigError("frames have mismatched grids")
+    shape = frames[0].shape
+    if any(f.shape != shape for f in frames[1:]):
+        raise ConfigError("frames have mismatched grids")
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ConfigError(f"frames must be square 2-D, got {shape}")
     if pixel_pitch <= 0:
         raise ConfigError("pixel_pitch must be positive")
 
-    stack = np.stack([f.intensity for f in frames])
+    stack = np.stack(frames)
     n = shape[0]
     if max_lag is None:
         max_lag = n // 2
@@ -203,22 +174,3 @@ def _first_zero(profile: np.ndarray) -> float:
                 return (m - 1) + amp[m - 1] / (amp[m - 2] - amp[m - 1])
             return float("nan")
     return float("nan")
-
-
-def export_frame_pgm(frame: SpeckleFrame, path: str | Path) -> None:
-    """Write the frame as a P5 graymap scaled to maxval 65535, plus a sidecar.
-
-    The sidecar ``<path>.meta`` records the linear scale and the frame's
-    provenance as key=value text.
-    """
-    path = Path(path)
-    peak = float(frame.intensity.max())
-    scale = 65535.0 / peak if peak > 0 else 0.0
-    samples = np.rint(frame.intensity * scale).astype(np.int64)
-    ioutil.write_pgm(path, samples, 65535, binary=True)
-    meta = {
-        "scale": repr(scale),
-        "seed": frame.seed,
-        "frame_index": frame.frame_index,
-    }
-    ioutil.atomic_write_text(path.with_name(path.name + ".meta"), ioutil.format_kv_text(meta))

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from ghostbench import optics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import (MeasurementRecord, MeasurementSet, bucket_measure,
-                                run_campaign)
+from ghostbench.forward import MeasurementSet, bucket_measure, run_campaign
 from ghostbench.optics import ObjectMask, OpticalConfig
-from ghostbench.speckle import SpeckleFrame, synthesize_frame
+from ghostbench.speckle import synthesize_frame
 
 CFG = optics.config_for_coherence_length(
     OpticalConfig(650e-9, 0.4, 0.5, 1e-3, 32, 15e-6), 120e-6)
@@ -17,22 +16,22 @@ FRAME = synthesize_frame(CFG, 42, 0)
 
 def two_loop_bucket(frame, mask):
     total = 0.0
-    for i in range(frame.intensity.shape[0]):
-        for j in range(frame.intensity.shape[1]):
-            total += frame.intensity[i, j] * mask.values[i, j]
+    for i in range(frame.shape[0]):
+        for j in range(frame.shape[1]):
+            total += frame[i, j] * mask.values[i, j]
     return total
 
 
 class TestBucket:
     def test_identity_mask_gives_total_intensity(self):
         mask = ObjectMask(np.ones((32, 32)), CFG.pixel_pitch)
-        assert bucket_measure(FRAME, mask) == pytest.approx(FRAME.intensity.sum(), rel=1e-12)
+        assert bucket_measure(FRAME, mask) == pytest.approx(FRAME.sum(), rel=1e-12)
 
     def test_delta_mask_gives_single_pixel(self):
         values = np.zeros((32, 32))
         values[5, 9] = 1.0
         mask = ObjectMask(values, CFG.pixel_pitch)
-        assert bucket_measure(FRAME, mask) == pytest.approx(FRAME.intensity[5, 9], rel=1e-12)
+        assert bucket_measure(FRAME, mask) == pytest.approx(FRAME[5, 9], rel=1e-12)
 
     def test_matches_two_loop_oracle(self):
         mask = optics.make_double_slit(CFG, 6e-5, 3e-4, 1.2e-4)
@@ -74,14 +73,14 @@ class TestCampaign:
         ms = run_campaign(CFG, self.MASK, 1, 42)
         assert ms.m == 1
         frame = synthesize_frame(CFG, 42, 0)
-        assert ms.records[0].bucket == pytest.approx(bucket_measure(frame, self.MASK))
+        assert ms.buckets[0] == pytest.approx(bucket_measure(frame, self.MASK))
 
-    def test_worker_count_does_not_change_results(self):
-        serial = run_campaign(CFG, self.MASK, 12, 3)
-        threaded = run_campaign(CFG, self.MASK, 12, 3, workers=4)
-        assert np.array_equal(serial.buckets, threaded.buckets)
-        for a, b in zip(serial.records, threaded.records):
-            assert np.array_equal(a.frame.intensity, b.frame.intensity)
+    def test_frames_depend_only_on_seed_and_index(self):
+        ms = run_campaign(CFG, self.MASK, 12, 3)
+        for i in reversed(range(12)):
+            frame = synthesize_frame(CFG, 3, i)
+            assert np.array_equal(ms.intensities[i], frame)
+            assert ms.buckets[i] == bucket_measure(frame, self.MASK)
 
     def test_noise_is_deterministic_and_additive(self):
         clean = run_campaign(CFG, self.MASK, 6, 3)
@@ -102,7 +101,8 @@ class TestCampaign:
     def test_three_hundred_observation_campaign(self):
         ms = run_campaign(CFG, self.MASK, 300, 2)
         assert ms.m == 300
-        assert len({r.frame.frame_index for r in ms.records}) == 300
+        assert ms.intensities.shape == (300, 32, 32)
+        assert ms.buckets.shape == (300,)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ConfigError):
@@ -122,13 +122,60 @@ class TestCampaign:
         assert len(lines) == 4
         idx, bucket = lines[1].split(",")
         assert int(idx) == 0
-        assert float(bucket) == ms.records[0].bucket
+        assert float(bucket) == ms.buckets[0]
 
     def test_measurement_set_validation(self):
-        record = MeasurementRecord(FRAME, -1.0)
+        stack = FRAME[None]
         with pytest.raises(ConfigError, match="negative"):
-            MeasurementSet((record,), CFG, noise_sigma=0.0)
+            MeasurementSet(stack, [-1.0], CFG, 0, noise_sigma=0.0)
         # negative buckets fine under noise
-        MeasurementSet((record,), CFG, noise_sigma=1.0)
+        MeasurementSet(stack, [-1.0], CFG, 0, noise_sigma=1.0)
         with pytest.raises(ConfigError):
-            MeasurementSet((), CFG)
+            MeasurementSet(np.empty((0, 32, 32)), [], CFG, 0)
+        with pytest.raises(ConfigError):
+            MeasurementSet(stack, [1.0], CFG, 0, noise_sigma=-1.0)
+
+    @pytest.mark.parametrize("frame", [np.full((8, 8), -1.0), np.zeros((8, 8)),
+                                       np.full((8, 8), np.nan), np.full((8, 8), np.inf)],
+                             ids=["negative", "zero_mean", "nan", "inf"])
+    def test_rejects_bad_frame_values(self, frame):
+        stack = np.stack([np.ones((8, 8)), frame])
+        with pytest.raises(ConfigError):
+            MeasurementSet(stack, [1.0, 1.0], CFG, 0)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ConfigError, match="stack"):
+            MeasurementSet(np.ones((8, 8)), [1.0] * 8, CFG, 0)
+        with pytest.raises(ConfigError, match="stack"):
+            MeasurementSet(np.ones((2, 8, 6)), [1.0, 1.0], CFG, 0)
+        with pytest.raises(ConfigError, match="one bucket per frame"):
+            MeasurementSet(np.ones((3, 8, 8)), [1.0, 1.0], CFG, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            MeasurementSet(np.ones((1, 8, 8)), [1.0], CFG, seed)
+
+    def test_caller_mutation_does_not_leak(self):
+        stack = np.ones((2, 8, 8))
+        buckets = np.array([1.0, 2.0])
+        ms = MeasurementSet(stack, buckets, CFG, 0)
+        stack[0, 0, 0] = 5.0
+        buckets[0] = 5.0
+        assert ms.intensities[0, 0, 0] == 1.0
+        assert ms.buckets[0] == 1.0
+        assert not ms.intensities.flags.writeable
+        assert not ms.buckets.flags.writeable
+
+    def test_read_only_view_of_writeable_base_is_copied(self):
+        base = np.ones((2, 8, 8))
+        view = base[:]
+        view.flags.writeable = False
+        ms = MeasurementSet(view, [1.0, 2.0], CFG, 0)
+        base[0, 0, 0] = 5.0
+        assert ms.intensities[0, 0, 0] == 1.0
+
+    def test_campaign_stack_is_not_copied(self):
+        ms = run_campaign(CFG, self.MASK, 3, 11)
+        again = MeasurementSet(ms.intensities, ms.buckets, CFG, 11)
+        assert again.intensities is ms.intensities

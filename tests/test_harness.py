@@ -219,6 +219,16 @@ class TestCli:
         path = self.write_scenario(tmp_path)
         assert cli.main(["trend", str(path), "--lc", "60e-6", "--seeds", "3,4"]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["run", "trend"])
+    def test_threads_below_one_exits_2(self, tmp_path, command, threads):
+        path = self.write_scenario(tmp_path)
+        out = tmp_path / "out"
+        extra = ["--lc", "60e-6,120e-6", "--seeds", "3,4"] if command == "trend" else []
+        argv = [command, str(path), "--out", str(out), "--threads", threads, *extra]
+        assert cli.main(argv) == 2
+        assert not out.exists()
+
     def test_selftest_passes(self):
         assert cli.main(["selftest"]) == 0
 

@@ -1,3 +1,5 @@
+import os
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +229,20 @@ class TestPgm:
         path.write_bytes(payload)
         with pytest.raises(ConfigError):
             ioutil.read_pgm(path)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "out.txt"
+        previous = os.umask(umask)
+        try:
+            ioutil.atomic_write_text(path, "x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert path.read_text() == "x\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestConfigFile:

@@ -3,27 +3,26 @@ import pytest
 
 from ghostbench import optics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import MeasurementRecord, MeasurementSet, run_campaign
+from ghostbench.forward import MeasurementSet, run_campaign
+from ghostbench.metrics import minmax_normalize
 from ghostbench.optics import ObjectMask, OpticalConfig
 from ghostbench.recon_gi import gi_reconstruct
-from ghostbench.speckle import SpeckleFrame, synthesize_frame
+from ghostbench.speckle import synthesize_frame
 
 CFG = optics.config_for_coherence_length(
     OpticalConfig(650e-9, 0.4, 0.5, 1e-3, 64, 15e-6), 120e-6)
 
 
 def measurement_set_from(frames, buckets):
-    records = tuple(MeasurementRecord(f, b) for f, b in zip(frames, buckets))
-    return MeasurementSet(records, CFG)
+    return MeasurementSet(np.stack(frames), buckets, CFG, 1)
 
 
 class TestGiReconstruct:
     def test_identical_frames_give_zero_image(self):
         frame = synthesize_frame(CFG, 1, 0)
-        frames = [SpeckleFrame(frame.intensity, 1, i) for i in range(5)]
-        ms = measurement_set_from(frames, [3.0] * 5)
+        ms = measurement_set_from([frame] * 5, [3.0] * 5)
         image = gi_reconstruct(ms)
-        assert np.max(np.abs(image.values)) <= 1e-12 * frame.intensity.max() ** 2
+        assert np.max(np.abs(image.values)) <= 1e-12 * frame.max() ** 2
 
     def test_needs_two_records(self):
         frame = synthesize_frame(CFG, 1, 0)
@@ -36,8 +35,8 @@ class TestGiReconstruct:
         mask_a = ObjectMask(rng.uniform(0, 1, (64, 64)), CFG.pixel_pitch)
         mask_b = ObjectMask(rng.uniform(0, 1, (64, 64)), CFG.pixel_pitch)
         frames = [synthesize_frame(CFG, 2, i) for i in range(20)]
-        buckets_a = [float(np.sum(f.intensity * mask_a.values)) for f in frames]
-        buckets_b = [float(np.sum(f.intensity * mask_b.values)) for f in frames]
+        buckets_a = [float(np.sum(f * mask_a.values)) for f in frames]
+        buckets_b = [float(np.sum(f * mask_b.values)) for f in frames]
         alpha, beta = 0.6, 0.3
         combo = [alpha * a + beta * b for a, b in zip(buckets_a, buckets_b)]
         img_a = gi_reconstruct(measurement_set_from(frames, buckets_a)).values
@@ -55,10 +54,11 @@ class TestGiReconstruct:
     def test_normalize_flag(self):
         mask = optics.make_double_slit(CFG, 6e-5, 3e-4, 1.2e-4)
         ms = run_campaign(CFG, mask, 50, 4)
-        image = gi_reconstruct(ms, normalize=True)
-        assert image.normalized
-        assert image.values.min() == 0.0
-        assert image.values.max() == 1.0
+        image = gi_reconstruct(ms)
+        assert image.provenance == "GI"
+        normalized = minmax_normalize(image)
+        assert normalized.min() == 0.0
+        assert normalized.max() == 1.0
 
     def test_delta_mask_psf_fits_sinc_squared(self):
         # coarse version of the point-spread check: R^2 of the analytic kernel fit

@@ -5,12 +5,12 @@ import pytest
 
 from ghostbench import optics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import MeasurementRecord, MeasurementSet, run_campaign
+from ghostbench.forward import MeasurementSet, run_campaign
 from ghostbench.optics import OpticalConfig
 from ghostbench.recon_gics import (GicsParams, SensingSystem, build_sensing,
                                    gics_reconstruct, gpsr_solve, ista_reference,
                                    kkt_residual, lasso_objective, write_solve_csv)
-from ghostbench.speckle import SpeckleFrame, synthesize_frame
+from ghostbench.speckle import synthesize_frame
 
 TIGHT = dict(tol_rel_obj=1e-13, max_iters=20000)
 CFG = optics.config_for_coherence_length(
@@ -26,21 +26,18 @@ def sparse_instance(seed, m=50, n=200, k=10):
 
 
 def synthetic_measurements(rng, m, grid_n, truth):
-    records = []
-    for i in range(m):
-        intensity = rng.uniform(0.5, 1.5, size=(grid_n, grid_n))
-        bucket = float(np.sum(intensity * truth))
-        records.append(MeasurementRecord(SpeckleFrame(intensity, 1, i), bucket))
+    intensities = rng.uniform(0.5, 1.5, size=(m, grid_n, grid_n))
+    buckets = [float(np.sum(intensity * truth)) for intensity in intensities]
     cfg = OpticalConfig(650e-9, 0.4, 0.5, 1e-3, grid_n, 15e-6)
-    return MeasurementSet(tuple(records), cfg)
+    return MeasurementSet(intensities, buckets, cfg, 1)
 
 
 class TestBuildSensing:
     def test_single_record_identity(self):
         frame = synthesize_frame(CFG, 1, 0)
-        ms = MeasurementSet((MeasurementRecord(frame, 4.5),), CFG)
+        ms = MeasurementSet(frame[None], [4.5], CFG, 1)
         system = build_sensing(ms, centered=False, scale_columns=False)
-        assert np.array_equal(system.rows[0], frame.intensity.ravel())
+        assert np.array_equal(system.rows[0], frame.ravel())
         assert system.rhs[0] == 4.5
 
     def test_centered_columns_have_zero_mean(self):
@@ -60,18 +57,15 @@ class TestBuildSensing:
     def test_uncentering_and_unscaling_reproduce_original(self):
         ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 9, 7)
         system = build_sensing(ms, centered=True, scale_columns=True)
-        original = ms.intensity_stack().reshape(ms.m, -1)
+        original = ms.intensities.reshape(ms.m, -1)
         assert np.allclose(system.original_rows(), original, rtol=1e-12, atol=1e-15)
         assert np.allclose(system.original_rhs(), ms.buckets, rtol=1e-12)
 
     def test_dead_pixel_scale_left_at_one(self):
         rng = np.random.default_rng(0)
-        intensities = [rng.uniform(0.5, 1.5, (16, 16)) for _ in range(6)]
-        for values in intensities:
-            values[3, 4] = 0.5  # constant column (binary-exact): zero variance after centering
-        records = tuple(MeasurementRecord(SpeckleFrame(v, 0, i), float(v.sum()))
-                        for i, v in enumerate(intensities))
-        ms = MeasurementSet(records, CFG)
+        intensities = rng.uniform(0.5, 1.5, (6, 16, 16))
+        intensities[:, 3, 4] = 0.5  # constant column (binary-exact): zero variance after centering
+        ms = MeasurementSet(intensities, [float(v.sum()) for v in intensities], CFG, 0)
         with pytest.warns(UserWarning, match="zero-variance"):
             system = build_sensing(ms, centered=True, scale_columns=True)
         dead_col = 3 * 16 + 4
@@ -230,10 +224,7 @@ class TestGicsReconstruct:
 
     def test_all_zero_buckets_give_zero_image(self):
         rng = np.random.default_rng(30)
-        records = tuple(
-            MeasurementRecord(SpeckleFrame(rng.uniform(0.5, 1.5, (16, 16)), 0, i), 0.0)
-            for i in range(10))
-        ms = MeasurementSet(records, CFG)
+        ms = MeasurementSet(rng.uniform(0.5, 1.5, (10, 16, 16)), np.zeros(10), CFG, 0)
         image, _ = gics_reconstruct(ms, GicsParams(tau=1e-3), centered=False)
         assert not image.values.any()
 

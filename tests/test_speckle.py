@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ghostbench import ioutil, optics, speckle
+from ghostbench import optics
 from ghostbench.errors import ConfigError
 from ghostbench.optics import OpticalConfig
-from ghostbench.speckle import SpeckleFrame, intensity_stats, synthesize_frame
+from ghostbench.speckle import intensity_stats, synthesize_frame
 
 
 def config_for(lc, grid_n=64, pitch=15e-6, oversample=4):
@@ -17,18 +17,18 @@ class TestSynthesis:
         cfg = config_for(150e-6)
         a = synthesize_frame(cfg, 123, 7)
         b = synthesize_frame(cfg, 123, 7)
-        assert np.array_equal(a.intensity, b.intensity)
+        assert np.array_equal(a, b)
 
     def test_distinct_indexes_differ(self):
         cfg = config_for(150e-6)
         a = synthesize_frame(cfg, 123, 0)
         b = synthesize_frame(cfg, 123, 1)
-        assert not np.array_equal(a.intensity, b.intensity)
+        assert not np.array_equal(a, b)
 
     def test_nonnegative_with_positive_mean(self):
         frame = synthesize_frame(config_for(150e-6), 5, 0)
-        assert frame.intensity.min() >= 0
-        assert frame.intensity.mean() > 0
+        assert frame.min() >= 0
+        assert frame.mean() > 0
 
     def test_mean_intensity_near_unity(self):
         frames = [synthesize_frame(config_for(120e-6), 2, i) for i in range(200)]
@@ -43,28 +43,26 @@ class TestSynthesis:
 
     def test_cross_frame_independence_at_zero_lag(self):
         cfg = config_for(30.1e-6, grid_n=96)
-        a = synthesize_frame(cfg, 9, 0).intensity
-        b = synthesize_frame(cfg, 9, 1).intensity
+        a = synthesize_frame(cfg, 9, 0)
+        b = synthesize_frame(cfg, 9, 1)
         da, db = a - a.mean(), b - b.mean()
         rho = np.sum(da * db) / np.sqrt(np.sum(da**2) * np.sum(db**2))
         assert abs(rho) <= 3 / np.sqrt(a.size)
 
     def test_frame_validation(self):
-        with pytest.raises(ConfigError):
-            SpeckleFrame(np.full((8, 8), -1.0), 0, 0)
-        with pytest.raises(ConfigError):
-            SpeckleFrame(np.zeros((8, 8)), 0, 0)
-        with pytest.raises(ConfigError):
-            SpeckleFrame(np.ones((8, 8)), 2**64, 0)
-        with pytest.raises(ConfigError):
-            SpeckleFrame(np.ones((8, 8)), 0, -1)
+        cfg = config_for(150e-6, grid_n=16)
+        with pytest.raises(ConfigError, match="seed"):
+            synthesize_frame(cfg, 2**64, 0)
+        with pytest.raises(ConfigError, match="seed"):
+            synthesize_frame(cfg, -1, 0)
+        with pytest.raises(ConfigError, match="frame_index"):
+            synthesize_frame(cfg, 0, -1)
 
 
 class TestStats:
     def test_duplicated_frame_has_zero_contrast(self):
         frame = synthesize_frame(config_for(150e-6), 3, 0)
-        frames = [SpeckleFrame(frame.intensity, 3, i) for i in range(10)]
-        stats = intensity_stats(frames, 15e-6)
+        stats = intensity_stats(np.stack([frame] * 10), 15e-6)
         assert stats.contrast == 0.0
         assert np.isnan(stats.measured_lc)
 
@@ -89,7 +87,7 @@ class TestStats:
         frames = [synthesize_frame(cfg, 11, i) for i in range(600)]
         stats = intensity_stats(frames, 15e-6)
         assert stats.contrast == pytest.approx(1.0, abs=0.12)
-        center = np.array([f.intensity[32, 32] for f in frames])
+        center = np.array([f[32, 32] for f in frames])
         # negative-exponential law: median = mean * ln 2
         assert np.median(center) / (center.mean() * np.log(2)) == pytest.approx(1.0, abs=0.1)
         # independent histogram check: P(I > mean) = 1/e
@@ -104,17 +102,3 @@ class TestStats:
                  / intensity_stats(frames_w, 15e-6).measured_lc)
         assert ratio == pytest.approx(2.0, rel=0.1)
 
-
-class TestExport:
-    def test_pgm_with_sidecar(self, tmp_path):
-        frame = synthesize_frame(config_for(150e-6, grid_n=32), 8, 2)
-        path = tmp_path / "frame.pgm"
-        speckle.export_frame_pgm(frame, path)
-        samples, maxval = ioutil.read_pgm(path)
-        assert maxval == 65535
-        assert samples.max() == 65535  # peak maps to full scale
-        meta = ioutil.parse_kv_text((tmp_path / "frame.pgm.meta").read_text())
-        assert meta["seed"] == "8"
-        assert meta["frame_index"] == "2"
-        scale = float(meta["scale"])
-        assert scale == pytest.approx(65535.0 / frame.intensity.max())
