@@ -2,8 +2,8 @@
 
 from .errors import ConfigError, GhostbenchError, SolverError
 from .optics import (ObjectMask, OpticalConfig, SlitGeometry, coherence_length,
-                     config_for_coherence_length, grid_coords, load_config,
-                     load_mask_pgm, make_double_slit, save_config, save_mask_pgm)
+                     config_for_coherence_length, grid_coords, load_mask_pgm,
+                     make_double_slit, save_mask_pgm)
 from .speckle import SpeckleStats, aperture_sample_count, intensity_stats, synthesize_frame
 from .forward import MeasurementSet, bucket_measure, run_campaign
 from .recon_gi import gi_reconstruct, write_image_csv

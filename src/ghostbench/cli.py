@@ -10,6 +10,7 @@ GHOSTBENCH_OUT sets the default output directory.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -46,11 +47,13 @@ def _cmd_trend(args) -> int:
     try:
         scenario = harness.load_scenario(args.scenario)
         lc_list = [float(t) for t in args.lc.split(",") if t.strip()]
-        seeds = [int(t) for t in args.seeds.split(",") if t.strip()]
+        seeds = harness.SCHEMA["scenario.seeds"].parse(args.seeds)
     except ConfigError as exc:
         return _fail(f"parse error: {exc}", EXIT_USAGE)
-    except ValueError:
-        return _fail("--lc and --seeds must be comma lists of numbers", EXIT_USAGE)
+    except ValueError as exc:
+        return _fail(f"bad --lc or --seeds: {exc}", EXIT_USAGE)
+    if not all(lc > 0 and math.isfinite(lc) for lc in lc_list):
+        return _fail("--lc values must be positive and finite", EXIT_USAGE)
     if len(lc_list) < 2 or len(seeds) < 2:
         return _fail("trend needs at least 2 coherence lengths and 2 seeds", EXIT_USAGE)
     try:

@@ -8,14 +8,12 @@ the order in which frames are acquired.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .optics import ObjectMask, OpticalConfig
 from .speckle import SEED_LIMIT, synthesize_frame
-from . import ioutil
 
 # Extra entropy word separating the bucket-noise stream from the frame stream.
 _NOISE_STREAM = 0x4255434B
@@ -60,6 +58,10 @@ class MeasurementSet:
             raise ConfigError(
                 f"need one bucket per frame: {buckets.shape} buckets for "
                 f"{intensities.shape[0]} frames")
+        if intensities.shape[1] != self.config.grid_n:
+            raise ConfigError(
+                f"frame grid {intensities.shape[1]} does not match config grid "
+                f"{self.config.grid_n}")
         if not np.isfinite(intensities).all() or intensities.min() < 0:
             raise ConfigError("frame intensities must be finite and non-negative")
         if not (intensities.mean(axis=(1, 2)) > 0).all():
@@ -76,11 +78,6 @@ class MeasurementSet:
     @property
     def m(self) -> int:
         return self.intensities.shape[0]
-
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["frame_index,bucket"]
-        lines += [f"{i},{bucket!r}" for i, bucket in enumerate(self.buckets.tolist())]
-        ioutil.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def bucket_measure(intensity: np.ndarray, mask: ObjectMask) -> float:

@@ -1,30 +1,11 @@
 """Scenario runner: parse flat key=value scenario files, execute campaigns,
 reconstruct with both methods, and emit images plus CSV metrics.
 
-Scenario file keys (prefix.name, ``#`` comments):
-
-  scenario.name            run name; used as the output directory ([A-Za-z0-9._-])
-  scenario.m               measurements per seed (>= 2 when gi is requested)
-  scenario.seeds           comma list of master seeds
-  scenario.methods         subset of gi,gics (default both)
-  scenario.noise_sigma     additive bucket noise std (default 0)
-  scenario.mask            double_slit | pgm
-  scenario.mask_pgm        graymap path, required for mask=pgm (relative to the file)
-  scenario.slit_width_m    double-slit geometry (defaults 1e-4 / 1e-3 / 2e-4, centered)
-  scenario.slit_height_m
-  scenario.slit_separation_m
-  scenario.slit_center_x_m
-  scenario.slit_center_y_m
-  optics.wavelength_m      bench geometry; give exactly one of source_width_m
-  optics.z_m               or lc_target_m (source width derived as lambda*z/lc)
-  optics.z1_m
-  optics.source_width_m
-  optics.lc_target_m
-  optics.grid_n
-  optics.pixel_pitch_m
-  optics.source_oversample (optional)
-  gics.tau, gics.max_iters, gics.tol_rel_obj, gics.bb_step_min,
-  gics.bb_step_max, gics.debias, gics.nonneg   (optional solver knobs)
+A scenario file is ``prefix.name = value`` lines with ``#`` comments.  Its keys,
+their defaults and one line of documentation each are the rows of ``SCHEMA``;
+any other key is rejected.  Give exactly one of ``optics.source_width_m`` and
+``optics.lc_target_m`` (the source width is then derived as lambda*z/lc), and
+``scenario.mask_pgm`` (relative to the file) when ``scenario.mask = pgm``.
 
 Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
 gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
@@ -35,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,27 +28,104 @@ from .errors import ConfigError
 from .forward import MeasurementSet, bucket_measure, run_campaign
 from .optics import ObjectMask, OpticalConfig, SlitGeometry
 from .recon_gics import GicsParams
-from .speckle import synthesize_frame
+from .speckle import SEED_LIMIT, synthesize_frame
 
 METRICS_HEADER = "scenario,lc_m,m,method,seed,snr,mse,psnr,dip_ratio,resolved"
 TREND_HEADER = "lc_m,method,snr_mean,snr_std,mse_mean,mse_std"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
-_SCENARIO_KEYS = {
-    "scenario.name", "scenario.m", "scenario.seeds", "scenario.methods",
-    "scenario.noise_sigma", "scenario.mask", "scenario.mask_pgm",
-    "scenario.slit_width_m", "scenario.slit_height_m", "scenario.slit_separation_m",
-    "scenario.slit_center_x_m", "scenario.slit_center_y_m",
+REQUIRED = object()  # default of a key the scenario file must give
+
+
+@dataclass(frozen=True)
+class Key:
+    """One scenario key: parser of its text value, default (or REQUIRED), doc line."""
+
+    parse: Callable[[str], object]
+    default: object
+    doc: str
+
+
+def _name(text: str) -> str:
+    if not _NAME_RE.match(text):
+        raise ValueError("must match [A-Za-z0-9._-]+")
+    return text
+
+
+def _comma_list(text: str) -> list[str]:
+    return [token.strip() for token in text.split(",") if token.strip()]
+
+
+def _methods(text: str) -> tuple[str, ...]:
+    tokens = {token.lower() for token in _comma_list(text)}
+    unknown = tokens - {"gi", "gics"}
+    if unknown:
+        raise ValueError(f"unknown method(s) {', '.join(sorted(unknown))} (want gi or gics)")
+    return tuple(method for method in ("gi", "gics") if method in tokens)
+
+
+def _valid_seeds(seeds: Iterable[int]) -> tuple[int, ...]:
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("needs at least one seed")
+    if not all(0 <= seed < SEED_LIMIT for seed in seeds):
+        raise ValueError("seeds must lie in [0, 2**64)")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seed list contains duplicates")
+    return seeds
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    return _valid_seeds(int(token) for token in _comma_list(text))
+
+
+def _boolean(text: str) -> bool:
+    token = text.lower()
+    if token in ("true", "1", "yes", "on"):
+        return True
+    if token in ("false", "0", "no", "off"):
+        return False
+    raise ValueError("must be true/false, 1/0, yes/no or on/off")
+
+
+_PARSER_BY_TYPE = {bool: _boolean, int: int, float: float}
+_GICS_DOCS = {
+    "tau": "l1 weight of the convex program",
+    "max_iters": "iteration cap of the GPSR-BB solve",
+    "tol_rel_obj": "stop when the relative objective change is below this",
+    "bb_step_min": "lower clamp of the Barzilai-Borwein step",
+    "bb_step_max": "upper clamp of the Barzilai-Borwein step",
+    "debias": "least-squares refit on the found support",
+    "nonneg": "constrain the image to be non-negative",
 }
-_OPTICS_KEYS = {
-    "optics.wavelength_m", "optics.z_m", "optics.z1_m", "optics.source_width_m",
-    "optics.lc_target_m", "optics.grid_n", "optics.pixel_pitch_m",
-    "optics.source_oversample",
-}
-_GICS_KEYS = {
-    "gics.tau", "gics.max_iters", "gics.tol_rel_obj", "gics.bb_step_min",
-    "gics.bb_step_max", "gics.debias", "gics.nonneg",
+
+SCHEMA: dict[str, Key] = {
+    "scenario.name": Key(_name, REQUIRED, "run name and output directory, [A-Za-z0-9._-]+"),
+    "scenario.m": Key(int, REQUIRED, "measurements per seed (>= 2 when gi is requested)"),
+    "scenario.seeds": Key(_seeds, REQUIRED, "comma list of distinct master seeds in [0, 2**64)"),
+    "scenario.methods": Key(_methods, ("gi", "gics"), "comma list, subset of gi,gics"),
+    "scenario.noise_sigma": Key(float, 0.0, "std of additive Gaussian bucket noise"),
+    "scenario.mask": Key(str, REQUIRED, "double_slit or pgm"),
+    "scenario.mask_pgm": Key(str, None, "graymap path relative to the file; needed for mask=pgm"),
+    "scenario.slit_width_m": Key(float, 1e-4, "width of each slit"),
+    "scenario.slit_height_m": Key(float, 1e-3, "height of each slit"),
+    "scenario.slit_separation_m": Key(float, 2e-4, "distance between the slit centers"),
+    "scenario.slit_center_x_m": Key(float, 0.0, "x of the midpoint between the slits"),
+    "scenario.slit_center_y_m": Key(float, 0.0, "y of the slit centers"),
+    "optics.wavelength_m": Key(float, REQUIRED, "source wavelength"),
+    "optics.z_m": Key(float, REQUIRED, "source-to-object distance"),
+    "optics.z1_m": Key(float, REQUIRED, "source-to-reference distance (provenance only)"),
+    "optics.source_width_m": Key(float, None, "side of the square source; or give lc_target_m"),
+    "optics.lc_target_m": Key(float, None,
+                              "coherence length on the object plane; or source_width_m"),
+    "optics.grid_n": Key(int, REQUIRED, "pixels per side of the object and reference grids"),
+    "optics.pixel_pitch_m": Key(float, REQUIRED, "pixel pitch on both grids"),
+    "optics.source_oversample": Key(int, OpticalConfig.source_oversample,
+                                    "source-plane samples per grid pixel"),
+    **{f"gics.{field.name}": Key(_PARSER_BY_TYPE[type(field.default)], field.default,
+                                 _GICS_DOCS[field.name])
+       for field in dataclasses.fields(GicsParams)},
 }
 
 
@@ -93,137 +152,66 @@ class Scenario:
             raise ConfigError("scenario needs at least one method")
 
 
-def _require(pairs: dict[str, str], key: str) -> str:
-    if key not in pairs:
-        raise ConfigError(f"missing scenario key {key!r}")
-    return pairs[key]
-
-
-def _parse_float(pairs, key, default=None) -> float:
-    if key not in pairs:
-        if default is None:
-            raise ConfigError(f"missing scenario key {key!r}")
-        return default
-    try:
-        return float(pairs[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {pairs[key]!r}") from None
-
-
-def _parse_int(pairs, key, default=None) -> int:
-    if key not in pairs:
-        if default is None:
-            raise ConfigError(f"missing scenario key {key!r}")
-        return default
-    try:
-        return int(pairs[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {pairs[key]!r}") from None
-
-
-def _parse_bool(pairs, key, default: bool) -> bool:
-    if key not in pairs:
-        return default
-    token = pairs[key].lower()
-    if token in ("true", "1", "yes", "on"):
-        return True
-    if token in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {pairs[key]!r}")
-
-
 def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
     pairs = ioutil.parse_kv_text(text)
-    known = _SCENARIO_KEYS | _OPTICS_KEYS | _GICS_KEYS
-    unknown = set(pairs) - known
+    unknown = set(pairs) - set(SCHEMA)
     if unknown:
         raise ConfigError(f"unknown scenario key(s): {', '.join(sorted(unknown))}")
+    values = {}
+    for key, row in SCHEMA.items():
+        if key not in pairs:
+            if row.default is REQUIRED:
+                raise ConfigError(f"missing scenario key {key!r}")
+            values[key] = row.default
+            continue
+        try:
+            values[key] = row.parse(pairs[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {pairs[key]!r}: {exc}") from None
 
-    name = _require(pairs, "scenario.name")
-    if not _NAME_RE.match(name):
-        raise ConfigError(f"scenario.name {name!r} must match [A-Za-z0-9._-]+")
-
-    wavelength = _parse_float(pairs, "optics.wavelength_m")
-    z = _parse_float(pairs, "optics.z_m")
-    z1 = _parse_float(pairs, "optics.z1_m")
-    grid_n = _parse_int(pairs, "optics.grid_n")
-    pitch = _parse_float(pairs, "optics.pixel_pitch_m")
-    oversample = _parse_int(pairs, "optics.source_oversample", default=4)
-    has_width = "optics.source_width_m" in pairs
-    has_lc = "optics.lc_target_m" in pairs
-    if has_width == has_lc:
+    source_width, lc = values["optics.source_width_m"], values["optics.lc_target_m"]
+    if (source_width is None) == (lc is None):
         raise ConfigError("give exactly one of optics.source_width_m or optics.lc_target_m")
-    if has_lc:
-        lc = _parse_float(pairs, "optics.lc_target_m")
+    if lc is not None:
         if lc <= 0:
             raise ConfigError("optics.lc_target_m must be positive")
-        source_width = wavelength * z / lc
-    else:
-        source_width = _parse_float(pairs, "optics.source_width_m")
-    config = OpticalConfig(wavelength, z, z1, source_width, grid_n, pitch,
-                           source_oversample=oversample)
+        source_width = values["optics.wavelength_m"] * values["optics.z_m"] / lc
+    config = OpticalConfig(values["optics.wavelength_m"], values["optics.z_m"],
+                           values["optics.z1_m"], source_width, values["optics.grid_n"],
+                           values["optics.pixel_pitch_m"],
+                           source_oversample=values["optics.source_oversample"])
 
-    mask_kind = _require(pairs, "scenario.mask")
+    mask_kind = values["scenario.mask"]
     slit_geometry = None
     if mask_kind == "double_slit":
         slit_geometry = SlitGeometry(
-            width=_parse_float(pairs, "scenario.slit_width_m", default=1e-4),
-            height=_parse_float(pairs, "scenario.slit_height_m", default=1e-3),
-            separation=_parse_float(pairs, "scenario.slit_separation_m", default=2e-4),
-            center=(_parse_float(pairs, "scenario.slit_center_x_m", default=0.0),
-                    _parse_float(pairs, "scenario.slit_center_y_m", default=0.0)),
+            width=values["scenario.slit_width_m"],
+            height=values["scenario.slit_height_m"],
+            separation=values["scenario.slit_separation_m"],
+            center=(values["scenario.slit_center_x_m"], values["scenario.slit_center_y_m"]),
         )
         mask = optics.make_double_slit(config, slit_geometry.width, slit_geometry.height,
                                        slit_geometry.separation, slit_geometry.center)
     elif mask_kind == "pgm":
-        if "scenario.mask_pgm" not in pairs:
+        if values["scenario.mask_pgm"] is None:
             raise ConfigError("mask=pgm requires scenario.mask_pgm")
-        pgm_path = Path(base_dir) / pairs["scenario.mask_pgm"]
+        pgm_path = Path(base_dir) / values["scenario.mask_pgm"]
         if not pgm_path.is_file():
             raise ConfigError(f"mask graymap {pgm_path} does not exist")
         mask = optics.load_mask_pgm(pgm_path, config)
     else:
         raise ConfigError(f"scenario.mask must be double_slit or pgm, got {mask_kind!r}")
 
-    methods_text = pairs.get("scenario.methods", "gi,gics")
-    seen = []
-    for token in methods_text.split(","):
-        token = token.strip().lower()
-        if token not in ("gi", "gics"):
-            raise ConfigError(f"unknown method {token!r} (want gi or gics)")
-        if token not in seen:
-            seen.append(token)
-    methods = tuple(t for t in ("gi", "gics") if t in seen)
-
-    seed_tokens = [t.strip() for t in _require(pairs, "scenario.seeds").split(",") if t.strip()]
-    if not seed_tokens:
-        raise ConfigError("scenario.seeds must list at least one seed")
-    try:
-        seeds = tuple(int(t) for t in seed_tokens)
-    except ValueError:
-        raise ConfigError("scenario.seeds must be a comma list of integers") from None
-    if any(s < 0 for s in seeds):
-        raise ConfigError("seeds must be non-negative")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("scenario.seeds contains duplicates")
-
-    gics = GicsParams(
-        tau=_parse_float(pairs, "gics.tau", default=1e-3),
-        max_iters=_parse_int(pairs, "gics.max_iters", default=2000),
-        tol_rel_obj=_parse_float(pairs, "gics.tol_rel_obj", default=1e-8),
-        bb_step_min=_parse_float(pairs, "gics.bb_step_min", default=1e-30),
-        bb_step_max=_parse_float(pairs, "gics.bb_step_max", default=1e30),
-        debias=_parse_bool(pairs, "gics.debias", default=False),
-        nonneg=_parse_bool(pairs, "gics.nonneg", default=False),
-    )
-
-    noise_sigma = _parse_float(pairs, "scenario.noise_sigma", default=0.0)
+    noise_sigma = values["scenario.noise_sigma"]
     if noise_sigma < 0 or not math.isfinite(noise_sigma):
         raise ConfigError("scenario.noise_sigma must be finite and non-negative")
 
-    return Scenario(name=name, config=config, mask=mask, slit_geometry=slit_geometry,
-                    m=_parse_int(pairs, "scenario.m"), methods=methods, gics=gics,
-                    seeds=seeds, noise_sigma=noise_sigma)
+    gics = GicsParams(**{field.name: values[f"gics.{field.name}"]
+                         for field in dataclasses.fields(GicsParams)})
+    return Scenario(name=values["scenario.name"], config=config, mask=mask,
+                    slit_geometry=slit_geometry, m=values["scenario.m"],
+                    methods=values["scenario.methods"], gics=gics,
+                    seeds=values["scenario.seeds"], noise_sigma=noise_sigma)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -242,6 +230,8 @@ def _format_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(_format_cell(item) for item in value)
     return str(value)
 
 
@@ -327,13 +317,16 @@ def trend_experiment(scenario: Scenario, lc_list, seeds, out_dir: str | Path | N
     <out>/<name>/trend.csv when out_dir is given.
     """
     lc_values = sorted((float(v) for v in lc_list), reverse=True)
-    seeds = tuple(int(s) for s in seeds)
+    try:
+        seeds = _valid_seeds(int(s) for s in seeds)
+    except ValueError as exc:
+        raise ConfigError(f"trend seeds: {exc}") from None
     if len(lc_values) < 2:
         raise ConfigError("trend experiment needs at least 2 coherence lengths")
     if len(seeds) < 2:
         raise ConfigError("trend experiment needs at least 2 seeds")
-    if any(v <= 0 for v in lc_values):
-        raise ConfigError("coherence lengths must be positive")
+    if not all(v > 0 and math.isfinite(v) for v in lc_values):
+        raise ConfigError("coherence lengths must be positive and finite")
 
     jobs = [(lc, seed) for lc in lc_values for seed in seeds]
 
@@ -386,28 +379,24 @@ def trend_experiment(scenario: Scenario, lc_list, seeds, out_dir: str | Path | N
     return csv_text, verdicts
 
 
+# Bench geometry shared by the built-in recipes.
+_BENCH_GEOMETRY = {"optics.wavelength_m": 650e-9, "optics.z_m": 0.4, "optics.z1_m": 0.5,
+                   "optics.grid_n": 100, "optics.pixel_pitch_m": 15e-6}
+
+
+def _recipe_text(values: dict[str, object]) -> str:
+    """Scenario text for ``values``, leaving out every key that equals its default."""
+    return ioutil.format_kv_text({key: _format_cell(value) for key, value in values.items()
+                                  if value != SCHEMA[key].default})
+
+
 def double_slit_sweep_scenarios(lc_list=(276.7e-6, 135.5e-6, 68.8e-6), m: int = 500,
                                 seeds=(1, 2, 3, 4, 5), tau: float = 1e-3) -> list[str]:
     """Built-in recipe: the standard double slit at several coherence lengths."""
-    texts = []
-    for lc in lc_list:
-        texts.append(
-            f"scenario.name = slit_lc{round(lc * 1e6)}um\n"
-            f"scenario.m = {m}\n"
-            f"scenario.seeds = {','.join(str(s) for s in seeds)}\n"
-            "scenario.methods = gi,gics\n"
-            "scenario.mask = double_slit\n"
-            "scenario.slit_width_m = 1e-4\n"
-            "scenario.slit_height_m = 1e-3\n"
-            "scenario.slit_separation_m = 2e-4\n"
-            "optics.wavelength_m = 650e-9\n"
-            "optics.z_m = 0.4\n"
-            "optics.z1_m = 0.5\n"
-            f"optics.lc_target_m = {lc!r}\n"
-            "optics.grid_n = 100\n"
-            "optics.pixel_pitch_m = 15e-6\n"
-            f"gics.tau = {tau!r}\n")
-    return texts
+    return [_recipe_text({"scenario.name": f"slit_lc{round(lc * 1e6)}um", "scenario.m": m,
+                          "scenario.seeds": tuple(seeds), "scenario.mask": "double_slit",
+                          **_BENCH_GEOMETRY, "optics.lc_target_m": lc, "gics.tau": tau})
+            for lc in lc_list]
 
 
 def aperture_sweep_scenarios(mask_pgm: str, method: str, m: int,
@@ -420,23 +409,12 @@ def aperture_sweep_scenarios(mask_pgm: str, method: str, m: int,
     """
     if method not in ("gi", "gics"):
         raise ConfigError("method must be gi or gics")
-    texts = []
-    for lc in lc_list:
-        texts.append(
-            f"scenario.name = aperture_{method}_lc{round(lc * 1e6)}um\n"
-            f"scenario.m = {m}\n"
-            f"scenario.seeds = {','.join(str(s) for s in seeds)}\n"
-            f"scenario.methods = {method}\n"
-            "scenario.mask = pgm\n"
-            f"scenario.mask_pgm = {mask_pgm}\n"
-            "optics.wavelength_m = 650e-9\n"
-            "optics.z_m = 0.4\n"
-            "optics.z1_m = 0.5\n"
-            f"optics.lc_target_m = {lc!r}\n"
-            "optics.grid_n = 100\n"
-            "optics.pixel_pitch_m = 15e-6\n"
-            f"gics.tau = {tau!r}\n")
-    return texts
+    return [_recipe_text({"scenario.name": f"aperture_{method}_lc{round(lc * 1e6)}um",
+                          "scenario.m": m, "scenario.seeds": tuple(seeds),
+                          "scenario.methods": (method,), "scenario.mask": "pgm",
+                          "scenario.mask_pgm": mask_pgm, **_BENCH_GEOMETRY,
+                          "optics.lc_target_m": lc, "gics.tau": tau})
+            for lc in lc_list]
 
 
 def selftest(verbose: bool = True) -> bool:

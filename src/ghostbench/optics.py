@@ -17,9 +17,6 @@ import numpy as np
 from .errors import ConfigError
 from . import ioutil
 
-# Keys of the standalone optics config file, in canonical order.
-CONFIG_FILE_KEYS = ("wavelength_m", "z_m", "z1_m", "source_width_m", "grid_n", "pixel_pitch_m")
-
 # Relative slack applied to boundary comparisons so pixel centers that land
 # exactly on a shape edge (an exact-arithmetic tie) rasterize deterministically.
 _EDGE_TOL = 1e-9
@@ -193,52 +190,3 @@ def save_mask_pgm(mask: ObjectMask, path: str | Path, maxval: int = 255,
     """Quantize transmittance to ``round(value * maxval)`` and write a graymap."""
     samples = np.rint(mask.values * maxval).astype(np.int64)
     ioutil.write_pgm(path, samples, maxval, binary=binary)
-
-
-def load_config(path: str | Path) -> OpticalConfig:
-    """Read the flat key=value optics config file (exactly the six canonical keys)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_pairs(ioutil.parse_kv_text(text))
-
-
-def parse_config_pairs(pairs: dict[str, str]) -> OpticalConfig:
-    unknown = set(pairs) - set(CONFIG_FILE_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    missing = set(CONFIG_FILE_KEYS) - set(pairs)
-    if missing:
-        raise ConfigError(f"missing config key(s): {', '.join(sorted(missing))}")
-    try:
-        grid_n = int(pairs["grid_n"])
-    except ValueError:
-        raise ConfigError(f"grid_n must be an integer, got {pairs['grid_n']!r}") from None
-
-    def num(key: str) -> float:
-        try:
-            return float(pairs[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {pairs[key]!r}") from None
-
-    return OpticalConfig(
-        wavelength=num("wavelength_m"),
-        z_source_to_object=num("z_m"),
-        z_source_to_reference=num("z1_m"),
-        source_width=num("source_width_m"),
-        grid_n=grid_n,
-        pixel_pitch=num("pixel_pitch_m"),
-    )
-
-
-def save_config(config: OpticalConfig, path: str | Path) -> None:
-    pairs = {
-        "wavelength_m": repr(config.wavelength),
-        "z_m": repr(config.z_source_to_object),
-        "z1_m": repr(config.z_source_to_reference),
-        "source_width_m": repr(config.source_width),
-        "grid_n": config.grid_n,
-        "pixel_pitch_m": repr(config.pixel_pitch),
-    }
-    ioutil.atomic_write_text(path, ioutil.format_kv_text(pairs))

@@ -12,6 +12,7 @@ from ghostbench.speckle import synthesize_frame
 CFG = optics.config_for_coherence_length(
     OpticalConfig(650e-9, 0.4, 0.5, 1e-3, 32, 15e-6), 120e-6)
 FRAME = synthesize_frame(CFG, 42, 0)
+N = CFG.grid_n
 
 
 def two_loop_bucket(frame, mask):
@@ -113,17 +114,6 @@ class TestCampaign:
         with pytest.raises(ConfigError, match="grid"):
             run_campaign(CFG, mask, 4, 1)
 
-    def test_csv_export_format(self, tmp_path):
-        ms = run_campaign(CFG, self.MASK, 3, 11)
-        path = tmp_path / "ms.csv"
-        ms.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "frame_index,bucket"
-        assert len(lines) == 4
-        idx, bucket = lines[1].split(",")
-        assert int(idx) == 0
-        assert float(bucket) == ms.buckets[0]
-
     def test_measurement_set_validation(self):
         stack = FRAME[None]
         with pytest.raises(ConfigError, match="negative"):
@@ -134,12 +124,14 @@ class TestCampaign:
             MeasurementSet(np.empty((0, 32, 32)), [], CFG, 0)
         with pytest.raises(ConfigError):
             MeasurementSet(stack, [1.0], CFG, 0, noise_sigma=-1.0)
+        with pytest.raises(ConfigError, match="grid"):
+            MeasurementSet(np.ones((4, 8, 8)), [1.0] * 4, CFG, 0)
 
-    @pytest.mark.parametrize("frame", [np.full((8, 8), -1.0), np.zeros((8, 8)),
-                                       np.full((8, 8), np.nan), np.full((8, 8), np.inf)],
+    @pytest.mark.parametrize("frame", [np.full((N, N), -1.0), np.zeros((N, N)),
+                                       np.full((N, N), np.nan), np.full((N, N), np.inf)],
                              ids=["negative", "zero_mean", "nan", "inf"])
     def test_rejects_bad_frame_values(self, frame):
-        stack = np.stack([np.ones((8, 8)), frame])
+        stack = np.stack([np.ones((N, N)), frame])
         with pytest.raises(ConfigError):
             MeasurementSet(stack, [1.0, 1.0], CFG, 0)
 
@@ -154,10 +146,10 @@ class TestCampaign:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(ConfigError, match="seed"):
-            MeasurementSet(np.ones((1, 8, 8)), [1.0], CFG, seed)
+            MeasurementSet(np.ones((1, N, N)), [1.0], CFG, seed)
 
     def test_caller_mutation_does_not_leak(self):
-        stack = np.ones((2, 8, 8))
+        stack = np.ones((2, N, N))
         buckets = np.array([1.0, 2.0])
         ms = MeasurementSet(stack, buckets, CFG, 0)
         stack[0, 0, 0] = 5.0
@@ -168,7 +160,7 @@ class TestCampaign:
         assert not ms.buckets.flags.writeable
 
     def test_read_only_view_of_writeable_base_is_copied(self):
-        base = np.ones((2, 8, 8))
+        base = np.ones((2, N, N))
         view = base[:]
         view.flags.writeable = False
         ms = MeasurementSet(view, [1.0, 2.0], CFG, 0)

@@ -1,8 +1,11 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ghostbench import cli, harness
 from ghostbench.errors import ConfigError
@@ -65,9 +68,11 @@ class TestParsing:
             harness.parse_scenario_text(bad, tmp_path)
 
     def test_single_method_scenario(self, tmp_path):
-        text = SMALL_SCENARIO.replace("scenario.methods = gi,gics", "scenario.methods = gics")
-        scenario = harness.parse_scenario_text(text, tmp_path)
-        assert scenario.methods == ("gics",)
+        for methods in ("gics", "gics,", " GICS , gics"):
+            text = SMALL_SCENARIO.replace("scenario.methods = gi,gics",
+                                          f"scenario.methods = {methods}")
+            scenario = harness.parse_scenario_text(text, tmp_path)
+            assert scenario.methods == ("gics",)
 
     def test_unknown_method_rejected(self, tmp_path):
         bad = SMALL_SCENARIO.replace("scenario.methods = gi,gics", "scenario.methods = tv")
@@ -84,6 +89,23 @@ class TestParsing:
         bad = SMALL_SCENARIO.replace("scenario.name = smoke", "scenario.name = a/b")
         with pytest.raises(ConfigError, match="name"):
             harness.parse_scenario_text(bad, tmp_path)
+
+    @pytest.mark.parametrize("key", [k for k, row in harness.SCHEMA.items()
+                                     if row.default is harness.REQUIRED])
+    def test_missing_required_key_rejected(self, tmp_path, key):
+        text = "".join(line + "\n" for line in SMALL_SCENARIO.splitlines()
+                       if not line.startswith(key + " "))
+        with pytest.raises(ConfigError, match=f"missing scenario key '{re.escape(key)}'"):
+            harness.parse_scenario_text(text, tmp_path)
+
+    @pytest.mark.parametrize("line", ["scenario.m = 1.5", "optics.grid_n = x",
+                                      "gics.debias = maybe", "scenario.seeds = 1,two"])
+    def test_bad_value_names_key_and_value(self, tmp_path, line):
+        key, value = (part.strip() for part in line.split("="))
+        text = "".join(kv + "\n" for kv in SMALL_SCENARIO.splitlines()
+                       if not kv.startswith(key + " ")) + line + "\n"
+        with pytest.raises(ConfigError, match=re.escape(f"{key} = {value!r}")):
+            harness.parse_scenario_text(text, tmp_path)
 
 
 class TestRunScenario:
@@ -176,6 +198,15 @@ class TestTrend:
         with pytest.raises(ConfigError):
             harness.trend_experiment(scenario, [60e-6, 120e-6], seeds=(3,))
 
+    def test_rejects_bad_lc_and_seeds(self, tmp_path):
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        for lc_list in ([float("nan"), 100e-6], [float("inf"), 100e-6], [0.0, 100e-6]):
+            with pytest.raises(ConfigError, match="coherence lengths"):
+                harness.trend_experiment(scenario, lc_list, seeds=(3, 4))
+        for seeds in ((3, 3), (-1, 2), (2**64, 2)):
+            with pytest.raises(ConfigError, match="seed"):
+                harness.trend_experiment(scenario, [60e-6, 120e-6], seeds=seeds)
+
 
 class TestCli:
     def write_scenario(self, tmp_path, text=SMALL_SCENARIO) -> Path:
@@ -190,10 +221,13 @@ class TestCli:
         assert (out / "smoke" / "3" / "metrics.csv").is_file()
 
     def test_unknown_key_exits_2_without_outputs(self, tmp_path):
-        path = self.write_scenario(tmp_path, SMALL_SCENARIO + "scenario.bogus = 1\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", str(path), "--out", str(out)]) == 2
-        assert not out.exists()
+        too_big_seed = SMALL_SCENARIO.replace("scenario.seeds = 3,4",
+                                              f"scenario.seeds = 3,{2**64}")
+        for text in (SMALL_SCENARIO + "scenario.bogus = 1\n", too_big_seed):
+            path = self.write_scenario(tmp_path, text)
+            out = tmp_path / "out"
+            assert cli.main(["run", str(path), "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.txt")]) == 2
@@ -218,6 +252,15 @@ class TestCli:
     def test_trend_needs_two_lcs(self, tmp_path):
         path = self.write_scenario(tmp_path)
         assert cli.main(["trend", str(path), "--lc", "60e-6", "--seeds", "3,4"]) == 2
+
+    @pytest.mark.parametrize("lc,seeds", [("60e-6,120e-6", "-1,2"), ("60e-6,120e-6", "3,3"),
+                                          ("nan,1e-4", "3,4")])
+    def test_trend_bad_lc_or_seeds_exits_2(self, tmp_path, lc, seeds):
+        path = self.write_scenario(tmp_path)
+        out = tmp_path / "out"
+        argv = ["trend", str(path), f"--lc={lc}", f"--seeds={seeds}", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("command", ["run", "trend"])
@@ -255,3 +298,65 @@ class TestRecipes:
                 scenario = harness.parse_scenario_text(text, tmp_path)
                 assert scenario.methods == (method,)
                 assert scenario.m == m
+
+
+# The double-slit recipe as it was written out key by key, every slit and
+# bench key explicit.
+EXPLICIT_SLIT_RECIPE = """\
+scenario.name = slit_lc69um
+scenario.m = 500
+scenario.seeds = 1,2,3,4,5
+scenario.methods = gi,gics
+scenario.mask = double_slit
+scenario.slit_width_m = 1e-4
+scenario.slit_height_m = 1e-3
+scenario.slit_separation_m = 2e-4
+optics.wavelength_m = 650e-9
+optics.z_m = 0.4
+optics.z1_m = 0.5
+optics.lc_target_m = 6.88e-05
+optics.grid_n = 100
+optics.pixel_pitch_m = 15e-6
+gics.tau = 0.001
+"""
+
+
+def rows_parsed_by(parse):
+    return st.sampled_from([k for k, row in harness.SCHEMA.items() if row.parse is parse])
+
+
+class TestSchema:
+    @given(key=rows_parsed_by(float), value=st.floats(allow_nan=False))
+    def test_float_rows_roundtrip(self, key, value):
+        assert harness.SCHEMA[key].parse(repr(value)) == value
+
+    @given(key=rows_parsed_by(int), value=st.integers())
+    def test_int_rows_roundtrip(self, key, value):
+        assert harness.SCHEMA[key].parse(str(value)) == value
+
+    @given(key=st.sampled_from(["gics.debias", "gics.nonneg"]),
+           token=st.sampled_from(["true", "1", "yes", "on", "false", "0", "no", "off"]),
+           upper=st.booleans())
+    def test_bool_rows_accept_every_token(self, key, token, upper):
+        text = token.upper() if upper else token
+        assert harness.SCHEMA[key].parse(text) is (token in ("true", "1", "yes", "on"))
+
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8, unique=True))
+    def test_seed_lists_roundtrip(self, seeds):
+        assert harness.SCHEMA["scenario.seeds"].parse(",".join(map(str, seeds))) == tuple(seeds)
+
+    def test_recipe_matches_explicit_text(self, tmp_path):
+        explicit = harness.parse_scenario_text(EXPLICIT_SLIT_RECIPE, tmp_path)
+        recipe = harness.parse_scenario_text(
+            harness.double_slit_sweep_scenarios(lc_list=(68.8e-6,))[0], tmp_path)
+        for field in ("name", "config", "slit_geometry", "m", "methods", "gics", "seeds",
+                      "noise_sigma"):
+            assert getattr(recipe, field) == getattr(explicit, field), field
+        assert np.array_equal(recipe.mask.values, explicit.mask.values)
+        assert recipe.mask.pitch == explicit.mask.pitch
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"\b(?:scenario|optics|gics)\.[a-z0-9_]+", section))
+        assert named == set(harness.SCHEMA)
