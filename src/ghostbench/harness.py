@@ -14,6 +14,7 @@ atomically and are a pure function of the scenario file bytes.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 import re
 from collections.abc import Callable, Iterable
@@ -34,6 +35,7 @@ METRICS_HEADER = "scenario,lc_m,m,method,seed,snr,mse,psnr,dip_ratio,resolved"
 TREND_HEADER = "lc_m,method,snr_mean,snr_std,mse_mean,mse_std"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_log = logging.getLogger("ghostbench")
 
 REQUIRED = object()  # default of a key the scenario file must give
 
@@ -94,6 +96,7 @@ _GICS_DOCS = {
     "tau": "l1 weight of the convex program",
     "max_iters": "iteration cap of the GPSR-BB solve",
     "tol_rel_obj": "stop when the relative objective change is below this",
+    "tol_kkt_rel": "stop when the KKT residual is within this times ||A'b||inf (0: never)",
     "bb_step_min": "lower clamp of the Barzilai-Borwein step",
     "bb_step_max": "upper clamp of the Barzilai-Borwein step",
     "debias": "least-squares refit on the found support",
@@ -226,10 +229,10 @@ def load_scenario(path: str | Path) -> Scenario:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, tuple):
         return ",".join(_format_cell(item) for item in value)
     return str(value)
@@ -284,9 +287,14 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> None:
         _write_image_pgm(artifacts["gi"], seed_dir / "gi.pgm")
         recon_gi.write_image_csv(artifacts["gi"], seed_dir / "gi_raw.csv")
     if "gics" in artifacts:
+        report = artifacts["solve_report"]
+        if not report.converged and report.iterations == scenario.gics.max_iters:
+            _log.warning("%s seed %d: GICS solve stopped at its %d-iteration cap without "
+                         "converging (KKT residual %.3g x ||A'b||inf)", scenario.name, seed,
+                         report.iterations, report.kkt_residual / report.atb_inf)
         _write_image_pgm(artifacts["gics"], seed_dir / "gics.pgm")
         recon_gi.write_image_csv(artifacts["gics"], seed_dir / "gics_raw.csv")
-        recon_gics.write_solve_csv(artifacts["solve_report"], seed_dir / "solve.csv")
+        recon_gics.write_solve_csv(report, seed_dir / "solve.csv")
     lines = [METRICS_HEADER]
     for row in rows:
         lines.append(",".join(_format_cell(row[k]) for k in METRICS_HEADER.split(",")))

@@ -4,8 +4,9 @@ build_sensing turns a campaign into the linear system (rows = flattened
 reference intensities, rhs = buckets), optionally mean-centered and
 column-scaled.  gpsr_solve minimizes 0.5 ||rhs - rows @ x||^2 + tau ||x||_1
 by gradient projection on the split x = u - v (u, v >= 0) with
-Barzilai-Borwein step lengths; ista_reference is an independent
-proximal-gradient oracle used to cross-check it.
+Barzilai-Borwein step lengths, stopping once the optimality (KKT) residual
+is within tol_kkt_rel of ||rows.T @ rhs||_inf; ista_reference is an
+independent proximal-gradient oracle used to cross-check it.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ class GicsParams:
     tau: float = 1e-3
     max_iters: int = 2000
     tol_rel_obj: float = 1e-8
+    tol_kkt_rel: float = 1e-6
     bb_step_min: float = 1e-30
     bb_step_max: float = 1e30
     debias: bool = False
@@ -40,19 +42,25 @@ class GicsParams:
             raise ConfigError("max_iters must be positive")
         if not (self.tol_rel_obj > 0):
             raise ConfigError("tol_rel_obj must be positive")
+        if not (self.tol_kkt_rel >= 0 and np.isfinite(self.tol_kkt_rel)):
+            raise ConfigError("tol_kkt_rel must be finite and non-negative")
         if not (0 < self.bb_step_min < self.bb_step_max):
             raise ConfigError("need 0 < bb_step_min < bb_step_max")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver diagnostics; history rows are (iteration, objective, kkt_residual)."""
+    """Solver diagnostics; history rows are (iteration, objective, kkt_residual).
+
+    atb_inf is ||rows.T @ rhs||_inf, the scale of the KKT stopping rule.
+    """
 
     iterations: int
     final_objective: float
     kkt_residual: float
     converged: bool
     history: tuple[tuple[int, float, float], ...] = ()
+    atb_inf: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -152,18 +160,12 @@ def lasso_objective(rows: np.ndarray, rhs: np.ndarray, x: np.ndarray, tau: float
 
 
 def kkt_residual(x: np.ndarray, grad: np.ndarray, tau: float) -> float:
-    """Infinity-norm violation of the l1 least-squares optimality conditions."""
-    worst = 0.0
-    pos = x > 0
-    neg = x < 0
-    zero = ~(pos | neg)
-    if pos.any():
-        worst = max(worst, float(np.abs(grad[pos] + tau).max()))
-    if neg.any():
-        worst = max(worst, float(np.abs(grad[neg] - tau).max()))
-    if zero.any():
-        worst = max(worst, max(0.0, float(np.abs(grad[zero]).max()) - tau))
-    return worst
+    """Infinity-norm violation of the l1 least-squares optimality conditions.
+
+    grad + sign(x) * tau must vanish where x != 0 and |grad| <= tau where x == 0.
+    """
+    violation = np.where(x != 0, np.abs(grad + np.sign(x) * tau), np.abs(grad) - tau)
+    return float(violation.max(initial=0.0))
 
 
 def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
@@ -175,8 +177,10 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
 
     The split objective is quadratic, so the step along the projection arc is
     the exact minimizer clipped to [0, 1] (monotone descent; the final
-    objective never exceeds the objective at x = 0).  Stops when the relative
-    objective change drops below tol_rel_obj or after max_iters iterations.
+    objective never exceeds the objective at x = 0).  Converges as soon as the
+    KKT residual is at most tol_kkt_rel * ||rows.T @ rhs||_inf (never when
+    tol_kkt_rel is 0) or the relative objective change drops below
+    tol_rel_obj; otherwise stops unconverged after max_iters iterations.
     """
     rows = system.rows
     rhs = system.rhs
@@ -191,12 +195,17 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
     objective = 0.5 * float(resid @ resid)
     grad = rows.T @ resid
     alpha = 1.0
+    atb_inf = float(np.abs(grad).max(initial=0.0))
+    kkt_stop = params.tol_kkt_rel * atb_inf if params.tol_kkt_rel > 0 else -np.inf
 
     history = [(0, objective, kkt_residual(u - v, grad, tau))]
     converged = False
     iterations = 0
 
     for it in range(1, params.max_iters + 1):
+        if history[-1][2] <= kkt_stop:
+            converged = True
+            break
         grad_u = grad + tau
         grad_v = tau - grad
         du = np.maximum(u - alpha * grad_u, 0.0) - u
@@ -238,6 +247,8 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
         if small_change:
             converged = True
             break
+    else:
+        converged = history[-1][2] <= kkt_stop
 
     x = u - v
     if params.debias:
@@ -250,6 +261,7 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
         kkt_residual=kkt_residual(x, grad, tau),
         converged=converged,
         history=tuple(history),
+        atb_inf=atb_inf,
     )
     return x, report
 

@@ -230,7 +230,8 @@ def test_criterion_7_analytic_solver_facts():
     rhs = design @ rng.standard_normal(5) + 0.1 * rng.standard_normal(20)
     over = SensingSystem.from_arrays(design, rhs)
     expected = np.linalg.solve(design.T @ design, design.T @ rhs)
-    x_ls, _ = gpsr_solve(over, GicsParams(tau=0.0, tol_rel_obj=1e-13, max_iters=20000))
+    x_ls, _ = gpsr_solve(over, GicsParams(tau=0.0, tol_rel_obj=1e-13, tol_kkt_rel=0.0,
+                                           max_iters=20000))
     ls_rel = float(np.linalg.norm(x_ls - expected) / np.linalg.norm(expected))
     print(f"  zero-solution exact: {zero_exact}; tau=0 LS relative error {ls_rel:.2e}")
     report(7, "analytic solver facts", zero_exact and ls_rel <= 1e-6)

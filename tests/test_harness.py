@@ -1,3 +1,4 @@
+import logging
 import os
 import re
 from pathlib import Path
@@ -159,6 +160,31 @@ class TestRunScenario:
         assert gi_row[9] == ""
 
 
+class TestSolveCapWarning:
+    def test_capped_solve_warns_once_per_seed(self, tmp_path, caplog):
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        with caplog.at_level(logging.WARNING, logger="ghostbench"):
+            harness.run_scenario(scenario, tmp_path / "out")
+        messages = [r.getMessage() for r in caplog.records if r.name == "ghostbench"]
+        assert len(messages) == 2
+        for seed, message in zip((3, 4), messages):
+            assert f"seed {seed}:" in message
+            assert "150-iteration cap" in message and "||A'b||inf" in message
+        written = b"".join(tree_bytes(tmp_path / "out").values())
+        assert b"iteration cap" not in written
+
+    def test_converged_solve_is_silent(self, tmp_path, caplog):
+        text = (SMALL_SCENARIO.replace("scenario.m = 16\n", "scenario.m = 60\n")
+                .replace("scenario.seeds = 3,4\n", "scenario.seeds = 4\n")
+                .replace("gics.max_iters = 150\n", ""))
+        scenario = harness.parse_scenario_text(text, tmp_path)
+        with caplog.at_level(logging.WARNING, logger="ghostbench"):
+            harness.run_scenario(scenario, tmp_path / "out")
+        solve_rows = (tmp_path / "out" / "smoke" / "4" / "solve.csv").read_text().splitlines()
+        assert len(solve_rows) - 2 < scenario.gics.max_iters
+        assert not [r for r in caplog.records if r.name == "ghostbench"]
+
+
 class TestTrend:
     def test_rows_sorted_descending_with_verdicts(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
@@ -286,6 +312,13 @@ class TestRecipes:
             assert scenario.m == 500
             names.add(scenario.name)
         assert len(names) == 3
+
+    def test_ndarray_lc_list_matches_tuple(self, tmp_path):
+        from_tuple = harness.double_slit_sweep_scenarios(lc_list=(68.8e-6,))[0]
+        from_array = harness.double_slit_sweep_scenarios(lc_list=np.array([68.8e-6]))[0]
+        assert from_array == from_tuple
+        scenario = harness.parse_scenario_text(from_array, tmp_path)
+        assert scenario.config == harness.parse_scenario_text(from_tuple, tmp_path).config
 
     def test_aperture_sweep_parses(self, tmp_path):
         from ghostbench import ioutil

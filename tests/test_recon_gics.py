@@ -1,7 +1,11 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ghostbench import optics
 from ghostbench.errors import ConfigError
@@ -12,9 +16,13 @@ from ghostbench.recon_gics import (GicsParams, SensingSystem, build_sensing,
                                    kkt_residual, lasso_objective, write_solve_csv)
 from ghostbench.speckle import synthesize_frame
 
-TIGHT = dict(tol_rel_obj=1e-13, max_iters=20000)
+TIGHT = dict(tol_rel_obj=1e-13, tol_kkt_rel=0.0, max_iters=20000)
 CFG = optics.config_for_coherence_length(
     OpticalConfig(650e-9, 0.4, 0.5, 1e-3, 16, 15e-6), 90e-6)
+# Large enough that tau = 1e-3 leaves the program nearly unregularised, as on
+# the canonical bench, where GPSR meets the default KKT rule within ~100 steps.
+SLIT_CFG = optics.config_for_coherence_length(
+    OpticalConfig(650e-9, 0.4, 0.5, 1e-3, 48, 15e-6), 100e-6)
 
 
 def sparse_instance(seed, m=50, n=200, k=10):
@@ -154,6 +162,14 @@ class TestGpsr:
         with pytest.raises(ConfigError):
             GicsParams(tau=-1.0)
 
+    @pytest.mark.parametrize("tol", [-1e-6, math.nan, math.inf])
+    def test_bad_tol_kkt_rel_rejected(self, tol):
+        with pytest.raises(ConfigError):
+            GicsParams(tol_kkt_rel=tol)
+
+    def test_tol_kkt_rel_zero_accepted(self):
+        assert GicsParams(tol_kkt_rel=0.0).tol_kkt_rel == 0.0
+
     def test_history_matches_report(self):
         system, _ = sparse_instance(13)
         tau = 0.05 * float(np.abs(system.rows.T @ system.rhs).max())
@@ -162,6 +178,29 @@ class TestGpsr:
         assert report.history[-1][0] == report.iterations
         objectives = [row[1] for row in report.history]
         assert all(a >= b - 1e-12 * abs(a) for a, b in zip(objectives, objectives[1:]))
+
+
+class TestKktStop:
+    @pytest.fixture(scope="class")
+    def slit_system(self):
+        mask = optics.make_double_slit(SLIT_CFG, 1e-4, 240e-6, 2e-4)
+        return build_sensing(run_campaign(SLIT_CFG, mask, 60, 1))
+
+    def test_default_converges_on_kkt_residual(self, slit_system):
+        params = GicsParams(tau=1e-3)
+        _, report = gpsr_solve(slit_system, params)
+        atb_inf = float(np.abs(slit_system.rows.T @ slit_system.rhs).max())
+        assert report.atb_inf == atb_inf
+        assert report.converged
+        assert report.iterations < params.max_iters
+        assert report.kkt_residual <= params.tol_kkt_rel * atb_inf
+
+    def test_kkt_rule_only_truncates_the_trajectory(self, slit_system):
+        params = GicsParams(tau=1e-3)
+        _, stopped = gpsr_solve(slit_system, params)
+        _, full = gpsr_solve(slit_system, dataclasses.replace(params, tol_kkt_rel=0.0))
+        assert len(stopped.history) < len(full.history)
+        assert full.history[:len(stopped.history)] == stopped.history
 
 
 class TestIsta:
@@ -206,6 +245,23 @@ class TestKktResidual:
         x = np.array([1.0])
         grad = design.T @ (design @ x - rhs)
         assert kkt_residual(x, grad, 0.5) == pytest.approx(0.5)
+
+    @given(data=st.data(), tau=st.floats(0.0, 1e3))
+    def test_matches_per_entry_loop(self, data, tau):
+        finite = st.floats(-1e6, 1e6)
+        n = data.draw(st.integers(0, 12))
+        x = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0]) | finite,
+                                        min_size=n, max_size=n)), dtype=float)
+        grad = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)), dtype=float)
+        worst = 0.0
+        for xi, gi in zip(x, grad):
+            if xi > 0:
+                worst = max(worst, abs(gi + tau))
+            elif xi < 0:
+                worst = max(worst, abs(gi - tau))
+            else:
+                worst = max(worst, abs(gi) - tau)
+        assert kkt_residual(x, grad, tau) == worst
 
 
 class TestGicsReconstruct:
