@@ -5,7 +5,7 @@ reference intensities, rhs = buckets), optionally mean-centered and
 column-scaled.  gpsr_solve minimizes 0.5 ||rhs - rows @ x||^2 + tau ||x||_1
 by gradient projection on the split x = u - v (u, v >= 0) with
 Barzilai-Borwein step lengths, stopping once the optimality (KKT) residual
-is within tol_kkt_rel of ||rows.T @ rhs||_inf; ista_reference is an
+is within _KKT_REL_TOL of ||rows.T @ rhs||_inf; ista_reference is an
 independent proximal-gradient oracle used to cross-check it.
 """
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .forward import MeasurementSet, _frozen
 from .metrics import ReconImage
 from . import ioutil
 
+# GPSR converges once its KKT residual is at most this times ||rows.T @ rhs||_inf.
+_KKT_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GicsParams:
@@ -29,7 +32,6 @@ class GicsParams:
     tau: float = 1e-3
     max_iters: int = 2000
     tol_rel_obj: float = 1e-8
-    tol_kkt_rel: float = 1e-6
     bb_step_min: float = 1e-30
     bb_step_max: float = 1e30
     debias: bool = False
@@ -42,8 +44,6 @@ class GicsParams:
             raise ConfigError("max_iters must be positive")
         if not (self.tol_rel_obj > 0):
             raise ConfigError("tol_rel_obj must be positive")
-        if not (self.tol_kkt_rel >= 0 and np.isfinite(self.tol_kkt_rel)):
-            raise ConfigError("tol_kkt_rel must be finite and non-negative")
         if not (0 < self.bb_step_min < self.bb_step_max):
             raise ConfigError("need 0 < bb_step_min < bb_step_max")
 
@@ -178,9 +178,9 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
     The split objective is quadratic, so the step along the projection arc is
     the exact minimizer clipped to [0, 1] (monotone descent; the final
     objective never exceeds the objective at x = 0).  Converges as soon as the
-    KKT residual is at most tol_kkt_rel * ||rows.T @ rhs||_inf (never when
-    tol_kkt_rel is 0) or the relative objective change drops below
-    tol_rel_obj; otherwise stops unconverged after max_iters iterations.
+    KKT residual is at most _KKT_REL_TOL * ||rows.T @ rhs||_inf or the
+    relative objective change drops below tol_rel_obj; otherwise stops
+    unconverged after max_iters iterations.
     """
     rows = system.rows
     rhs = system.rhs
@@ -196,7 +196,7 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
     grad = rows.T @ resid
     alpha = 1.0
     atb_inf = float(np.abs(grad).max(initial=0.0))
-    kkt_stop = params.tol_kkt_rel * atb_inf if params.tol_kkt_rel > 0 else -np.inf
+    kkt_stop = _KKT_REL_TOL * atb_inf
 
     history = [(0, objective, kkt_residual(u - v, grad, tau))]
     converged = False

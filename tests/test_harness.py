@@ -173,6 +173,19 @@ class TestSolveCapWarning:
         written = b"".join(tree_bytes(tmp_path / "out").values())
         assert b"iteration cap" not in written
 
+    def test_debiased_warning_reports_the_stopping_residual(self, tmp_path, caplog):
+        # at this tau the refit support is small enough to move the KKT residual
+        text = (SMALL_SCENARIO.replace("scenario.seeds = 3,4\n", "scenario.seeds = 3\n")
+                .replace("gics.tau = 1e-3\n", "gics.tau = 200\n") + "gics.debias = true\n")
+        scenario = harness.parse_scenario_text(text, tmp_path)
+        with caplog.at_level(logging.WARNING, logger="ghostbench"):
+            harness.run_scenario(scenario, tmp_path / "out")
+        [message] = [r.getMessage() for r in caplog.records if r.name == "ghostbench"]
+        history = (tmp_path / "out" / "smoke" / "3" / "solve.csv").read_text().splitlines()
+        first_kkt = float(history[1].split(",")[2])  # ||A'b||inf - tau at x = 0
+        last_kkt = float(history[-1].split(",")[2])
+        assert f"KKT residual {last_kkt / (first_kkt + scenario.gics.tau):.3g} x" in message
+
     def test_converged_solve_is_silent(self, tmp_path, caplog):
         text = (SMALL_SCENARIO.replace("scenario.m = 16\n", "scenario.m = 60\n")
                 .replace("scenario.seeds = 3,4\n", "scenario.seeds = 4\n")

@@ -1,5 +1,3 @@
-import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -7,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghostbench import optics
+from ghostbench import optics, recon_gics
 from ghostbench.errors import ConfigError
 from ghostbench.forward import MeasurementSet, run_campaign
 from ghostbench.optics import OpticalConfig
@@ -16,13 +14,19 @@ from ghostbench.recon_gics import (GicsParams, SensingSystem, build_sensing,
                                    kkt_residual, lasso_objective, write_solve_csv)
 from ghostbench.speckle import synthesize_frame
 
-TIGHT = dict(tol_rel_obj=1e-13, tol_kkt_rel=0.0, max_iters=20000)
+TIGHT = dict(tol_rel_obj=1e-13, max_iters=20000)
 CFG = optics.config_for_coherence_length(
     OpticalConfig(650e-9, 0.4, 0.5, 1e-3, 16, 15e-6), 90e-6)
 # Large enough that tau = 1e-3 leaves the program nearly unregularised, as on
 # the canonical bench, where GPSR meets the default KKT rule within ~100 steps.
 SLIT_CFG = optics.config_for_coherence_length(
     OpticalConfig(650e-9, 0.4, 0.5, 1e-3, 48, 15e-6), 100e-6)
+
+
+@pytest.fixture
+def no_kkt_stop(monkeypatch):
+    """Run GPSR to tol_rel_obj, so a KKT gate checks more than the stopping rule."""
+    monkeypatch.setattr(recon_gics, "_KKT_REL_TOL", 0.0)
 
 
 def sparse_instance(seed, m=50, n=200, k=10):
@@ -94,6 +98,7 @@ class TestGpsr:
         assert not x.any()
         assert report.converged
 
+    @pytest.mark.usefixtures("no_kkt_stop")
     def test_tau_zero_matches_normal_equations(self):
         rng = np.random.default_rng(2)
         design = rng.standard_normal((20, 5))
@@ -104,6 +109,7 @@ class TestGpsr:
         assert np.linalg.norm(x - expected) / np.linalg.norm(expected) <= 1e-6
         assert report.converged
 
+    @pytest.mark.usefixtures("no_kkt_stop")
     def test_agrees_with_ista_oracle(self):
         for seed in (3, 4, 5):
             system, _ = sparse_instance(seed)
@@ -114,6 +120,7 @@ class TestGpsr:
             f_i = lasso_objective(system.rows, system.rhs, x_i, tau)
             assert abs(f_g - f_i) <= 1e-6 * f_i
 
+    @pytest.mark.usefixtures("no_kkt_stop")
     def test_kkt_optimality_of_accepted_solutions(self):
         system, _ = sparse_instance(6)
         scale = float(np.abs(system.rows.T @ system.rhs).max())
@@ -145,6 +152,7 @@ class TestGpsr:
         x, _ = gpsr_solve(system, GicsParams(tau=tau, nonneg=True))
         assert (x >= 0).all()
 
+    @pytest.mark.usefixtures("no_kkt_stop")
     def test_debias_polishes_support(self):
         rng = np.random.default_rng(12)
         design = rng.standard_normal((40, 8))
@@ -161,14 +169,6 @@ class TestGpsr:
     def test_negative_tau_rejected(self):
         with pytest.raises(ConfigError):
             GicsParams(tau=-1.0)
-
-    @pytest.mark.parametrize("tol", [-1e-6, math.nan, math.inf])
-    def test_bad_tol_kkt_rel_rejected(self, tol):
-        with pytest.raises(ConfigError):
-            GicsParams(tol_kkt_rel=tol)
-
-    def test_tol_kkt_rel_zero_accepted(self):
-        assert GicsParams(tol_kkt_rel=0.0).tol_kkt_rel == 0.0
 
     def test_history_matches_report(self):
         system, _ = sparse_instance(13)
@@ -193,12 +193,13 @@ class TestKktStop:
         assert report.atb_inf == atb_inf
         assert report.converged
         assert report.iterations < params.max_iters
-        assert report.kkt_residual <= params.tol_kkt_rel * atb_inf
+        assert report.kkt_residual <= recon_gics._KKT_REL_TOL * atb_inf
 
-    def test_kkt_rule_only_truncates_the_trajectory(self, slit_system):
+    def test_kkt_rule_only_truncates_the_trajectory(self, slit_system, monkeypatch):
         params = GicsParams(tau=1e-3)
         _, stopped = gpsr_solve(slit_system, params)
-        _, full = gpsr_solve(slit_system, dataclasses.replace(params, tol_kkt_rel=0.0))
+        monkeypatch.setattr(recon_gics, "_KKT_REL_TOL", 0.0)
+        _, full = gpsr_solve(slit_system, params)
         assert len(stopped.history) < len(full.history)
         assert full.history[:len(stopped.history)] == stopped.history
 
