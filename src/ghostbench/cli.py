@@ -10,7 +10,6 @@ GHOSTBENCH_OUT sets the default output directory.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -52,14 +51,12 @@ def _cmd_trend(args) -> int:
         return _fail(f"parse error: {exc}", EXIT_USAGE)
     except ValueError as exc:
         return _fail(f"bad --lc or --seeds: {exc}", EXIT_USAGE)
-    if not all(lc > 0 and math.isfinite(lc) for lc in lc_list):
-        return _fail("--lc values must be positive and finite", EXIT_USAGE)
-    if len(lc_list) < 2 or len(seeds) < 2:
-        return _fail("trend needs at least 2 coherence lengths and 2 seeds", EXIT_USAGE)
     try:
         _, verdicts = harness.trend_experiment(scenario, lc_list, seeds,
                                                out_dir=_default_out(args.out),
                                                threads=args.threads)
+    except ConfigError as exc:  # trend_experiment checks its inputs before any work
+        return _fail(f"bad trend input: {exc}", EXIT_USAGE)
     except Exception as exc:  # noqa: BLE001
         return _fail(f"runtime error: {exc}", EXIT_RUNTIME)
     for key, value in sorted(verdicts.items()):

@@ -3,9 +3,12 @@ reconstruct with both methods, and emit images plus CSV metrics.
 
 A scenario file is ``prefix.name = value`` lines with ``#`` comments.  Its keys,
 their defaults and one line of documentation each are the rows of ``SCHEMA``;
-any other key is rejected.  Give exactly one of ``optics.source_width_m`` and
-``optics.lc_target_m`` (the source width is then derived as lambda*z/lc), and
-``scenario.mask_pgm`` (relative to the file) when ``scenario.mask = pgm``.
+any other key is rejected.  Of the GICS solver a scenario sets only
+``gics.tau`` and ``gics.max_iters``.  Give exactly one of
+``optics.source_width_m`` and ``optics.lc_target_m`` (the source width is then
+derived as lambda*z/lc), and ``scenario.mask_pgm`` (relative to the file) when
+``scenario.mask = pgm``.  A source aperture spanning fewer than
+``speckle.MIN_APERTURE_SAMPLES`` source samples is a parse error.
 
 Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
 gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
@@ -29,7 +32,7 @@ from .errors import ConfigError
 from .forward import MeasurementSet, bucket_measure, run_campaign
 from .optics import ObjectMask, OpticalConfig, SlitGeometry
 from .recon_gics import GicsParams
-from .speckle import SEED_LIMIT, synthesize_frame
+from .speckle import SEED_LIMIT, checked_aperture_samples, synthesize_frame
 
 METRICS_HEADER = "scenario,lc_m,m,method,seed,snr,mse,psnr,dip_ratio,resolved"
 TREND_HEADER = "lc_m,method,snr_mean,snr_std,mse_mean,mse_std"
@@ -82,24 +85,10 @@ def _seeds(text: str) -> tuple[int, ...]:
     return _valid_seeds(int(token) for token in _comma_list(text))
 
 
-def _boolean(text: str) -> bool:
-    token = text.lower()
-    if token in ("true", "1", "yes", "on"):
-        return True
-    if token in ("false", "0", "no", "off"):
-        return False
-    raise ValueError("must be true/false, 1/0, yes/no or on/off")
-
-
-_PARSER_BY_TYPE = {bool: _boolean, int: int, float: float}
+_PARSER_BY_TYPE = {int: int, float: float}
 _GICS_DOCS = {
     "tau": "l1 weight of the convex program",
     "max_iters": "iteration cap of the GPSR-BB solve",
-    "tol_rel_obj": "stop when the relative objective change is below this",
-    "bb_step_min": "lower clamp of the Barzilai-Borwein step",
-    "bb_step_max": "upper clamp of the Barzilai-Borwein step",
-    "debias": "least-squares refit on the found support",
-    "nonneg": "constrain the image to be non-negative",
 }
 
 SCHEMA: dict[str, Key] = {
@@ -182,6 +171,7 @@ def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
                            values["optics.z1_m"], source_width, values["optics.grid_n"],
                            values["optics.pixel_pitch_m"],
                            source_oversample=values["optics.source_oversample"])
+    checked_aperture_samples(config)
 
     mask_kind = values["scenario.mask"]
     slit_geometry = None
@@ -255,6 +245,11 @@ def _seed_metrics(scenario: Scenario, seed: int, ms: MeasurementSet) -> tuple[li
             image, report = recon_gics.gics_reconstruct(ms, scenario.gics)
             raw = image.values
             artifacts["solve_report"] = report
+            if not report.converged:
+                _log.warning("%s l_c %.4g m seed %d: GICS solve stopped at its %d-iteration "
+                             "cap without converging (KKT residual %.3g x ||A'b||inf)",
+                             scenario.name, lc, seed, report.iterations,
+                             report.kkt_residual / report.atb_inf)
         artifacts[method] = raw
         dip_ratio = resolved = None
         if scenario.slit_geometry is not None:
@@ -286,15 +281,9 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> None:
         _write_image_pgm(artifacts["gi"], seed_dir / "gi.pgm")
         recon_gi.write_image_csv(artifacts["gi"], seed_dir / "gi_raw.csv")
     if "gics" in artifacts:
-        report = artifacts["solve_report"]
-        if not report.converged:
-            # history holds the residual the stopping rule saw, before any debias refit
-            _log.warning("%s seed %d: GICS solve stopped at its %d-iteration cap without "
-                         "converging (KKT residual %.3g x ||A'b||inf)", scenario.name, seed,
-                         report.iterations, report.history[-1][2] / report.atb_inf)
         _write_image_pgm(artifacts["gics"], seed_dir / "gics.pgm")
         recon_gi.write_image_csv(artifacts["gics"], seed_dir / "gics_raw.csv")
-        recon_gics.write_solve_csv(report, seed_dir / "solve.csv")
+        recon_gics.write_solve_csv(artifacts["solve_report"], seed_dir / "solve.csv")
     lines = [METRICS_HEADER]
     for row in rows:
         lines.append(",".join(_format_cell(row[k]) for k in METRICS_HEADER.split(",")))
@@ -318,7 +307,9 @@ def trend_experiment(scenario: Scenario, lc_list, seeds, out_dir: str | Path | N
                      threads: int = 1):
     """Mean/std of SNR and MSE per (coherence length, method) over the seeds.
 
-    Coherence lengths are canonicalized to descending order.  Appends one
+    Coherence lengths are canonicalized to descending order, and each must
+    give a source aperture of at least MIN_APERTURE_SAMPLES source samples
+    (checked before any campaign runs).  Appends one
     machine-checkable verdict row per method: monotone_gi_snr true iff the
     mean GI SNR is non-increasing as l_c decreases, monotone_gics_mse likewise
     for the mean GICS MSE.  Returns (csv_text, verdicts dict); also writes
@@ -335,12 +326,19 @@ def trend_experiment(scenario: Scenario, lc_list, seeds, out_dir: str | Path | N
         raise ConfigError("trend experiment needs at least 2 seeds")
     if not all(v > 0 and math.isfinite(v) for v in lc_values):
         raise ConfigError("coherence lengths must be positive and finite")
+    configs = {lc: optics.config_for_coherence_length(scenario.config, lc)
+               for lc in lc_values}
+    for lc, cfg in configs.items():
+        try:
+            checked_aperture_samples(cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"coherence length {lc!r}: {exc}") from None
 
     jobs = [(lc, seed) for lc in lc_values for seed in seeds]
 
     def run_one(job):
         lc, seed = job
-        cfg = optics.config_for_coherence_length(scenario.config, lc)
+        cfg = configs[lc]
         scen = dataclasses.replace(scenario, config=cfg)
         ms = run_campaign(cfg, scen.mask, scen.m, seed, noise_sigma=scen.noise_sigma)
         rows, _ = _seed_metrics(scen, seed, ms)

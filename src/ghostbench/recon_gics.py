@@ -1,12 +1,14 @@
 """Sparse reconstruction from bucket data: l1-regularized least squares.
 
 build_sensing turns a campaign into the linear system (rows = flattened
-reference intensities, rhs = buckets), optionally mean-centered and
-column-scaled.  gpsr_solve minimizes 0.5 ||rhs - rows @ x||^2 + tau ||x||_1
-by gradient projection on the split x = u - v (u, v >= 0) with
-Barzilai-Borwein step lengths, stopping once the optimality (KKT) residual
-is within _KKT_REL_TOL of ||rows.T @ rhs||_inf; ista_reference is an
-independent proximal-gradient oracle used to cross-check it.
+reference intensities, rhs = buckets) with the means removed and the
+columns scaled to unit RMS.  gpsr_solve minimizes
+0.5 ||rhs - rows @ x||^2 + tau ||x||_1 by gradient projection on the split
+x = u - v (u, v >= 0) with Barzilai-Borwein step lengths, stopping once the
+optimality (KKT) residual is within _KKT_REL_TOL of ||rows.T @ rhs||_inf;
+ista_reference is an independent proximal-gradient oracle used to
+cross-check it.  A run sets only tau and the iteration cap; the other solver
+constants are fixed here.
 """
 from __future__ import annotations
 
@@ -21,38 +23,35 @@ from .forward import MeasurementSet, _frozen
 from .metrics import ReconImage
 from . import ioutil
 
-# GPSR converges once its KKT residual is at most this times ||rows.T @ rhs||_inf.
+# GPSR converges once its KKT residual is at most this times ||rows.T @ rhs||_inf,
 _KKT_REL_TOL = 1e-6
+# or once the objective changes by at most this relative amount in one step.
+_TOL_REL_OBJ = 1e-8
+# Clamps of the Barzilai-Borwein step length.
+_BB_STEP_MIN = 1e-30
+_BB_STEP_MAX = 1e30
 
 
 @dataclass(frozen=True)
 class GicsParams:
-    """Solver knobs; tau is the l1 weight of the convex program."""
+    """What a run sets: tau, the l1 weight of the program, and the GPSR iteration cap."""
 
     tau: float = 1e-3
     max_iters: int = 2000
-    tol_rel_obj: float = 1e-8
-    bb_step_min: float = 1e-30
-    bb_step_max: float = 1e30
-    debias: bool = False
-    nonneg: bool = False
 
     def __post_init__(self):
         if not (self.tau >= 0 and np.isfinite(self.tau)):
             raise ConfigError("tau must be finite and non-negative")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be positive")
-        if not (self.tol_rel_obj > 0):
-            raise ConfigError("tol_rel_obj must be positive")
-        if not (0 < self.bb_step_min < self.bb_step_max):
-            raise ConfigError("need 0 < bb_step_min < bb_step_max")
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Solver diagnostics; history rows are (iteration, objective, kkt_residual).
 
-    atb_inf is ||rows.T @ rhs||_inf, the scale of the KKT stopping rule.
+    kkt_residual is that of the returned iterate, history[-1][2]; atb_inf is
+    ||rows.T @ rhs||_inf, the scale of the KKT stopping rule.
     """
 
     iterations: int
@@ -65,44 +64,34 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SensingSystem:
-    """Linear model of a campaign, possibly centered and column-scaled.
-
-    ``rows * col_scale + col_offset`` and ``rhs + rhs_offset`` reproduce the
-    original intensities and buckets (up to float roundoff of the scaling).
-    """
+    """Linear model ``rows @ x ~ rhs`` whose solution x maps to the image x / col_scale."""
 
     rows: np.ndarray
     rhs: np.ndarray
     col_scale: np.ndarray
-    centered: bool
-    col_offset: np.ndarray
-    rhs_offset: float
 
     def __post_init__(self):
         rows = _frozen(self.rows)
         rhs = _frozen(self.rhs)
         col_scale = _frozen(self.col_scale)
-        col_offset = _frozen(self.col_offset)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ConfigError("sensing rows must be a non-empty 2-D matrix")
         if rhs.shape != (rows.shape[0],):
             raise ConfigError("rhs length must match the number of rows")
-        if col_scale.shape != (rows.shape[1],) or col_offset.shape != (rows.shape[1],):
-            raise ConfigError("column scale/offset length must match the number of columns")
+        if col_scale.shape != (rows.shape[1],):
+            raise ConfigError("column scale length must match the number of columns")
         if not (col_scale > 0).all():
             raise ConfigError("column scales must be strictly positive")
-        for name, arr in (("rows", rows), ("rhs", rhs), ("col_scale", col_scale),
-                          ("col_offset", col_offset)):
+        for name, arr in (("rows", rows), ("rhs", rhs), ("col_scale", col_scale)):
             if not np.isfinite(arr).all():
                 raise ConfigError(f"sensing {name} contains non-finite values")
             object.__setattr__(self, name, arr)
 
     @classmethod
     def from_arrays(cls, rows: np.ndarray, rhs: np.ndarray) -> "SensingSystem":
-        """Raw (uncentered, unscaled) system, e.g. for solver tests."""
+        """Raw system (no mean removal, unit column scales), e.g. for solver tests."""
         rows = np.asarray(rows, dtype=float)
-        n = rows.shape[1] if rows.ndim == 2 else 0
-        return cls(rows, rhs, np.ones(n), False, np.zeros(n), 0.0)
+        return cls(rows, rhs, np.ones(rows.shape[1] if rows.ndim == 2 else 0))
 
     @property
     def m(self) -> int:
@@ -112,46 +101,29 @@ class SensingSystem:
     def n_pix(self) -> int:
         return self.rows.shape[1]
 
-    def original_rows(self) -> np.ndarray:
-        return self.rows * self.col_scale + self.col_offset
 
-    def original_rhs(self) -> np.ndarray:
-        return self.rhs + self.rhs_offset
+def build_sensing(ms: MeasurementSet) -> SensingSystem:
+    """Flatten the campaign into rows/rhs, remove their means and unit-RMS-scale the columns.
 
-
-def build_sensing(ms: MeasurementSet, centered: bool = True,
-                  scale_columns: bool = True) -> SensingSystem:
-    """Flatten the campaign into rows/rhs; optionally center and unit-RMS-scale columns.
-
-    A zero-variance column (dead pixel) keeps scale 1 and triggers a warning.
-    The rows are the one copy of the intensity stack, centered and scaled in place.
+    For a noiseless campaign of mask t, rows @ (col_scale * t) = rhs.  A
+    zero-variance column (dead pixel) keeps scale 1 and triggers a warning.
+    The rows are the one copy of the intensity stack, shifted and scaled in place.
     """
-    m = ms.m
-    rows = ms.intensities.reshape(m, -1).astype(float)
+    rows = ms.intensities.reshape(ms.m, -1).astype(float)
+    rows -= rows.mean(axis=0)
     rhs = np.array(ms.buckets, dtype=float)
-    n = rows.shape[1]
+    rhs -= rhs.mean()
 
-    col_offset = np.zeros(n)
-    rhs_offset = 0.0
-    if centered:
-        col_offset = rows.mean(axis=0)
-        rows -= col_offset
-        rhs_offset = float(rhs.mean())
-        rhs = rhs - rhs_offset
-
-    col_scale = np.ones(n)
-    if scale_columns:
-        scale = np.linalg.norm(rows, axis=0) / np.sqrt(m)
-        dead = scale == 0
-        if dead.any():
-            warnings.warn(f"{int(dead.sum())} zero-variance column(s); scale left at 1",
-                          stacklevel=2)
-            scale[dead] = 1.0
-        rows /= scale
-        col_scale = scale
+    col_scale = np.linalg.norm(rows, axis=0) / np.sqrt(ms.m)
+    dead = col_scale == 0
+    if dead.any():
+        warnings.warn(f"{int(dead.sum())} zero-variance column(s); scale left at 1",
+                      stacklevel=2)
+        col_scale[dead] = 1.0
+    rows /= col_scale
 
     rows.flags.writeable = False
-    return SensingSystem(rows, rhs, col_scale, centered, col_offset, rhs_offset)
+    return SensingSystem(rows, rhs, col_scale)
 
 
 def lasso_objective(rows: np.ndarray, rhs: np.ndarray, x: np.ndarray, tau: float) -> float:
@@ -179,14 +151,12 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
     the exact minimizer clipped to [0, 1] (monotone descent; the final
     objective never exceeds the objective at x = 0).  Converges as soon as the
     KKT residual is at most _KKT_REL_TOL * ||rows.T @ rhs||_inf or the
-    relative objective change drops below tol_rel_obj; otherwise stops
+    relative objective change drops to _TOL_REL_OBJ; otherwise stops
     unconverged after max_iters iterations.
     """
     rows = system.rows
     rhs = system.rhs
     tau = float(params.tau)
-    if tau < 0:
-        raise ConfigError("tau must be non-negative")
     n = system.n_pix
 
     u = np.zeros(n)
@@ -209,7 +179,7 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
         grad_u = grad + tau
         grad_v = tau - grad
         du = np.maximum(u - alpha * grad_u, 0.0) - u
-        dv = np.zeros(n) if params.nonneg else np.maximum(v - alpha * grad_v, 0.0) - v
+        dv = np.maximum(v - alpha * grad_v, 0.0) - v
         dd = float(du @ du + dv @ dv)
         if dd == 0.0:
             converged = True  # projected-gradient fixed point
@@ -234,14 +204,14 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
             raise SolverError("non-finite objective; check system scaling")
 
         if curvature <= 0.0:
-            alpha = params.bb_step_max
+            alpha = _BB_STEP_MAX
         else:
-            alpha = min(max(dd / curvature, params.bb_step_min), params.bb_step_max)
+            alpha = min(max(dd / curvature, _BB_STEP_MIN), _BB_STEP_MAX)
 
         grad = rows.T @ resid
         iterations = it
         history.append((it, new_objective, kkt_residual(u - v, grad, tau)))
-        small_change = abs(objective - new_objective) <= params.tol_rel_obj * max(
+        small_change = abs(objective - new_objective) <= _TOL_REL_OBJ * max(
             abs(objective), 1e-300)
         objective = new_objective
         if small_change:
@@ -250,33 +220,15 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
     else:
         converged = history[-1][2] <= kkt_stop
 
-    x = u - v
-    if params.debias:
-        x, resid = _debias(rows, rhs, x, params)
-        grad = rows.T @ resid
-        objective = 0.5 * float(resid @ resid) + tau * float(np.abs(x).sum())
     report = SolveReport(
         iterations=iterations,
         final_objective=objective,
-        kkt_residual=kkt_residual(x, grad, tau),
+        kkt_residual=history[-1][2],
         converged=converged,
         history=tuple(history),
         atb_inf=atb_inf,
     )
-    return x, report
-
-
-def _debias(rows, rhs, x, params):
-    """Least-squares polish restricted to the solver's final support."""
-    support = np.flatnonzero(x)
-    if support.size == 0 or support.size > rows.shape[0]:
-        return x, rows @ x - rhs
-    solution, *_ = np.linalg.lstsq(rows[:, support], rhs, rcond=None)
-    polished = np.zeros_like(x)
-    polished[support] = solution
-    if params.nonneg:
-        polished = np.maximum(polished, 0.0)
-    return polished, rows @ polished - rhs
+    return u - v, report
 
 
 def ista_reference(system: SensingSystem, tau: float, kkt_tol: float,
@@ -284,9 +236,10 @@ def ista_reference(system: SensingSystem, tau: float, kkt_tol: float,
     """Independent proximal-gradient oracle: soft-threshold steps of size 1/L.
 
     L bounds the largest squared singular value of the rows (power iteration
-    with a small safety margin).  Deterministic from x0 = 0; iterates until
-    the KKT residual reaches kkt_tol or the iteration cap (reported via a
-    warning, not fatal).
+    with a small safety margin).  Deterministic from x0 = 0; takes at most
+    max_iters steps (on_iterate(i, x) sees each one) and returns the first
+    iterate whose KKT residual is within kkt_tol, or the last one with a
+    warning, not fatal, when none is.
     """
     if tau < 0:
         raise ConfigError("tau must be non-negative")
@@ -297,15 +250,15 @@ def ista_reference(system: SensingSystem, tau: float, kkt_tol: float,
         lipschitz = 1.0
 
     x = np.zeros(system.n_pix)
-    image = np.zeros(system.m)
     for it in range(max_iters + 1):
-        grad = rows.T @ (image - rhs)
+        grad = rows.T @ (rows @ x - rhs)
         if kkt_residual(x, grad, tau) <= kkt_tol:
             return x
+        if it == max_iters:
+            break
         x = soft_threshold(x - grad / lipschitz, tau / lipschitz)
         if not np.isfinite(x).all():
             raise SolverError("non-finite iterate in the proximal-gradient oracle")
-        image = rows @ x
         if on_iterate is not None:
             on_iterate(it, x)
     warnings.warn(f"proximal-gradient oracle hit the {max_iters}-iteration cap", stacklevel=2)
@@ -328,16 +281,15 @@ def _gram_spectral_bound(rows: np.ndarray, iters: int = 500, tol: float = 1e-12)
     return estimate
 
 
-def gics_reconstruct(ms: MeasurementSet, params: GicsParams, centered: bool = True,
-                     scale_columns: bool = True) -> tuple[ReconImage, SolveReport]:
-    """Centered, column-scaled sensing build, GPSR solve, map back to mask units.
+def gics_reconstruct(ms: MeasurementSet, params: GicsParams) -> tuple[ReconImage, SolveReport]:
+    """Mean-removed, column-scaled sensing build, GPSR solve, map back to mask units.
 
     Negative transmittance estimates are clamped to zero after the solve (the
-    program itself is unconstrained unless params.nonneg is set).  Centering
-    drops the DC mode (the centered system has rank at most m - 1); disable it
-    for full-rank inversion checks.
+    program itself is unconstrained).  Removing the means drops the DC mode
+    (the system has rank at most m - 1), so a full-rank inversion needs
+    m > n_pix.
     """
-    system = build_sensing(ms, centered=centered, scale_columns=scale_columns)
+    system = build_sensing(ms)
     solution, report = gpsr_solve(system, params)
     physical = solution / system.col_scale
     physical = np.maximum(physical, 0.0)

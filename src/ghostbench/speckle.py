@@ -63,6 +63,16 @@ def aperture_sample_count(config: OpticalConfig) -> int:
     return int(round(config.source_width / delta_src))
 
 
+def checked_aperture_samples(config: OpticalConfig) -> int:
+    """aperture_sample_count, raising ConfigError below MIN_APERTURE_SAMPLES."""
+    k = aperture_sample_count(config)
+    if k < MIN_APERTURE_SAMPLES:
+        raise ConfigError(
+            f"source aperture spans only {k} source samples (need >= "
+            f"{MIN_APERTURE_SAMPLES}); increase source_oversample")
+    return k
+
+
 @lru_cache(maxsize=16)
 def _dft_factor(grid_n: int, n_src: int, k: int) -> np.ndarray:
     out_idx = np.arange(grid_n, dtype=float)[:, None]
@@ -78,13 +88,7 @@ def synthesize_frame(config: OpticalConfig, master_seed: int, frame_index: int) 
         raise ConfigError("master_seed must fit an unsigned 64-bit integer")
     if int(frame_index) < 0:
         raise ConfigError("frame_index must be non-negative")
-    k = aperture_sample_count(config)
-    if k < 1:
-        raise ConfigError("source aperture is narrower than one source-plane sample")
-    if k < MIN_APERTURE_SAMPLES:
-        raise ConfigError(
-            f"source aperture spans only {k} source samples (need >= "
-            f"{MIN_APERTURE_SAMPLES}); increase source_oversample")
+    k = checked_aperture_samples(config)
     n_src = config.source_oversample * config.grid_n
     w = _dft_factor(config.grid_n, n_src, k)
     rng = np.random.default_rng([int(master_seed), int(frame_index)])

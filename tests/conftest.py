@@ -1,7 +1,19 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 try:
     import ghostbench  # noqa: F401
 except ImportError:  # run from a fresh checkout without installing
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+
+@pytest.fixture
+def exact_solve(monkeypatch):
+    """Run GPSR to a 1e-13 relative objective change with the KKT stop off,
+    so an accuracy gate checks more than the stopping rule."""
+    from ghostbench import recon_gics
+
+    monkeypatch.setattr(recon_gics, "_KKT_REL_TOL", 0.0)
+    monkeypatch.setattr(recon_gics, "_TOL_REL_OBJ", 1e-13)

@@ -192,21 +192,18 @@ def test_criterion_5_trend_verdicts(tmp_path):
     report(5, "coherence-length trend verdicts", ok)
 
 
-def test_criterion_6_solver_cross_validation(monkeypatch):
-    # solve to tol_rel_obj alone, so the KKT gate is not the stopping rule restated
-    monkeypatch.setattr(recon_gics, "_KKT_REL_TOL", 0.0)
+# exact_solve: the KKT gate below is not the stopping rule restated
+@pytest.mark.usefixtures("exact_solve")
+def test_criterion_6_solver_cross_validation():
     start = time.perf_counter()
     rng = np.random.default_rng(20260808)
-    params = GicsParams(tau=0.0, tol_rel_obj=1e-13, max_iters=20000)
     agree = 0
     kkt_ok = 0
     for _ in range(100):
         system = sparse_solver_instance(rng)
         scale = float(np.abs(system.rows.T @ system.rhs).max())
         tau = 0.01 * scale
-        solver_params = GicsParams(tau=tau, tol_rel_obj=params.tol_rel_obj,
-                                   max_iters=params.max_iters)
-        x_gpsr, solve_report = gpsr_solve(system, solver_params)
+        x_gpsr, solve_report = gpsr_solve(system, GicsParams(tau=tau, max_iters=20000))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             x_ista = ista_reference(system, tau, kkt_tol=1e-8)
@@ -221,7 +218,8 @@ def test_criterion_6_solver_cross_validation(monkeypatch):
            agree == 100 and kkt_ok >= 95 and elapsed <= 60.0)
 
 
-def test_criterion_7_analytic_solver_facts(monkeypatch):
+@pytest.mark.usefixtures("exact_solve")
+def test_criterion_7_analytic_solver_facts():
     rng = np.random.default_rng(99)
     system = sparse_solver_instance(rng)
     threshold = float(np.abs(system.rows.T @ system.rhs).max())
@@ -232,8 +230,7 @@ def test_criterion_7_analytic_solver_facts(monkeypatch):
     rhs = design @ rng.standard_normal(5) + 0.1 * rng.standard_normal(20)
     over = SensingSystem.from_arrays(design, rhs)
     expected = np.linalg.solve(design.T @ design, design.T @ rhs)
-    monkeypatch.setattr(recon_gics, "_KKT_REL_TOL", 0.0)
-    x_ls, _ = gpsr_solve(over, GicsParams(tau=0.0, tol_rel_obj=1e-13, max_iters=20000))
+    x_ls, _ = gpsr_solve(over, GicsParams(tau=0.0, max_iters=20000))
     ls_rel = float(np.linalg.norm(x_ls - expected) / np.linalg.norm(expected))
     print(f"  zero-solution exact: {zero_exact}; tau=0 LS relative error {ls_rel:.2e}")
     report(7, "analytic solver facts", zero_exact and ls_rel <= 1e-6)
