@@ -2,27 +2,20 @@
 """Image a synthetic transmission aperture at three coherence lengths,
 GI with 2000 observations and GICS with 1000 measurements.
 
-Generates a binary shape-aperture graymap (disk, ring, bar) if no --mask is
-given, then runs the per-method scenario pairs.
+Without --mask it writes the shape-aperture graymap (disk, ring, bar) of the
+benchmark's aperture_gi workload at seed 1, bench/workloads.aperture_pgm(1),
+then runs the per-method scenario pairs.
 """
 import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
 
 from ghostbench import harness, ioutil  # noqa: E402
-
-
-def synthetic_aperture(grid_n: int = 100) -> np.ndarray:
-    yy, xx = np.indices((grid_n, grid_n)) - grid_n // 2
-    radius = np.hypot(xx, yy)
-    disk = (np.hypot(xx + 28, yy + 18) <= 9)
-    ring = (np.abs(np.hypot(xx - 24, yy + 14) - 10) <= 3)
-    bar = (np.abs(xx) <= 4) & (np.abs(yy - 22) <= 14)
-    return ((disk | ring | bar) & (radius < grid_n // 2)).astype(np.int64) * 255
+from workloads import aperture_pgm  # noqa: E402
 
 
 def main() -> int:
@@ -37,8 +30,8 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.mask is None:
         mask_path = out / "aperture.pgm"
-        ioutil.write_pgm(mask_path, synthetic_aperture(), 255)
-        print(f"wrote synthetic aperture to {mask_path}")
+        ioutil.atomic_write_bytes(mask_path, aperture_pgm(1))
+        print(f"wrote the seed-1 shape aperture to {mask_path}")
     else:
         mask_path = Path(args.mask)
 

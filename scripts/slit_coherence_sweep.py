@@ -30,7 +30,7 @@ def main() -> int:
 
     base = harness.parse_scenario_text(
         harness.double_slit_sweep_scenarios(lc_list=lc_list[:1], m=args.m, seeds=seeds)[0])
-    csv_text, verdicts = harness.trend_experiment(base, lc_list, seeds, out_dir=args.out,
+    csv_text, verdicts = harness.trend_experiment(base, lc_list, out_dir=args.out,
                                                   threads=args.threads)
     print(csv_text)
     print("verdicts:", verdicts)

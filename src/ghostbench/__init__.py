@@ -11,7 +11,7 @@ from .recon_gics import (GicsParams, SensingSystem, SolveReport, build_sensing,
                          gics_reconstruct, gpsr_solve, ista_reference,
                          kkt_residual, lasso_objective, soft_threshold,
                          write_solve_csv)
-from .metrics import (ReconImage, minmax_normalize, mse, psnr, recon_snr, slit_dip)
+from .metrics import minmax_normalize, mse, psnr, recon_snr, slit_dip
 from .harness import (Scenario, load_scenario, parse_scenario_text, run_scenario,
                       selftest, trend_experiment)
 

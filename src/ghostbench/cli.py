@@ -1,9 +1,10 @@
 """Command-line front end.
 
   ghostbench run <scenario.file> [--out DIR] [--threads N]
-  ghostbench trend <scenario.file> --lc <comma list, meters> --seeds <comma list>
+  ghostbench trend <scenario.file> --lc <comma list, meters> [--out DIR] [--threads N]
   ghostbench selftest
 
+``trend`` runs the scenario's own seeds (at least 2) at each coherence length.
 GHOSTBENCH_OUT sets the default output directory.  Exit codes: 0 ok,
 1 runtime failure, 2 usage or parse error.
 """
@@ -46,13 +47,12 @@ def _cmd_trend(args) -> int:
     try:
         scenario = harness.load_scenario(args.scenario)
         lc_list = [float(t) for t in args.lc.split(",") if t.strip()]
-        seeds = harness.SCHEMA["scenario.seeds"].parse(args.seeds)
     except ConfigError as exc:
         return _fail(f"parse error: {exc}", EXIT_USAGE)
     except ValueError as exc:
-        return _fail(f"bad --lc or --seeds: {exc}", EXIT_USAGE)
+        return _fail(f"bad --lc: {exc}", EXIT_USAGE)
     try:
-        _, verdicts = harness.trend_experiment(scenario, lc_list, seeds,
+        _, verdicts = harness.trend_experiment(scenario, lc_list,
                                                out_dir=_default_out(args.out),
                                                threads=args.threads)
     except ConfigError as exc:  # trend_experiment checks its inputs before any work
@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     trend = sub.add_parser("trend", help="coherence-length trend table from a base scenario")
     trend.add_argument("scenario")
     trend.add_argument("--lc", required=True, help="comma list of coherence lengths in meters")
-    trend.add_argument("--seeds", required=True, help="comma list of master seeds")
     trend.add_argument("--out", default=None)
     trend.add_argument("--threads", type=int, default=1)
     trend.set_defaults(func=_cmd_trend)

@@ -1,9 +1,11 @@
 """Two-arm forward model: bucket detector behind the object, full reference record.
 
-The reference arm carries the same frame as the object plane (perfect arm
-correlation); detector noise is modeled as additive Gaussian noise on the
-bucket only, seeded per frame so campaigns are reproducible regardless of
-the order in which frames are acquired.
+The reference plane sits at the object-plane distance from the source, so the
+reference arm records the same frame as the object plane (perfect arm
+correlation); no separate reference distance exists.  Detector noise is
+modeled as additive Gaussian noise on the bucket only, seeded per frame so
+campaigns are reproducible regardless of the order in which frames are
+acquired.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ class MeasurementSet:
     """One campaign: row i of ``intensities`` is reference frame i, ``buckets[i]`` its bucket.
 
     ``intensities`` is a read-only (m, grid_n, grid_n) stack and ``buckets`` a
-    read-only length-m vector; ``seed`` is the campaign's master seed.
+    read-only length-m vector of finite values; ``seed`` is the campaign's
+    master seed.
     """
 
     intensities: np.ndarray
@@ -58,6 +61,8 @@ class MeasurementSet:
             raise ConfigError(
                 f"need one bucket per frame: {buckets.shape} buckets for "
                 f"{intensities.shape[0]} frames")
+        if not np.isfinite(buckets).all():
+            raise ConfigError("bucket values must be finite")
         if intensities.shape[1] != self.config.grid_n:
             raise ConfigError(
                 f"frame grid {intensities.shape[1]} does not match config grid "

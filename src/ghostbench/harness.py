@@ -4,11 +4,14 @@ reconstruct with both methods, and emit images plus CSV metrics.
 A scenario file is ``prefix.name = value`` lines with ``#`` comments.  Its keys,
 their defaults and one line of documentation each are the rows of ``SCHEMA``;
 any other key is rejected.  Of the GICS solver a scenario sets only
-``gics.tau`` and ``gics.max_iters``.  Give exactly one of
-``optics.source_width_m`` and ``optics.lc_target_m`` (the source width is then
-derived as lambda*z/lc), and ``scenario.mask_pgm`` (relative to the file) when
-``scenario.mask = pgm``.  A source aperture spanning fewer than
-``speckle.MIN_APERTURE_SAMPLES`` source samples is a parse error.
+``gics.tau`` and ``gics.max_iters``.  The bench has one source distance,
+``optics.z_m``: the reference plane sits at the object-plane distance.  Give
+exactly one of ``optics.source_width_m`` and ``optics.lc_target_m`` (the
+source width is then derived as lambda*z/lc), and ``scenario.mask_pgm``
+(relative to the file) when ``scenario.mask = pgm``.  A source aperture
+spanning fewer than ``speckle.MIN_APERTURE_SAMPLES`` source samples is a
+parse error, and so is a seed list that ``Scenario`` rejects (empty, outside
+[0, 2**64) or repeated); ``run`` and ``trend`` both use ``scenario.seeds``.
 
 Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
 gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
@@ -20,7 +23,7 @@ import dataclasses
 import logging
 import math
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,19 +73,8 @@ def _methods(text: str) -> tuple[str, ...]:
     return tuple(method for method in ("gi", "gics") if method in tokens)
 
 
-def _valid_seeds(seeds: Iterable[int]) -> tuple[int, ...]:
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ValueError("needs at least one seed")
-    if not all(0 <= seed < SEED_LIMIT for seed in seeds):
-        raise ValueError("seeds must lie in [0, 2**64)")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seed list contains duplicates")
-    return seeds
-
-
 def _seeds(text: str) -> tuple[int, ...]:
-    return _valid_seeds(int(token) for token in _comma_list(text))
+    return tuple(int(token) for token in _comma_list(text))
 
 
 _PARSER_BY_TYPE = {int: int, float: float}
@@ -106,7 +98,6 @@ SCHEMA: dict[str, Key] = {
     "scenario.slit_center_y_m": Key(float, 0.0, "y of the slit centers"),
     "optics.wavelength_m": Key(float, REQUIRED, "source wavelength"),
     "optics.z_m": Key(float, REQUIRED, "source-to-object distance"),
-    "optics.z1_m": Key(float, REQUIRED, "source-to-reference distance (provenance only)"),
     "optics.source_width_m": Key(float, None, "side of the square source; or give lc_target_m"),
     "optics.lc_target_m": Key(float, None,
                               "coherence length on the object plane; or source_width_m"),
@@ -139,6 +130,10 @@ class Scenario:
             raise ConfigError("gi reconstruction needs m >= 2")
         if not self.seeds:
             raise ConfigError("scenario needs at least one seed")
+        if not all(0 <= seed < SEED_LIMIT for seed in self.seeds):
+            raise ConfigError("scenario seeds must lie in [0, 2**64)")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("scenario seed list contains duplicates")
         if not self.methods:
             raise ConfigError("scenario needs at least one method")
 
@@ -167,9 +162,8 @@ def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
         if lc <= 0:
             raise ConfigError("optics.lc_target_m must be positive")
         source_width = values["optics.wavelength_m"] * values["optics.z_m"] / lc
-    config = OpticalConfig(values["optics.wavelength_m"], values["optics.z_m"],
-                           values["optics.z1_m"], source_width, values["optics.grid_n"],
-                           values["optics.pixel_pitch_m"],
+    config = OpticalConfig(values["optics.wavelength_m"], values["optics.z_m"], source_width,
+                           values["optics.grid_n"], values["optics.pixel_pitch_m"],
                            source_oversample=values["optics.source_oversample"])
     checked_aperture_samples(config)
 
@@ -239,11 +233,9 @@ def _seed_metrics(scenario: Scenario, seed: int, ms: MeasurementSet) -> tuple[li
     artifacts = {}
     for method in scenario.methods:
         if method == "gi":
-            image = recon_gi.gi_reconstruct(ms)
-            raw = image.values
+            raw = recon_gi.gi_reconstruct(ms)
         else:
-            image, report = recon_gics.gics_reconstruct(ms, scenario.gics)
-            raw = image.values
+            raw, report = recon_gics.gics_reconstruct(ms, scenario.gics)
             artifacts["solve_report"] = report
             if not report.converged:
                 _log.warning("%s l_c %.4g m seed %d: GICS solve stopped at its %d-iteration "
@@ -290,42 +282,45 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> None:
     ioutil.atomic_write_text(seed_dir / "metrics.csv", "\n".join(lines) + "\n")
 
 
+def _map_jobs(fn, jobs, threads: int) -> list:
+    """``[fn(job) for job in jobs]``, on ``threads`` worker threads when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> Path:
     """Run every seed; returns the scenario output directory."""
     scenario_dir = Path(out_dir) / scenario.name
     scenario_dir.mkdir(parents=True, exist_ok=True)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: _run_seed(scenario, s, scenario_dir), scenario.seeds))
-    else:
-        for seed in scenario.seeds:
-            _run_seed(scenario, seed, scenario_dir)
+    _map_jobs(lambda seed: _run_seed(scenario, seed, scenario_dir), scenario.seeds, threads)
     return scenario_dir
 
 
-def trend_experiment(scenario: Scenario, lc_list, seeds, out_dir: str | Path | None = None,
+def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = None,
                      threads: int = 1):
-    """Mean/std of SNR and MSE per (coherence length, method) over the seeds.
+    """Mean/std of SNR and MSE per (coherence length, method) over ``scenario.seeds``.
 
-    Coherence lengths are canonicalized to descending order, and each must
-    give a source aperture of at least MIN_APERTURE_SAMPLES source samples
-    (checked before any campaign runs).  Appends one
+    Coherence lengths are canonicalized to descending order; they must be
+    distinct, and each must give a source aperture of at least
+    MIN_APERTURE_SAMPLES source samples.  The scenario needs at least 2 seeds.
+    All of this is checked before any campaign runs.  Appends one
     machine-checkable verdict row per method: monotone_gi_snr true iff the
     mean GI SNR is non-increasing as l_c decreases, monotone_gics_mse likewise
     for the mean GICS MSE.  Returns (csv_text, verdicts dict); also writes
     <out>/<name>/trend.csv when out_dir is given.
     """
     lc_values = sorted((float(v) for v in lc_list), reverse=True)
-    try:
-        seeds = _valid_seeds(int(s) for s in seeds)
-    except ValueError as exc:
-        raise ConfigError(f"trend seeds: {exc}") from None
+    seeds = scenario.seeds
     if len(lc_values) < 2:
         raise ConfigError("trend experiment needs at least 2 coherence lengths")
     if len(seeds) < 2:
         raise ConfigError("trend experiment needs at least 2 seeds")
     if not all(v > 0 and math.isfinite(v) for v in lc_values):
         raise ConfigError("coherence lengths must be positive and finite")
+    if len(set(lc_values)) != len(lc_values):
+        raise ConfigError("coherence lengths must be distinct")
     configs = {lc: optics.config_for_coherence_length(scenario.config, lc)
                for lc in lc_values}
     for lc, cfg in configs.items():
@@ -344,12 +339,7 @@ def trend_experiment(scenario: Scenario, lc_list, seeds, out_dir: str | Path | N
         rows, _ = _seed_metrics(scen, seed, ms)
         return {row["method"]: row for row in rows}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
-    by_job = dict(zip(jobs, results))
+    by_job = dict(zip(jobs, _map_jobs(run_one, jobs, threads)))
 
     lines = [TREND_HEADER]
     means: dict[str, list[float]] = {"gi_snr": [], "gics_mse": []}
@@ -386,8 +376,8 @@ def trend_experiment(scenario: Scenario, lc_list, seeds, out_dir: str | Path | N
 
 
 # Bench geometry shared by the built-in recipes.
-_BENCH_GEOMETRY = {"optics.wavelength_m": 650e-9, "optics.z_m": 0.4, "optics.z1_m": 0.5,
-                   "optics.grid_n": 100, "optics.pixel_pitch_m": 15e-6}
+_BENCH_GEOMETRY = {"optics.wavelength_m": 650e-9, "optics.z_m": 0.4, "optics.grid_n": 100,
+                   "optics.pixel_pitch_m": 15e-6}
 
 
 def _recipe_text(values: dict[str, object]) -> str:
@@ -432,7 +422,7 @@ def selftest(verbose: bool = True) -> bool:
         if verbose:
             print(f"selftest {name}: {'ok' if ok else 'FAIL'}")
 
-    config = OpticalConfig(650e-9, 0.4, 0.5, 9.397e-4, 100, 15e-6)
+    config = OpticalConfig(650e-9, 0.4, 9.397e-4, 100, 15e-6)
     mask = optics.make_double_slit(config, 1e-4, 1e-3, 2e-4)
     per_slit_cols = 7
     rows_tall = 67

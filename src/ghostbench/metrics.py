@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,50 +13,23 @@ from .optics import ObjectMask, SlitGeometry, grid_coords
 RESOLVED_THRESHOLD = 0.8
 
 
-@dataclass(frozen=True)
-class ReconImage:
-    """Shared reconstruction output: grid values plus provenance tag and digest."""
-
-    values: np.ndarray
-    provenance: str
-    params_digest: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ConfigError(f"reconstruction must be square 2-D, got {values.shape}")
-        if not np.isfinite(values).all():
-            raise ConfigError("reconstruction contains non-finite values")
-        arr = values.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-
-def image_values(img) -> np.ndarray:
-    """Accept a bare array or anything carrying a ``.values`` grid."""
-    values = getattr(img, "values", img)
-    return np.asarray(values, dtype=float)
-
-
-def minmax_normalize(img) -> np.ndarray:
+def minmax_normalize(image: np.ndarray) -> np.ndarray:
     """Rescale to [0, 1]; a constant image maps to all zeros."""
-    values = image_values(img)
-    lo = values.min()
-    span = values.max() - lo
+    lo = image.min()
+    span = image.max() - lo
     if span <= 0:
-        return np.zeros_like(values)
-    return (values - lo) / span
+        return np.zeros_like(image)
+    return (image - lo) / span
 
 
-def recon_snr(img, truth: ObjectMask) -> float:
+def recon_snr(image: np.ndarray, truth: ObjectMask) -> float:
     """Background-normalized contrast: (mean on support - mean off) / std off.
 
     Support is truth > 0.5.  Affine-invariant in the image.  A zero-variance
     background yields the +inf sentinel.
     """
-    values = image_values(img)
     t = truth.values
-    if values.shape != t.shape:
+    if image.shape != t.shape:
         raise ConfigError("image and truth grids differ")
     support = t > 0.5
     background = ~support
@@ -65,30 +37,29 @@ def recon_snr(img, truth: ObjectMask) -> float:
         raise ConfigError("truth mask has empty support above 0.5")
     if not background.any():
         raise ConfigError("truth mask has no background at or below 0.5")
-    bg = values[background]
+    bg = image[background]
     bg_std = float(bg.std())
-    signal = float(values[support].mean() - bg.mean())
+    signal = float(image[support].mean() - bg.mean())
     if bg_std == 0.0:
         return math.inf
     return signal / bg_std
 
 
-def mse(img, truth: ObjectMask) -> float:
+def mse(image: np.ndarray, truth: ObjectMask) -> float:
     """Mean squared difference; callers normalize the image to [0, 1] first."""
-    values = image_values(img)
-    if values.shape != truth.values.shape:
+    if image.shape != truth.values.shape:
         raise ConfigError("image and truth grids differ")
-    return float(np.mean((values - truth.values) ** 2))
+    return float(np.mean((image - truth.values) ** 2))
 
 
-def psnr(img, truth: ObjectMask) -> float:
-    err = mse(img, truth)
+def psnr(image: np.ndarray, truth: ObjectMask) -> float:
+    err = mse(image, truth)
     if err == 0.0:
         return math.inf
     return -10.0 * math.log10(err)
 
 
-def slit_dip(img, geometry: SlitGeometry, pitch: float,
+def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float,
              resolved_threshold: float = RESOLVED_THRESHOLD) -> tuple[float, bool]:
     """Valley-to-peak ratio of the row-averaged profile across the slit band.
 
@@ -96,10 +67,9 @@ def slit_dip(img, geometry: SlitGeometry, pitch: float,
     the mean of the two per-slit peaks (each searched within half a separation
     of its slit center); resolved iff dip_ratio < resolved_threshold.
     """
-    values = image_values(img)
-    if values.ndim != 2:
+    if image.ndim != 2:
         raise ConfigError("slit_dip expects a 2-D image")
-    n = values.shape[0]
+    n = image.shape[0]
     coords = grid_coords(n, pitch)
     tol = 1e-9 * pitch
 
@@ -107,7 +77,7 @@ def slit_dip(img, geometry: SlitGeometry, pitch: float,
     band = np.abs(coords - cy) <= geometry.height / 2.0 + tol
     if not band.any():
         raise ConfigError("slit band lies outside the image grid")
-    profile = values[band, :].mean(axis=0)
+    profile = image[band, :].mean(axis=0)
 
     span = profile.max() - profile.min()
     if span <= 1e-12 * max(1.0, abs(profile.max())):

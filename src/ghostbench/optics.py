@@ -34,9 +34,9 @@ class OpticalConfig:
 
     ``source_width`` is the side of the square emitting aperture; the
     transverse coherence length it produces on the object plane is
-    ``wavelength * z_source_to_object / source_width``.  The reference-arm
-    distance ``z_source_to_reference`` is carried for provenance; the
-    simulated reference plane is optically conjugate to the object plane.
+    ``wavelength * z_source_to_object / source_width``.  The two arms are
+    perfectly correlated: the reference plane sits at the object-plane
+    distance, so it records the same frame as the object.
     ``source_oversample`` sets the source-plane sampling density used by the
     speckle synthesizer (source grid is ``source_oversample * grid_n`` samples
     per side).
@@ -44,15 +44,13 @@ class OpticalConfig:
 
     wavelength: float
     z_source_to_object: float
-    z_source_to_reference: float
     source_width: float
     grid_n: int
     pixel_pitch: float
     source_oversample: int = 4
 
     def __post_init__(self):
-        for name in ("wavelength", "z_source_to_object", "z_source_to_reference",
-                     "source_width", "pixel_pitch"):
+        for name in ("wavelength", "z_source_to_object", "source_width", "pixel_pitch"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be a positive finite length, got {value!r}")

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .forward import MeasurementSet, _frozen
-from .metrics import ReconImage
 from . import ioutil
 
 # GPSR converges once its KKT residual is at most this times ||rows.T @ rhs||_inf,
@@ -281,9 +280,10 @@ def _gram_spectral_bound(rows: np.ndarray, iters: int = 500, tol: float = 1e-12)
     return estimate
 
 
-def gics_reconstruct(ms: MeasurementSet, params: GicsParams) -> tuple[ReconImage, SolveReport]:
+def gics_reconstruct(ms: MeasurementSet, params: GicsParams) -> tuple[np.ndarray, SolveReport]:
     """Mean-removed, column-scaled sensing build, GPSR solve, map back to mask units.
 
+    Returns a read-only (grid_n, grid_n) image and the solve report.
     Negative transmittance estimates are clamped to zero after the solve (the
     program itself is unconstrained).  Removing the means drops the DC mode
     (the system has rank at most m - 1), so a full-rank inversion needs
@@ -291,11 +291,9 @@ def gics_reconstruct(ms: MeasurementSet, params: GicsParams) -> tuple[ReconImage
     """
     system = build_sensing(ms)
     solution, report = gpsr_solve(system, params)
-    physical = solution / system.col_scale
-    physical = np.maximum(physical, 0.0)
-    grid_n = ms.config.grid_n
-    digest = f"gics:m={ms.m}:tau={params.tau!r}:seed={ms.seed}"
-    image = ReconImage(physical.reshape(grid_n, grid_n), "GICS", digest)
+    physical = (solution / system.col_scale).reshape(ms.config.grid_n, ms.config.grid_n)
+    image = np.maximum(physical, 0.0)
+    image.flags.writeable = False
     return image, report
 
 

@@ -20,7 +20,7 @@ SEEDS = (1, 2, 3, 4, 5)
 CALIBRATION_SEED = 7
 
 # Fig.3-scale bench: 100 px at 15 um, the canonical 0.1/1.0/0.2 mm double slit.
-FIG_BENCH = OpticalConfig(650e-9, 0.4, 0.5, 1e-3, 100, 15e-6)
+FIG_BENCH = OpticalConfig(650e-9, 0.4, 1e-3, 100, 15e-6)
 FIG_SLIT = SlitGeometry(1e-4, 1e-3, 2e-4)
 
 # Trend bench: 3 mm field so the background is estimator-noise limited rather
@@ -37,7 +37,6 @@ scenario.slit_height_m = 0.5e-3
 scenario.slit_separation_m = 2e-4
 optics.wavelength_m = 650e-9
 optics.z_m = 0.4
-optics.z1_m = 0.5
 optics.lc_target_m = 135.5e-6
 optics.grid_n = 100
 optics.pixel_pitch_m = 30e-6
@@ -81,12 +80,12 @@ def fig_slit_runs():
         start = time.perf_counter()
         for seed in SEEDS:
             ms = run_campaign(cfg, mask, 500, seed)
-            gi_raw = recon_gi.gi_reconstruct(ms).values
+            gi_raw = recon_gi.gi_reconstruct(ms)
             gics_img, _ = recon_gics.gics_reconstruct(ms, GicsParams(tau=1e-3))
             runs[(lc, seed)] = {
                 "gi": gi_raw,
                 "gi_mse": metrics.mse(metrics.minmax_normalize(gi_raw), mask),
-                "gics_mse": metrics.mse(metrics.minmax_normalize(gics_img.values), mask),
+                "gics_mse": metrics.mse(metrics.minmax_normalize(gics_img), mask),
             }
         elapsed[lc] = time.perf_counter() - start
     return {"mask": mask, "runs": runs, "elapsed": elapsed}
@@ -131,7 +130,7 @@ def test_criterion_3_gi_point_spread_function():
     accumulated = None
     for seed in SEEDS:
         ms = run_campaign(cfg, delta, 2000, seed)
-        image = recon_gi.gi_reconstruct(ms).values
+        image = recon_gi.gi_reconstruct(ms)
         accumulated = image if accumulated is None else accumulated + image
     profile = metrics.minmax_normalize(accumulated)[50, :]
     lag = np.arange(100) - 50
@@ -170,8 +169,7 @@ def test_criterion_4_double_slit_reproduction(fig_slit_runs):
 
 def test_criterion_5_trend_verdicts(tmp_path):
     scenario = harness.parse_scenario_text(TREND_SCENARIO_TEXT, tmp_path)
-    csv_text, verdicts = harness.trend_experiment(scenario, LC_LIST, SEEDS,
-                                                  out_dir=tmp_path)
+    csv_text, verdicts = harness.trend_experiment(scenario, LC_LIST, out_dir=tmp_path)
     gi_snr_means = []
     gics_mse_means = []
     for line in csv_text.splitlines()[1:]:
@@ -248,7 +246,6 @@ scenario.slit_height_m = 240e-6
 scenario.slit_separation_m = 120e-6
 optics.wavelength_m = 650e-9
 optics.z_m = 0.4
-optics.z1_m = 0.5
 optics.lc_target_m = 100e-6
 optics.grid_n = 48
 optics.pixel_pitch_m = 15e-6

@@ -10,7 +10,7 @@ from ghostbench.optics import ObjectMask, OpticalConfig
 from ghostbench.speckle import synthesize_frame
 
 CFG = optics.config_for_coherence_length(
-    OpticalConfig(650e-9, 0.4, 0.5, 1e-3, 32, 15e-6), 120e-6)
+    OpticalConfig(650e-9, 0.4, 1e-3, 32, 15e-6), 120e-6)
 FRAME = synthesize_frame(CFG, 42, 0)
 N = CFG.grid_n
 
@@ -127,13 +127,15 @@ class TestCampaign:
         with pytest.raises(ConfigError, match="grid"):
             MeasurementSet(np.ones((4, 8, 8)), [1.0] * 4, CFG, 0)
 
-    @pytest.mark.parametrize("frame", [np.full((N, N), -1.0), np.zeros((N, N)),
-                                       np.full((N, N), np.nan), np.full((N, N), np.inf)],
-                             ids=["negative", "zero_mean", "nan", "inf"])
-    def test_rejects_bad_frame_values(self, frame):
+    @pytest.mark.parametrize("frame,bucket", [
+        (np.full((N, N), -1.0), 1.0), (np.zeros((N, N)), 1.0),
+        (np.full((N, N), np.nan), 1.0), (np.full((N, N), np.inf), 1.0),
+        (np.ones((N, N)), np.nan), (np.ones((N, N)), np.inf)],
+        ids=["negative", "zero_mean", "nan", "inf", "nan_bucket", "inf_bucket"])
+    def test_rejects_bad_frame_values(self, frame, bucket):
         stack = np.stack([np.ones((N, N)), frame])
         with pytest.raises(ConfigError):
-            MeasurementSet(stack, [1.0, 1.0], CFG, 0)
+            MeasurementSet(stack, [1.0, bucket], CFG, 0)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigError, match="stack"):

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import re
@@ -24,7 +25,6 @@ scenario.slit_height_m = 240e-6
 scenario.slit_separation_m = 120e-6
 optics.wavelength_m = 650e-9
 optics.z_m = 0.4
-optics.z1_m = 0.5
 optics.lc_target_m = 100e-6
 optics.grid_n = 48
 optics.pixel_pitch_m = 15e-6
@@ -179,8 +179,7 @@ class TestSolveCapWarning:
         text = SMALL_SCENARIO.replace("gics.max_iters = 150\n", "gics.max_iters = 5\n")
         scenario = harness.parse_scenario_text(text, tmp_path)
         with caplog.at_level(logging.WARNING, logger="ghostbench"):
-            harness.trend_experiment(scenario, [60e-6, 120e-6], seeds=(3, 4),
-                                     out_dir=tmp_path / "out")
+            harness.trend_experiment(scenario, [60e-6, 120e-6], out_dir=tmp_path / "out")
         messages = [r.getMessage() for r in caplog.records if r.name == "ghostbench"]
         assert len(messages) == 4
         for (lc, seed), message in zip([(lc, s) for lc in ("0.00012", "6e-05") for s in (3, 4)],
@@ -205,8 +204,7 @@ class TestSolveCapWarning:
 class TestTrend:
     def test_rows_sorted_descending_with_verdicts(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        csv_text, verdicts = harness.trend_experiment(
-            scenario, [60e-6, 120e-6, 90e-6], seeds=(3, 4))
+        csv_text, verdicts = harness.trend_experiment(scenario, [60e-6, 120e-6, 90e-6])
         lines = csv_text.splitlines()
         assert lines[0] == harness.TREND_HEADER
         lcs = [float(line.split(",")[0]) for line in lines[1:7]]
@@ -217,44 +215,42 @@ class TestTrend:
 
     def test_shuffled_lc_list_gives_identical_csv(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        a, _ = harness.trend_experiment(scenario, [120e-6, 60e-6], seeds=(3, 4))
-        b, _ = harness.trend_experiment(scenario, [60e-6, 120e-6], seeds=(3, 4))
+        a, _ = harness.trend_experiment(scenario, [120e-6, 60e-6])
+        b, _ = harness.trend_experiment(scenario, [60e-6, 120e-6])
         assert a == b
-
-    def test_repeated_lc_verdicts_trivially_true(self, tmp_path):
-        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        _, verdicts = harness.trend_experiment(scenario, [100e-6, 100e-6], seeds=(3, 4))
-        assert verdicts["monotone_gi_snr"] is True
-        assert verdicts["monotone_gics_mse"] is True
 
     def test_writes_trend_csv(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         out = tmp_path / "out"
-        csv_text, _ = harness.trend_experiment(scenario, [60e-6, 120e-6], seeds=(3, 4),
-                                               out_dir=out)
+        csv_text, _ = harness.trend_experiment(scenario, [60e-6, 120e-6], out_dir=out)
         assert (out / "smoke" / "trend.csv").read_text() == csv_text
 
     def test_requires_two_of_each(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         with pytest.raises(ConfigError):
-            harness.trend_experiment(scenario, [100e-6], seeds=(3, 4))
-        with pytest.raises(ConfigError):
-            harness.trend_experiment(scenario, [60e-6, 120e-6], seeds=(3,))
+            harness.trend_experiment(scenario, [100e-6])
+        one_seed = harness.parse_scenario_text(
+            SMALL_SCENARIO.replace("scenario.seeds = 3,4", "scenario.seeds = 3"), tmp_path)
+        with pytest.raises(ConfigError, match="at least 2 seeds"):
+            harness.trend_experiment(one_seed, [60e-6, 120e-6])
 
     def test_threads_give_identical_csv_and_verdicts(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        serial = harness.trend_experiment(scenario, [60e-6, 120e-6], seeds=(3, 4), threads=1)
-        pooled = harness.trend_experiment(scenario, [60e-6, 120e-6], seeds=(3, 4), threads=2)
+        serial = harness.trend_experiment(scenario, [60e-6, 120e-6], threads=1)
+        pooled = harness.trend_experiment(scenario, [60e-6, 120e-6], threads=2)
         assert pooled == serial
 
     def test_rejects_bad_lc_and_seeds(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        for lc_list in ([float("nan"), 100e-6], [float("inf"), 100e-6], [0.0, 100e-6]):
+        # a repeated l_c would run its jobs twice and write its rows twice
+        for lc_list in ([float("nan"), 100e-6], [float("inf"), 100e-6], [0.0, 100e-6],
+                        [100e-6, 100e-6], [60e-6, 1e-4, 120e-6, 100e-6]):
             with pytest.raises(ConfigError, match="coherence lengths"):
-                harness.trend_experiment(scenario, lc_list, seeds=(3, 4))
-        for seeds in ((3, 3), (-1, 2), (2**64, 2)):
+                harness.trend_experiment(scenario, lc_list)
+        # seeds are checked where every scenario is built, for run and trend alike
+        for seeds in ((3, 3), (-1, 2), (2**64, 2), ()):
             with pytest.raises(ConfigError, match="seed"):
-                harness.trend_experiment(scenario, [60e-6, 120e-6], seeds=seeds)
+                dataclasses.replace(scenario, seeds=seeds)
 
 
 class TestCli:
@@ -276,6 +272,7 @@ class TestCli:
         undersampled = SMALL_SCENARIO.replace("optics.lc_target_m = 100e-6",
                                               "optics.lc_target_m = 1e-3")
         for text in (SMALL_SCENARIO + "scenario.bogus = 1\n", too_big_seed, undersampled,
+                     SMALL_SCENARIO + "optics.z1_m = 0.5\n",
                      SMALL_SCENARIO + "gics.debias = true\n",
                      SMALL_SCENARIO + "gics.tol_rel_obj = 1e-8\n"):
             path = self.write_scenario(tmp_path, text)
@@ -296,8 +293,7 @@ class TestCli:
     def test_trend_cli(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path)
         out = tmp_path / "out"
-        code = cli.main(["trend", str(path), "--lc", "60e-6,120e-6",
-                         "--seeds", "3,4", "--out", str(out)])
+        code = cli.main(["trend", str(path), "--lc", "60e-6,120e-6", "--out", str(out)])
         assert code == 0
         captured = capsys.readouterr()
         assert "monotone_gi_snr=" in captured.out
@@ -305,14 +301,17 @@ class TestCli:
 
     def test_trend_needs_two_lcs(self, tmp_path):
         path = self.write_scenario(tmp_path)
-        assert cli.main(["trend", str(path), "--lc", "60e-6", "--seeds", "3,4"]) == 2
+        assert cli.main(["trend", str(path), "--lc", "60e-6"]) == 2
 
     @pytest.mark.parametrize("lc,seeds", [("60e-6,120e-6", "-1,2"), ("60e-6,120e-6", "3,3"),
-                                          ("nan,1e-4", "3,4"), ("1e-4,1e-3", "3,4")])
+                                          ("60e-6,120e-6", "3"), ("nan,1e-4", "3,4"),
+                                          ("1e-4,1e-3", "3,4"), ("1e-4,1e-4", "3,4")])
     def test_trend_bad_lc_or_seeds_exits_2(self, tmp_path, lc, seeds):
-        path = self.write_scenario(tmp_path)
+        """``lc`` is the --lc list, ``seeds`` the scenario file's seed list."""
+        path = self.write_scenario(tmp_path, SMALL_SCENARIO.replace(
+            "scenario.seeds = 3,4", f"scenario.seeds = {seeds}"))
         out = tmp_path / "out"
-        argv = ["trend", str(path), f"--lc={lc}", f"--seeds={seeds}", "--out", str(out)]
+        argv = ["trend", str(path), f"--lc={lc}", "--out", str(out)]
         assert cli.main(argv) == 2
         assert not out.exists()
 
@@ -321,7 +320,7 @@ class TestCli:
     def test_threads_below_one_exits_2(self, tmp_path, command, threads):
         path = self.write_scenario(tmp_path)
         out = tmp_path / "out"
-        extra = ["--lc", "60e-6,120e-6", "--seeds", "3,4"] if command == "trend" else []
+        extra = ["--lc", "60e-6,120e-6"] if command == "trend" else []
         argv = [command, str(path), "--out", str(out), "--threads", threads, *extra]
         assert cli.main(argv) == 2
         assert not out.exists()
@@ -387,7 +386,6 @@ scenario.slit_height_m = 1e-3
 scenario.slit_separation_m = 2e-4
 optics.wavelength_m = 650e-9
 optics.z_m = 0.4
-optics.z1_m = 0.5
 optics.lc_target_m = 6.88e-05
 optics.grid_n = 100
 optics.pixel_pitch_m = 15e-6

@@ -5,8 +5,12 @@ import pytest
 
 from ghostbench import metrics
 from ghostbench.errors import ConfigError
-from ghostbench.metrics import ReconImage, minmax_normalize, mse, psnr, recon_snr, slit_dip
-from ghostbench.optics import ObjectMask, SlitGeometry
+from ghostbench.forward import run_campaign
+from ghostbench.metrics import minmax_normalize, mse, psnr, recon_snr, slit_dip
+from ghostbench.optics import (ObjectMask, OpticalConfig, SlitGeometry,
+                               config_for_coherence_length, make_double_slit)
+from ghostbench.recon_gi import gi_reconstruct
+from ghostbench.recon_gics import GicsParams, gics_reconstruct
 
 PITCH = 15e-6
 
@@ -116,14 +120,14 @@ class TestSlitDip:
             slit_dip(np.random.default_rng(0).uniform(0, 1, (64, 64)), offset, PITCH)
 
 
-class TestReconImage:
-    def test_rejects_nonfinite(self):
-        values = np.ones((8, 8))
-        values[0, 0] = np.nan
-        with pytest.raises(ConfigError):
-            ReconImage(values, "GI", "x")
-
-    def test_accepts_and_freezes(self):
-        img = ReconImage(np.ones((8, 8)), "GICS", "tau=1")
-        with pytest.raises(ValueError):
-            img.values[0, 0] = 2.0
+class TestReconstructions:
+    def test_both_methods_return_read_only_arrays(self):
+        cfg = config_for_coherence_length(OpticalConfig(650e-9, 0.4, 1e-3, 16, 15e-6), 90e-6)
+        ms = run_campaign(cfg, make_double_slit(cfg, 6e-5, 1.5e-4, 1.2e-4), 12, 3)
+        gi = gi_reconstruct(ms)
+        gics, _ = gics_reconstruct(ms, GicsParams(max_iters=20))
+        for image in (gi, gics):
+            assert type(image) is np.ndarray
+            assert image.shape == (16, 16) and image.dtype == float
+            with pytest.raises(ValueError):
+                image[0, 0] = 2.0

@@ -13,8 +13,8 @@ from ghostbench.optics import ObjectMask, OpticalConfig
 
 
 def make_config(**overrides):
-    kwargs = dict(wavelength=650e-9, z_source_to_object=0.4, z_source_to_reference=0.5,
-                  source_width=1e-3, grid_n=100, pixel_pitch=15e-6)
+    kwargs = dict(wavelength=650e-9, z_source_to_object=0.4, source_width=1e-3,
+                  grid_n=100, pixel_pitch=15e-6)
     kwargs.update(overrides)
     return OpticalConfig(**kwargs)
 
@@ -53,8 +53,8 @@ class TestCoherenceLength:
 
 
 class TestOpticalConfigValidation:
-    @pytest.mark.parametrize("field", ["wavelength", "z_source_to_object",
-                                       "z_source_to_reference", "source_width", "pixel_pitch"])
+    @pytest.mark.parametrize("field", ["wavelength", "z_source_to_object", "source_width",
+                                       "pixel_pitch"])
     def test_rejects_nonpositive_lengths(self, field):
         with pytest.raises(ConfigError):
             make_config(**{field: 0.0})
@@ -251,9 +251,9 @@ class TestConfigFile:
     def test_comments_and_spacing(self):
         pairs = ioutil.parse_kv_text(
             "# bench geometry\noptics.wavelength_m = 650e-9\noptics.z_m=0.4\n"
-            "optics.z1_m =0.5  # reference arm\n\noptics.grid_n= 100\n")
+            "optics.lc_target_m =68.8e-6  # object plane\n\noptics.grid_n= 100\n")
         assert pairs == {"optics.wavelength_m": "650e-9", "optics.z_m": "0.4",
-                         "optics.z1_m": "0.5", "optics.grid_n": "100"}
+                         "optics.lc_target_m": "68.8e-6", "optics.grid_n": "100"}
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

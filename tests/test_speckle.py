@@ -8,7 +8,7 @@ from ghostbench.speckle import intensity_stats, synthesize_frame
 
 
 def config_for(lc, grid_n=64, pitch=15e-6, oversample=4):
-    base = OpticalConfig(650e-9, 0.4, 0.5, 1e-3, grid_n, pitch, source_oversample=oversample)
+    base = OpticalConfig(650e-9, 0.4, 1e-3, grid_n, pitch, source_oversample=oversample)
     return optics.config_for_coherence_length(base, lc)
 
 
