@@ -240,11 +240,19 @@ class TestTrend:
         pooled = harness.trend_experiment(scenario, [60e-6, 120e-6], threads=2)
         assert pooled == serial
 
+    def test_repeated_lc_verdicts_trivially_true(self, tmp_path):
+        # a repeated l_c would run its jobs twice, write its rows twice and make the
+        # monotonicity verdicts trivially true, so it is rejected before any job runs
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        out = tmp_path / "out"
+        for lc_list in ([100e-6, 100e-6], [60e-6, 1e-4, 120e-6, 100e-6]):
+            with pytest.raises(ConfigError, match="coherence lengths"):
+                harness.trend_experiment(scenario, lc_list, out_dir=out)
+        assert not out.exists()
+
     def test_rejects_bad_lc_and_seeds(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        # a repeated l_c would run its jobs twice and write its rows twice
-        for lc_list in ([float("nan"), 100e-6], [float("inf"), 100e-6], [0.0, 100e-6],
-                        [100e-6, 100e-6], [60e-6, 1e-4, 120e-6, 100e-6]):
+        for lc_list in ([float("nan"), 100e-6], [float("inf"), 100e-6], [0.0, 100e-6]):
             with pytest.raises(ConfigError, match="coherence lengths"):
                 harness.trend_experiment(scenario, lc_list)
         # seeds are checked where every scenario is built, for run and trend alike
