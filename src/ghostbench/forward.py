@@ -24,15 +24,30 @@ _NOISE_STREAM = 0x4255434B
 def _frozen(values) -> np.ndarray:
     """``values`` as a read-only float array that no caller can write through.
 
-    An array that owns its data and is already read-only is kept as it is;
-    anything else, including a read-only view of a writeable base, is copied.
+    A read-only array that owns its data, or a read-only view of such an
+    array, is kept as it is; anything else, including a read-only view of a
+    writeable base, is copied.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.flags.owndata and not arr.flags.writeable:
+    owner = arr if arr.flags.owndata else arr.base
+    if (not arr.flags.writeable and isinstance(owner, np.ndarray)
+            and owner.flags.owndata and not owner.flags.writeable):
         return arr
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _finite_min(arr: np.ndarray, what: str) -> float:
+    """Minimum of a non-empty array; ConfigError unless every value is finite.
+
+    NaN propagates through min and max and an infinity is one of them, so the
+    check needs no full-size boolean temporary.
+    """
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"{what} must be finite")
+    return lo
 
 
 @dataclass(frozen=True)
@@ -61,21 +76,20 @@ class MeasurementSet:
             raise ConfigError(
                 f"need one bucket per frame: {buckets.shape} buckets for "
                 f"{intensities.shape[0]} frames")
-        if not np.isfinite(buckets).all():
-            raise ConfigError("bucket values must be finite")
+        bucket_min = _finite_min(buckets, "bucket values")
         if intensities.shape[1] != self.config.grid_n:
             raise ConfigError(
                 f"frame grid {intensities.shape[1]} does not match config grid "
                 f"{self.config.grid_n}")
-        if not np.isfinite(intensities).all() or intensities.min() < 0:
-            raise ConfigError("frame intensities must be finite and non-negative")
+        if _finite_min(intensities, "frame intensities") < 0:
+            raise ConfigError("frame intensities must be non-negative")
         if not (intensities.mean(axis=(1, 2)) > 0).all():
             raise ConfigError("a frame intensity has non-positive mean")
         if not (0 <= int(self.seed) < SEED_LIMIT):
             raise ConfigError("seed must fit an unsigned 64-bit integer")
         if not (self.noise_sigma >= 0 and np.isfinite(self.noise_sigma)):
             raise ConfigError("noise_sigma must be finite and non-negative")
-        if self.noise_sigma == 0 and (buckets < 0).any():
+        if self.noise_sigma == 0 and bucket_min < 0:
             raise ConfigError("noiseless buckets cannot be negative")
         object.__setattr__(self, "intensities", intensities)
         object.__setattr__(self, "buckets", buckets)

@@ -247,6 +247,7 @@ def _seed_metrics(scenario: Scenario, seed: int, ms: MeasurementSet) -> tuple[li
         if scenario.slit_geometry is not None:
             dip_ratio, resolved = metrics.slit_dip(raw, scenario.slit_geometry,
                                                    scenario.config.pixel_pitch)
+        normalized = metrics.minmax_normalize(raw)
         rows.append({
             "scenario": scenario.name,
             "lc_m": lc,
@@ -254,8 +255,8 @@ def _seed_metrics(scenario: Scenario, seed: int, ms: MeasurementSet) -> tuple[li
             "method": method,
             "seed": seed,
             "snr": metrics.recon_snr(raw, scenario.mask),
-            "mse": metrics.mse(metrics.minmax_normalize(raw), scenario.mask),
-            "psnr": metrics.psnr(metrics.minmax_normalize(raw), scenario.mask),
+            "mse": metrics.mse(normalized, scenario.mask),
+            "psnr": metrics.psnr(normalized, scenario.mask),
             "dip_ratio": dip_ratio,
             "resolved": resolved,
         })
@@ -445,14 +446,14 @@ def selftest(verbose: bool = True) -> bool:
     truth = np.zeros(80)
     truth[rng.choice(80, 5, replace=False)] = rng.standard_normal(5)
     sensing = recon_gics.SensingSystem.from_arrays(design, design @ truth)
-    tau = 0.01 * float(np.abs(sensing.rows.T @ sensing.rhs).max())
+    big_tau = float(np.abs(sensing.rmatvec(sensing.rhs)).max())
+    tau = 0.01 * big_tau
     x_gpsr, report = recon_gics.gpsr_solve(sensing, GicsParams(tau=tau))
     x_ista = recon_gics.ista_reference(sensing, tau, kkt_tol=1e-9)
-    f_gpsr = recon_gics.lasso_objective(sensing.rows, sensing.rhs, x_gpsr, tau)
-    f_ista = recon_gics.lasso_objective(sensing.rows, sensing.rhs, x_ista, tau)
+    f_gpsr = recon_gics.lasso_objective(sensing, x_gpsr, tau)
+    f_ista = recon_gics.lasso_objective(sensing, x_ista, tau)
     record("solver cross-check", abs(f_gpsr - f_ista) <= 1e-6 * max(f_ista, 1e-300))
 
-    big_tau = float(np.abs(sensing.rows.T @ sensing.rhs).max())
     x_zero, _ = recon_gics.gpsr_solve(sensing, GicsParams(tau=big_tau))
     record("l1 zero-solution threshold", not x_zero.any())
 

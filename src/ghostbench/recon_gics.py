@@ -1,14 +1,16 @@
 """Sparse reconstruction from bucket data: l1-regularized least squares.
 
-build_sensing turns a campaign into the linear system (rows = flattened
-reference intensities, rhs = buckets) with the means removed and the
-columns scaled to unit RMS.  gpsr_solve minimizes
-0.5 ||rhs - rows @ x||^2 + tau ||x||_1 by gradient projection on the split
-x = u - v (u, v >= 0) with Barzilai-Borwein step lengths, stopping once the
-optimality (KKT) residual is within _KKT_REL_TOL of ||rows.T @ rhs||_inf;
-ista_reference is an independent proximal-gradient oracle used to
-cross-check it.  A run sets only tau and the iteration cap; the other solver
-constants are fixed here.
+build_sensing turns a campaign into the linear system A x ~ rhs, where rhs
+is the mean-removed buckets and A = (rows - col_mean) / col_scale is the
+flattened reference stack with its column means removed and its columns
+scaled to unit RMS.  A is never formed: SensingSystem applies it as an
+operator (matvec, rmatvec) on the campaign's own read-only stack.
+gpsr_solve minimizes 0.5 ||rhs - A x||^2 + tau ||x||_1 by gradient
+projection on the split x = u - v (u, v >= 0) with Barzilai-Borwein step
+lengths, stopping once the optimality (KKT) residual is within _KKT_REL_TOL
+of ||A.T rhs||_inf; ista_reference is an independent proximal-gradient
+oracle on the same operator, used to cross-check it.  A run sets only tau
+and the iteration cap; the other solver constants are fixed here.
 """
 from __future__ import annotations
 
@@ -19,16 +21,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .forward import MeasurementSet, _frozen
+from .forward import MeasurementSet, _finite_min, _frozen
 from . import ioutil
 
-# GPSR converges once its KKT residual is at most this times ||rows.T @ rhs||_inf,
+# GPSR converges once its KKT residual is at most this times ||A.T rhs||_inf,
 _KKT_REL_TOL = 1e-6
 # or once the objective changes by at most this relative amount in one step.
 _TOL_REL_OBJ = 1e-8
 # Clamps of the Barzilai-Borwein step length.
 _BB_STEP_MIN = 1e-30
 _BB_STEP_MAX = 1e30
+# build_sensing centres the stack in row blocks of about this many bytes.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class SolveReport:
     """Solver diagnostics; history rows are (iteration, objective, kkt_residual).
 
     kkt_residual is that of the returned iterate, history[-1][2]; atb_inf is
-    ||rows.T @ rhs||_inf, the scale of the KKT stopping rule.
+    ||A.T rhs||_inf, the scale of the KKT stopping rule.
     """
 
     iterations: int
@@ -63,34 +67,42 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SensingSystem:
-    """Linear model ``rows @ x ~ rhs`` whose solution x maps to the image x / col_scale."""
+    """Linear model ``A x ~ rhs`` with A = (rows - col_mean) / col_scale, never formed.
+
+    ``rows`` is the (m, n) raw matrix (for a campaign, a read-only view of its
+    intensity stack), ``col_mean`` is subtracted from every row and
+    ``col_scale`` divides every column; matvec and rmatvec apply A and A.T.
+    A solution x maps to the image x / col_scale.
+    """
 
     rows: np.ndarray
     rhs: np.ndarray
     col_scale: np.ndarray
+    col_mean: np.ndarray
 
     def __post_init__(self):
-        rows = _frozen(self.rows)
-        rhs = _frozen(self.rhs)
-        col_scale = _frozen(self.col_scale)
-        if rows.ndim != 2 or rows.shape[0] < 1:
+        arrays = {name: _frozen(getattr(self, name))
+                  for name in ("rows", "rhs", "col_scale", "col_mean")}
+        rows = arrays["rows"]
+        if rows.ndim != 2 or rows.size < 1:
             raise ConfigError("sensing rows must be a non-empty 2-D matrix")
-        if rhs.shape != (rows.shape[0],):
+        if arrays["rhs"].shape != (rows.shape[0],):
             raise ConfigError("rhs length must match the number of rows")
-        if col_scale.shape != (rows.shape[1],):
-            raise ConfigError("column scale length must match the number of columns")
-        if not (col_scale > 0).all():
-            raise ConfigError("column scales must be strictly positive")
-        for name, arr in (("rows", rows), ("rhs", rhs), ("col_scale", col_scale)):
-            if not np.isfinite(arr).all():
-                raise ConfigError(f"sensing {name} contains non-finite values")
+        for name in ("col_scale", "col_mean"):
+            if arrays[name].shape != (rows.shape[1],):
+                raise ConfigError(f"{name} length must match the number of columns")
+        for name, arr in arrays.items():
+            _finite_min(arr, f"sensing {name}")
             object.__setattr__(self, name, arr)
+        if self.col_scale.min() <= 0:
+            raise ConfigError("column scales must be strictly positive")
 
     @classmethod
     def from_arrays(cls, rows: np.ndarray, rhs: np.ndarray) -> "SensingSystem":
-        """Raw system (no mean removal, unit column scales), e.g. for solver tests."""
+        """Raw system A = rows (zero column means, unit column scales), e.g. for solver tests."""
         rows = np.asarray(rows, dtype=float)
-        return cls(rows, rhs, np.ones(rows.shape[1] if rows.ndim == 2 else 0))
+        n = rows.shape[1] if rows.ndim == 2 else 0
+        return cls(rows, rhs, np.ones(n), np.zeros(n))
 
     @property
     def m(self) -> int:
@@ -100,33 +112,48 @@ class SensingSystem:
     def n_pix(self) -> int:
         return self.rows.shape[1]
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x."""
+        y = x / self.col_scale
+        return self.rows @ y - self.col_mean @ y
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """A.T @ r."""
+        return (self.rows.T @ r - self.col_mean * r.sum()) / self.col_scale
+
 
 def build_sensing(ms: MeasurementSet) -> SensingSystem:
-    """Flatten the campaign into rows/rhs, remove their means and unit-RMS-scale the columns.
+    """The campaign's stack as a centred, unit-RMS-column operator; rhs the centred buckets.
 
-    For a noiseless campaign of mask t, rows @ (col_scale * t) = rhs.  A
-    zero-variance column (dead pixel) keeps scale 1 and triggers a warning.
-    The rows are the one copy of the intensity stack, shifted and scaled in place.
+    ``rows`` is the flattened read-only intensity stack itself, not a copy.
+    The column means and scales come from centred row blocks of about
+    _BLOCK_BYTES, so no (m, n) temporary exists.  For a noiseless campaign of
+    mask t, A @ (col_scale * t) = rhs.  A zero-variance column (dead pixel)
+    keeps scale 1 and triggers a warning.
     """
-    rows = ms.intensities.reshape(ms.m, -1).astype(float)
-    rows -= rows.mean(axis=0)
-    rhs = np.array(ms.buckets, dtype=float)
-    rhs -= rhs.mean()
-
-    col_scale = np.linalg.norm(rows, axis=0) / np.sqrt(ms.m)
+    rows = ms.intensities.reshape(ms.m, -1)
+    col_mean = rows.mean(axis=0)
+    step = max(1, _BLOCK_BYTES // rows[0].nbytes)
+    block = np.empty((min(step, ms.m), rows.shape[1]))
+    sum_sq = np.zeros(rows.shape[1])
+    for start in range(0, ms.m, step):
+        chunk = rows[start:start + step]
+        centred = np.subtract(chunk, col_mean, out=block[:len(chunk)])
+        sum_sq += np.einsum("ij,ij->j", centred, centred)
+    col_scale = np.sqrt(sum_sq / ms.m)
     dead = col_scale == 0
     if dead.any():
         warnings.warn(f"{int(dead.sum())} zero-variance column(s); scale left at 1",
                       stacklevel=2)
         col_scale[dead] = 1.0
-    rows /= col_scale
 
-    rows.flags.writeable = False
-    return SensingSystem(rows, rhs, col_scale)
+    rhs = np.array(ms.buckets, dtype=float)
+    rhs -= rhs.mean()
+    return SensingSystem(rows, rhs, col_scale, col_mean)
 
 
-def lasso_objective(rows: np.ndarray, rhs: np.ndarray, x: np.ndarray, tau: float) -> float:
-    resid = rows @ x - rhs
+def lasso_objective(system: SensingSystem, x: np.ndarray, tau: float) -> float:
+    resid = system.matvec(x) - system.rhs
     return float(0.5 * (resid @ resid) + tau * np.abs(x).sum())
 
 
@@ -149,20 +176,18 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
     The split objective is quadratic, so the step along the projection arc is
     the exact minimizer clipped to [0, 1] (monotone descent; the final
     objective never exceeds the objective at x = 0).  Converges as soon as the
-    KKT residual is at most _KKT_REL_TOL * ||rows.T @ rhs||_inf or the
+    KKT residual is at most _KKT_REL_TOL * ||A.T rhs||_inf or the
     relative objective change drops to _TOL_REL_OBJ; otherwise stops
     unconverged after max_iters iterations.
     """
-    rows = system.rows
-    rhs = system.rhs
     tau = float(params.tau)
     n = system.n_pix
 
     u = np.zeros(n)
     v = np.zeros(n)
-    resid = -rhs.copy()  # rows @ (u - v) - rhs at the origin
+    resid = -system.rhs  # A @ (u - v) - rhs at the origin
     objective = 0.5 * float(resid @ resid)
-    grad = rows.T @ resid
+    grad = system.rmatvec(resid)
     alpha = 1.0
     atb_inf = float(np.abs(grad).max(initial=0.0))
     kkt_stop = _KKT_REL_TOL * atb_inf
@@ -184,7 +209,7 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
             converged = True  # projected-gradient fixed point
             break
 
-        step_image = rows @ (du - dv)
+        step_image = system.matvec(du - dv)
         curvature = float(step_image @ step_image)
         slope = float(grad_u @ du + grad_v @ dv)
         if curvature > 0.0:
@@ -207,7 +232,7 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
         else:
             alpha = min(max(dd / curvature, _BB_STEP_MIN), _BB_STEP_MAX)
 
-        grad = rows.T @ resid
+        grad = system.rmatvec(resid)
         iterations = it
         history.append((it, new_objective, kkt_residual(u - v, grad, tau)))
         small_change = abs(objective - new_objective) <= _TOL_REL_OBJ * max(
@@ -234,23 +259,21 @@ def ista_reference(system: SensingSystem, tau: float, kkt_tol: float,
                    max_iters: int = 100_000, on_iterate=None) -> np.ndarray:
     """Independent proximal-gradient oracle: soft-threshold steps of size 1/L.
 
-    L bounds the largest squared singular value of the rows (power iteration
-    with a small safety margin).  Deterministic from x0 = 0; takes at most
+    L bounds the largest squared singular value of A (power iteration with a
+    small safety margin).  Deterministic from x0 = 0; takes at most
     max_iters steps (on_iterate(i, x) sees each one) and returns the first
     iterate whose KKT residual is within kkt_tol, or the last one with a
     warning, not fatal, when none is.
     """
     if tau < 0:
         raise ConfigError("tau must be non-negative")
-    rows = system.rows
-    rhs = system.rhs
-    lipschitz = _gram_spectral_bound(rows) * 1.02
+    lipschitz = _gram_spectral_bound(system) * 1.02
     if lipschitz <= 0:
         lipschitz = 1.0
 
     x = np.zeros(system.n_pix)
     for it in range(max_iters + 1):
-        grad = rows.T @ (rows @ x - rhs)
+        grad = system.rmatvec(system.matvec(x) - system.rhs)
         if kkt_residual(x, grad, tau) <= kkt_tol:
             return x
         if it == max_iters:
@@ -264,12 +287,13 @@ def ista_reference(system: SensingSystem, tau: float, kkt_tol: float,
     return x
 
 
-def _gram_spectral_bound(rows: np.ndarray, iters: int = 500, tol: float = 1e-12) -> float:
-    n = rows.shape[1]
+def _gram_spectral_bound(system: SensingSystem, iters: int = 500,
+                         tol: float = 1e-12) -> float:
+    n = system.n_pix
     vec = np.full(n, 1.0 / np.sqrt(n))
     estimate = 0.0
     for _ in range(iters):
-        image = rows.T @ (rows @ vec)
+        image = system.rmatvec(system.matvec(vec))
         norm = float(np.linalg.norm(image))
         if norm == 0.0:
             return 0.0
@@ -281,7 +305,7 @@ def _gram_spectral_bound(rows: np.ndarray, iters: int = 500, tol: float = 1e-12)
 
 
 def gics_reconstruct(ms: MeasurementSet, params: GicsParams) -> tuple[np.ndarray, SolveReport]:
-    """Mean-removed, column-scaled sensing build, GPSR solve, map back to mask units.
+    """Centred, column-scaled sensing operator, GPSR solve, map back to mask units.
 
     Returns a read-only (grid_n, grid_n) image and the solve report.
     Negative transmittance estimates are clamped to zero after the solve (the

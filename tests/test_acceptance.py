@@ -199,14 +199,14 @@ def test_criterion_6_solver_cross_validation():
     kkt_ok = 0
     for _ in range(100):
         system = sparse_solver_instance(rng)
-        scale = float(np.abs(system.rows.T @ system.rhs).max())
+        scale = float(np.abs(system.rmatvec(system.rhs)).max())
         tau = 0.01 * scale
         x_gpsr, solve_report = gpsr_solve(system, GicsParams(tau=tau, max_iters=20000))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             x_ista = ista_reference(system, tau, kkt_tol=1e-8)
-        f_gpsr = lasso_objective(system.rows, system.rhs, x_gpsr, tau)
-        f_ista = lasso_objective(system.rows, system.rhs, x_ista, tau)
+        f_gpsr = lasso_objective(system, x_gpsr, tau)
+        f_ista = lasso_objective(system, x_ista, tau)
         agree += abs(f_gpsr - f_ista) <= 1e-6 * max(f_ista, 1e-300)
         kkt_ok += solve_report.kkt_residual <= 1e-6 * scale
     elapsed = time.perf_counter() - start
@@ -220,7 +220,7 @@ def test_criterion_6_solver_cross_validation():
 def test_criterion_7_analytic_solver_facts():
     rng = np.random.default_rng(99)
     system = sparse_solver_instance(rng)
-    threshold = float(np.abs(system.rows.T @ system.rhs).max())
+    threshold = float(np.abs(system.rmatvec(system.rhs)).max())
     x_zero, _ = gpsr_solve(system, GicsParams(tau=threshold))
     zero_exact = not x_zero.any()
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ghostbench import optics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import MeasurementSet, bucket_measure, run_campaign
+from ghostbench.forward import MeasurementSet, _frozen, bucket_measure, run_campaign
 from ghostbench.optics import ObjectMask, OpticalConfig
 from ghostbench.speckle import synthesize_frame
 
@@ -168,6 +168,13 @@ class TestCampaign:
         ms = MeasurementSet(view, [1.0, 2.0], CFG, 0)
         base[0, 0, 0] = 5.0
         assert ms.intensities[0, 0, 0] == 1.0
+
+    def test_read_only_view_of_read_only_owner_is_kept(self):
+        owner = np.ones((2, N, N))
+        owner.flags.writeable = False
+        view = owner.reshape(2, N * N)
+        assert view.base is owner and not view.flags.writeable
+        assert _frozen(view) is view
 
     def test_campaign_stack_is_not_copied(self):
         ms = run_campaign(CFG, self.MASK, 3, 11)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,29 +37,72 @@ def synthetic_measurements(rng, m, grid_n, truth):
     return MeasurementSet(intensities, buckets, cfg, 1)
 
 
+def dense_operator(system):
+    """A = (rows - col_mean) / col_scale, formed explicitly."""
+    return (system.rows - system.col_mean) / system.col_scale
+
+
 class TestBuildSensing:
     def test_centered_columns_have_zero_mean(self):
         ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 12, 3)
         system = build_sensing(ms)
-        assert np.max(np.abs(system.rows.mean(axis=0))) <= 1e-12
+        column_means = system.rmatvec(np.ones(ms.m)) / ms.m
+        assert np.max(np.abs(column_means)) <= 1e-12
         assert abs(system.rhs.mean()) <= 1e-9 * abs(np.mean(ms.buckets))
 
     def test_forward_consistency_noiseless(self):
         # for the true mask t, the centered, scaled system satisfies
-        # rows @ (col_scale * t) = rhs
+        # A @ (col_scale * t) = rhs
         mask = optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4)
         ms = run_campaign(CFG, mask, 10, 5)
         system = build_sensing(ms)
-        predicted = system.rows @ (system.col_scale * mask.values.ravel())
+        predicted = system.matvec(system.col_scale * mask.values.ravel())
         assert np.allclose(predicted, system.rhs, rtol=1e-12)
 
     def test_uncentering_and_unscaling_reproduce_original(self):
         ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 9, 7)
         system = build_sensing(ms)
         original = ms.intensities.reshape(ms.m, -1)
-        restored = system.rows * system.col_scale + original.mean(axis=0)
+        operator = np.array([system.rmatvec(e) for e in np.eye(ms.m)])
+        restored = operator * system.col_scale + original.mean(axis=0)
         assert np.allclose(restored, original, rtol=1e-12, atol=1e-15)
         assert np.allclose(system.rhs + np.mean(ms.buckets), ms.buckets, rtol=1e-12)
+
+    def test_columns_have_unit_rms(self, monkeypatch):
+        # blocks of 4 rows: 15 frames make three full blocks and a short one
+        monkeypatch.setattr(recon_gics, "_BLOCK_BYTES", 4 * CFG.grid_n**2 * 8)
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 15, 8)
+        rms = np.sqrt(np.mean(dense_operator(build_sensing(ms)) ** 2, axis=0))
+        assert np.allclose(rms, 1.0, rtol=1e-12)
+
+    def test_operator_matches_dense_matrix(self):
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 11, 4)
+        system = build_sensing(ms)
+        dense = dense_operator(system)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(system.n_pix)
+        r = rng.standard_normal(system.m)
+        assert np.max(np.abs(system.matvec(x) - dense @ x)) <= 1e-12 * np.max(np.abs(dense @ x))
+        assert np.max(np.abs(system.rmatvec(r) - dense.T @ r)) <= 1e-12 * np.max(
+            np.abs(dense.T @ r))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(0.5, 1.5, (7, 13))
+        system = SensingSystem(rows, np.zeros(7), rng.uniform(0.1, 3.0, 13),
+                               rows.mean(axis=0))
+        x = rng.standard_normal(13)
+        r = rng.standard_normal(7)
+        bound = np.abs(r) @ np.abs(dense_operator(system)) @ np.abs(x)
+        assert abs(system.matvec(x) @ r - x @ system.rmatvec(r)) <= 1e-12 * bound
+
+    def test_rows_are_the_campaign_stack(self):
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 5, 2)
+        system = build_sensing(ms)
+        assert np.shares_memory(system.rows, ms.intensities)
+        assert system.rows.shape == (ms.m, CFG.grid_n**2)
+        assert not system.rows.flags.writeable
 
     def test_dead_pixel_scale_left_at_one(self):
         rng = np.random.default_rng(0)
@@ -71,16 +115,39 @@ class TestBuildSensing:
         assert system.col_scale[dead_col] == 1.0
 
     def test_validation(self):
+        ones = np.ones(4)
         with pytest.raises(ConfigError):
-            SensingSystem(np.ones((3, 4)), np.ones(2), np.ones(4))
+            SensingSystem(np.ones((3, 4)), np.ones(2), ones, ones)
         with pytest.raises(ConfigError):
-            SensingSystem(np.ones((3, 4)), np.ones(3), np.zeros(4))
+            SensingSystem(np.ones((3, 4)), np.ones(3), np.zeros(4), ones)
+        with pytest.raises(ConfigError, match="col_mean"):
+            SensingSystem(np.ones((3, 4)), np.ones(3), ones, np.ones(3))
+        with pytest.raises(ConfigError, match="non-empty"):
+            SensingSystem(np.ones((3, 0)), np.ones(3), np.ones(0), np.ones(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rows", "rhs", "col_scale", "col_mean"])
+    def test_non_finite_arrays_rejected(self, name, bad):
+        arrays = {"rows": np.ones((3, 4)), "rhs": np.ones(3),
+                  "col_scale": np.ones(4), "col_mean": np.zeros(4)}
+        arrays[name].flat[1] = bad
+        with pytest.raises(ConfigError, match=f"sensing {name} must be finite"):
+            SensingSystem(**arrays)
+
+    def test_raw_system_operator_is_the_matrix(self):
+        rng = np.random.default_rng(12)
+        design = rng.standard_normal((6, 9))
+        system = SensingSystem.from_arrays(design, np.ones(6))
+        x = rng.standard_normal(9)
+        r = rng.standard_normal(6)
+        assert np.array_equal(system.matvec(x), design @ x)
+        assert np.array_equal(system.rmatvec(r), design.T @ r)
 
 
 class TestGpsr:
     def test_large_tau_gives_exact_zero(self):
         system, _ = sparse_instance(1)
-        threshold = float(np.abs(system.rows.T @ system.rhs).max())
+        threshold = float(np.abs(system.rmatvec(system.rhs)).max())
         x, report = gpsr_solve(system, GicsParams(tau=threshold))
         assert not x.any()
         assert report.converged
@@ -100,17 +167,17 @@ class TestGpsr:
     def test_agrees_with_ista_oracle(self):
         for seed in (3, 4, 5):
             system, _ = sparse_instance(seed)
-            tau = 0.01 * float(np.abs(system.rows.T @ system.rhs).max())
+            tau = 0.01 * float(np.abs(system.rmatvec(system.rhs)).max())
             x_g, _ = gpsr_solve(system, GicsParams(tau=tau, max_iters=20000))
             x_i = ista_reference(system, tau, kkt_tol=1e-8)
-            f_g = lasso_objective(system.rows, system.rhs, x_g, tau)
-            f_i = lasso_objective(system.rows, system.rhs, x_i, tau)
+            f_g = lasso_objective(system, x_g, tau)
+            f_i = lasso_objective(system, x_i, tau)
             assert abs(f_g - f_i) <= 1e-6 * f_i
 
     @pytest.mark.usefixtures("exact_solve")
     def test_kkt_optimality_of_accepted_solutions(self):
         system, _ = sparse_instance(6)
-        scale = float(np.abs(system.rows.T @ system.rhs).max())
+        scale = float(np.abs(system.rmatvec(system.rhs)).max())
         _, report = gpsr_solve(system, GicsParams(tau=0.01 * scale, max_iters=20000))
         assert report.converged
         assert report.kkt_residual <= 1e-6 * scale
@@ -118,7 +185,7 @@ class TestGpsr:
     def test_objective_never_exceeds_origin_value(self):
         for seed, tau_rel in ((7, 0.0), (8, 0.01), (9, 0.3)):
             system, _ = sparse_instance(seed)
-            tau = tau_rel * float(np.abs(system.rows.T @ system.rhs).max())
+            tau = tau_rel * float(np.abs(system.rmatvec(system.rhs)).max())
             _, report = gpsr_solve(system, GicsParams(tau=tau))
             origin = 0.5 * float(system.rhs @ system.rhs)
             assert report.final_objective <= origin * (1 + 1e-12)
@@ -126,7 +193,7 @@ class TestGpsr:
     @pytest.mark.parametrize("c", [2.0, 3.7, 0.25])
     def test_scaling_equivariance(self, c):
         system, _ = sparse_instance(10, m=30, n=60, k=6)
-        tau = 0.02 * float(np.abs(system.rows.T @ system.rhs).max())
+        tau = 0.02 * float(np.abs(system.rmatvec(system.rhs)).max())
         x1, _ = gpsr_solve(system, GicsParams(tau=tau))
         scaled = SensingSystem.from_arrays(c * system.rows, c * system.rhs)
         x2, _ = gpsr_solve(scaled, GicsParams(tau=c * c * tau))
@@ -139,7 +206,7 @@ class TestGpsr:
 
     def test_history_matches_report(self):
         system, _ = sparse_instance(13)
-        tau = 0.05 * float(np.abs(system.rows.T @ system.rhs).max())
+        tau = 0.05 * float(np.abs(system.rmatvec(system.rhs)).max())
         _, report = gpsr_solve(system, GicsParams(tau=tau))
         assert report.history[0][0] == 0
         assert report.history[-1][0] == report.iterations
@@ -157,7 +224,7 @@ class TestKktStop:
     def test_default_converges_on_kkt_residual(self, slit_system):
         params = GicsParams(tau=1e-3)
         _, report = gpsr_solve(slit_system, params)
-        atb_inf = float(np.abs(slit_system.rows.T @ slit_system.rhs).max())
+        atb_inf = float(np.abs(slit_system.rmatvec(slit_system.rhs)).max())
         assert report.atb_inf == atb_inf
         assert report.converged
         assert report.iterations < params.max_iters
@@ -175,25 +242,25 @@ class TestKktStop:
 class TestIsta:
     def test_large_tau_returns_zero_immediately(self):
         system, _ = sparse_instance(20)
-        threshold = float(np.abs(system.rows.T @ system.rhs).max())
+        threshold = float(np.abs(system.rmatvec(system.rhs)).max())
         x = ista_reference(system, threshold, kkt_tol=1e-12, max_iters=5)
         assert not x.any()
 
     def test_objective_non_increasing(self):
         system, _ = sparse_instance(21)
-        tau = 0.02 * float(np.abs(system.rows.T @ system.rhs).max())
+        tau = 0.02 * float(np.abs(system.rmatvec(system.rhs)).max())
         trace = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             ista_reference(system, tau, kkt_tol=1e-8, max_iters=2000,
                            on_iterate=lambda it, x: trace.append(
-                               lasso_objective(system.rows, system.rhs, x, tau)))
+                               lasso_objective(system, x, tau)))
         assert len(trace) > 50
         assert all(a >= b - 1e-10 * abs(a) for a, b in zip(trace, trace[1:]))
 
     def test_iteration_cap_warns(self):
         system, _ = sparse_instance(22)
-        tau = 0.01 * float(np.abs(system.rows.T @ system.rhs).max())
+        tau = 0.01 * float(np.abs(system.rmatvec(system.rhs)).max())
         steps = []
         with pytest.warns(UserWarning, match="iteration cap"):
             ista_reference(system, tau, kkt_tol=1e-14, max_iters=3,
@@ -245,10 +312,35 @@ class TestGicsReconstruct:
         truth[2, 3], truth[5, 1], truth[6, 6] = 1.0, 0.7, 0.4
         ms = synthetic_measurements(np.random.default_rng(77), 2 * grid_n**2, grid_n, truth)
         system = build_sensing(ms)
-        tau = 1e-10 * float(np.abs(system.rows.T @ system.rhs).max())
+        tau = 1e-10 * float(np.abs(system.rmatvec(system.rhs)).max())
         image, report = gics_reconstruct(ms, GicsParams(tau=tau))
         assert report.converged
         assert np.max(np.abs(image - truth)) <= 1e-4
+
+    def test_dead_pixel_reconstructs_to_zero(self):
+        grid_n = 8
+        truth = np.zeros((grid_n, grid_n))
+        truth[2, 3], truth[5, 1] = 1.0, 0.7
+        rng = np.random.default_rng(78)
+        intensities = rng.uniform(0.5, 1.5, (2 * grid_n**2, grid_n, grid_n))
+        intensities[:, 4, 4] = 0.75  # binary-exact constant: zero variance after centering
+        buckets = [float(np.sum(intensity * truth)) for intensity in intensities]
+        ms = MeasurementSet(intensities, buckets, OpticalConfig(650e-9, 0.4, 1e-3, grid_n,
+                                                                15e-6), 1)
+        with pytest.warns(UserWarning, match="zero-variance"):
+            image, _ = gics_reconstruct(ms, GicsParams(tau=1e-3))
+        assert image[4, 4] == 0.0
+        assert image[2, 3] > 0.5
+
+    def test_peak_memory_below_one_stack(self):
+        ms = synthetic_measurements(np.random.default_rng(79), 200, 32, np.eye(32))
+        tracemalloc.start()
+        try:
+            gics_reconstruct(ms, GicsParams(tau=1e-3, max_iters=20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ms.intensities.nbytes
 
     def test_all_zero_buckets_give_zero_image(self):
         rng = np.random.default_rng(30)
@@ -265,7 +357,7 @@ class TestGicsReconstruct:
 
     def test_solve_csv_format(self, tmp_path):
         system, _ = sparse_instance(31)
-        tau = 0.05 * float(np.abs(system.rows.T @ system.rhs).max())
+        tau = 0.05 * float(np.abs(system.rmatvec(system.rhs)).max())
         _, report = gpsr_solve(system, GicsParams(tau=tau))
         path = tmp_path / "solve.csv"
         write_solve_csv(report, path)
