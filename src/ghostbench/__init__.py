@@ -1,8 +1,7 @@
 """ghostbench: desk-scale pseudo-thermal ghost imaging simulation bench."""
 
 from .errors import ConfigError, GhostbenchError, SolverError
-from .optics import (ObjectMask, OpticalConfig, SlitGeometry, coherence_length,
-                     config_for_coherence_length, grid_coords, load_mask_pgm,
+from .optics import (ObjectMask, OpticalConfig, SlitGeometry, grid_coords, load_mask_pgm,
                      make_double_slit, save_mask_pgm)
 from .speckle import SpeckleStats, aperture_sample_count, intensity_stats, synthesize_frame
 from .forward import MeasurementSet, bucket_measure, run_campaign

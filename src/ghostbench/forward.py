@@ -14,28 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .optics import ObjectMask, OpticalConfig
+from .optics import ObjectMask, OpticalConfig, _Owned, _frozen
 from .speckle import SEED_LIMIT, synthesize_frame
 
 # Extra entropy word separating the bucket-noise stream from the frame stream.
 _NOISE_STREAM = 0x4255434B
-
-
-def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only float array that no caller can write through.
-
-    A read-only array that owns its data, or a read-only view of such an
-    array, is kept as it is; anything else, including a read-only view of a
-    writeable base, is copied.
-    """
-    arr = np.asarray(values, dtype=float)
-    owner = arr if arr.flags.owndata else arr.base
-    if (not arr.flags.writeable and isinstance(owner, np.ndarray)
-            and owner.flags.owndata and not owner.flags.writeable):
-        return arr
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 def _finite_min(arr: np.ndarray, what: str) -> float:
@@ -56,7 +39,8 @@ class MeasurementSet:
 
     ``intensities`` is a read-only (m, grid_n, grid_n) stack and ``buckets`` a
     read-only length-m vector of finite values; ``seed`` is the campaign's
-    master seed.
+    master seed.  Both arrays are copies of what the caller passed, except the
+    stack that ``run_campaign`` allocates and hands over.
     """
 
     intensities: np.ndarray
@@ -130,5 +114,4 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
         if noise_sigma > 0:
             rng = np.random.default_rng([int(master_seed), i, _NOISE_STREAM])
             buckets[i] += noise_sigma * rng.standard_normal()
-    intensities.flags.writeable = False
-    return MeasurementSet(intensities, buckets, config, int(master_seed), noise_sigma)
+    return MeasurementSet(_Owned(intensities), buckets, config, int(master_seed), noise_sigma)

@@ -4,14 +4,13 @@ reconstruct with both methods, and emit images plus CSV metrics.
 A scenario file is ``prefix.name = value`` lines with ``#`` comments.  Its keys,
 their defaults and one line of documentation each are the rows of ``SCHEMA``;
 any other key is rejected.  Of the GICS solver a scenario sets only
-``gics.tau`` and ``gics.max_iters``.  The bench has one source distance,
-``optics.z_m``: the reference plane sits at the object-plane distance.  Give
-exactly one of ``optics.source_width_m`` and ``optics.lc_target_m`` (the
-source width is then derived as lambda*z/lc), and ``scenario.mask_pgm``
-(relative to the file) when ``scenario.mask = pgm``.  A source aperture
-spanning fewer than ``speckle.MIN_APERTURE_SAMPLES`` source samples is a
-parse error, and so is a seed list that ``Scenario`` rejects (empty, outside
-[0, 2**64) or repeated); ``run`` and ``trend`` both use ``scenario.seeds``.
+``gics.tau`` and ``gics.max_iters``.  The source is given by its coherence
+length on the object plane, ``optics.lc_target_m``; a physical setup converts
+with l_c = lambda * z / D.  Give ``scenario.mask_pgm`` (relative to the file)
+when ``scenario.mask = pgm``.  A source aperture spanning fewer than
+``speckle.MIN_APERTURE_SAMPLES`` source samples is a parse error, and so is a
+seed list that ``Scenario`` rejects (empty, outside [0, 2**64) or repeated);
+``run`` and ``trend`` both use ``scenario.seeds``.
 
 Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
 gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
@@ -73,6 +72,13 @@ def _methods(text: str) -> tuple[str, ...]:
     return tuple(method for method in ("gi", "gics") if method in tokens)
 
 
+def _length(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("must be a positive finite length")
+    return value
+
+
 def _seeds(text: str) -> tuple[int, ...]:
     return tuple(int(token) for token in _comma_list(text))
 
@@ -96,13 +102,9 @@ SCHEMA: dict[str, Key] = {
     "scenario.slit_separation_m": Key(float, 2e-4, "distance between the slit centers"),
     "scenario.slit_center_x_m": Key(float, 0.0, "x of the midpoint between the slits"),
     "scenario.slit_center_y_m": Key(float, 0.0, "y of the slit centers"),
-    "optics.wavelength_m": Key(float, REQUIRED, "source wavelength"),
-    "optics.z_m": Key(float, REQUIRED, "source-to-object distance"),
-    "optics.source_width_m": Key(float, None, "side of the square source; or give lc_target_m"),
-    "optics.lc_target_m": Key(float, None,
-                              "coherence length on the object plane; or source_width_m"),
+    "optics.lc_target_m": Key(_length, REQUIRED, "coherence length l_c on the object plane"),
     "optics.grid_n": Key(int, REQUIRED, "pixels per side of the object and reference grids"),
-    "optics.pixel_pitch_m": Key(float, REQUIRED, "pixel pitch on both grids"),
+    "optics.pixel_pitch_m": Key(_length, REQUIRED, "pixel pitch on both grids"),
     "optics.source_oversample": Key(int, OpticalConfig.source_oversample,
                                     "source-plane samples per grid pixel"),
     **{f"gics.{field.name}": Key(_PARSER_BY_TYPE[type(field.default)], field.default,
@@ -155,16 +157,8 @@ def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
         except ValueError as exc:
             raise ConfigError(f"{key} = {pairs[key]!r}: {exc}") from None
 
-    source_width, lc = values["optics.source_width_m"], values["optics.lc_target_m"]
-    if (source_width is None) == (lc is None):
-        raise ConfigError("give exactly one of optics.source_width_m or optics.lc_target_m")
-    if lc is not None:
-        if lc <= 0:
-            raise ConfigError("optics.lc_target_m must be positive")
-        source_width = values["optics.wavelength_m"] * values["optics.z_m"] / lc
-    config = OpticalConfig(values["optics.wavelength_m"], values["optics.z_m"], source_width,
-                           values["optics.grid_n"], values["optics.pixel_pitch_m"],
-                           source_oversample=values["optics.source_oversample"])
+    config = OpticalConfig(values["optics.lc_target_m"], values["optics.grid_n"],
+                           values["optics.pixel_pitch_m"], values["optics.source_oversample"])
     checked_aperture_samples(config)
 
     mask_kind = values["scenario.mask"]
@@ -176,8 +170,7 @@ def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
             separation=values["scenario.slit_separation_m"],
             center=(values["scenario.slit_center_x_m"], values["scenario.slit_center_y_m"]),
         )
-        mask = optics.make_double_slit(config, slit_geometry.width, slit_geometry.height,
-                                       slit_geometry.separation, slit_geometry.center)
+        mask = optics.make_double_slit(config, slit_geometry)
     elif mask_kind == "pgm":
         if values["scenario.mask_pgm"] is None:
             raise ConfigError("mask=pgm requires scenario.mask_pgm")
@@ -228,7 +221,7 @@ def _write_image_pgm(values: np.ndarray, path: Path) -> None:
 
 def _seed_metrics(scenario: Scenario, seed: int, ms: MeasurementSet) -> tuple[list[dict], dict]:
     """Reconstruct with the requested methods; return metric rows and artifacts."""
-    lc = optics.coherence_length(scenario.config)
+    lc = scenario.config.coherence_length
     rows = []
     artifacts = {}
     for method in scenario.methods:
@@ -322,7 +315,7 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = N
         raise ConfigError("coherence lengths must be positive and finite")
     if len(set(lc_values)) != len(lc_values):
         raise ConfigError("coherence lengths must be distinct")
-    configs = {lc: optics.config_for_coherence_length(scenario.config, lc)
+    configs = {lc: dataclasses.replace(scenario.config, coherence_length=lc)
                for lc in lc_values}
     for lc, cfg in configs.items():
         try:
@@ -377,8 +370,7 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = N
 
 
 # Bench geometry shared by the built-in recipes.
-_BENCH_GEOMETRY = {"optics.wavelength_m": 650e-9, "optics.z_m": 0.4, "optics.grid_n": 100,
-                   "optics.pixel_pitch_m": 15e-6}
+_BENCH_GEOMETRY = {"optics.grid_n": 100, "optics.pixel_pitch_m": 15e-6}
 
 
 def _recipe_text(values: dict[str, object]) -> str:
@@ -423,8 +415,8 @@ def selftest(verbose: bool = True) -> bool:
         if verbose:
             print(f"selftest {name}: {'ok' if ok else 'FAIL'}")
 
-    config = OpticalConfig(650e-9, 0.4, 9.397e-4, 100, 15e-6)
-    mask = optics.make_double_slit(config, 1e-4, 1e-3, 2e-4)
+    config = OpticalConfig(276.7e-6, 100, 15e-6)
+    mask = optics.make_double_slit(config, SlitGeometry(1e-4, 1e-3, 2e-4))
     per_slit_cols = 7
     rows_tall = 67
     record("double-slit raster counts",

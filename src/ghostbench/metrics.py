@@ -59,13 +59,12 @@ def psnr(image: np.ndarray, truth: ObjectMask) -> float:
     return -10.0 * math.log10(err)
 
 
-def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float,
-             resolved_threshold: float = RESOLVED_THRESHOLD) -> tuple[float, bool]:
+def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float) -> tuple[float, bool]:
     """Valley-to-peak ratio of the row-averaged profile across the slit band.
 
     dip_ratio = profile at the midpoint between the slit centers divided by
     the mean of the two per-slit peaks (each searched within half a separation
-    of its slit center); resolved iff dip_ratio < resolved_threshold.
+    of its slit center); resolved iff dip_ratio < RESOLVED_THRESHOLD.
     """
     if image.ndim != 2:
         raise ConfigError("slit_dip expects a 2-D image")
@@ -96,4 +95,4 @@ def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float,
 
     mid_index = int(np.argmin(np.abs(coords - cx)))
     dip_ratio = float(profile[mid_index]) / peak
-    return dip_ratio, dip_ratio < resolved_threshold
+    return dip_ratio, dip_ratio < RESOLVED_THRESHOLD

@@ -1,5 +1,9 @@
 """Bench geometry, source configuration, and transmissive object masks.
 
+The source enters the simulation only through its transverse coherence length
+on the object plane, l_c.  A physical setup of wavelength lambda, source
+distance z and square source width D converts with l_c = lambda * z / D.
+
 Coordinate convention used everywhere: the grid is ``grid_n`` pixels per side
 and pixel ``i`` (0-based) has its center at ``(i - grid_n//2) * pixel_pitch``
 meters, i.e. physical 0 sits on a pixel center.  Analytic shapes are
@@ -22,35 +26,46 @@ from . import ioutil
 _EDGE_TOL = 1e-9
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
+class _Owned:
+    """An array this package allocated and hands over: ``_frozen`` adopts it uncopied."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float array that no caller can write through.
+
+    Whoever owns an array can make it writeable again, so anything a caller
+    passes is copied.  Only an array wrapped in ``_Owned`` where the package
+    allocated it is frozen in place.
+    """
+    arr = values.array if isinstance(values, _Owned) else np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class OpticalConfig:
     """Source and geometry parameters of the two-arm speckle bench.
 
-    ``source_width`` is the side of the square emitting aperture; the
-    transverse coherence length it produces on the object plane is
-    ``wavelength * z_source_to_object / source_width``.  The two arms are
-    perfectly correlated: the reference plane sits at the object-plane
-    distance, so it records the same frame as the object.
+    ``coherence_length`` is the transverse coherence length l_c of the
+    pseudo-thermal source on the object plane.  The two arms are perfectly
+    correlated: the reference plane records the same frame as the object.
     ``source_oversample`` sets the source-plane sampling density used by the
     speckle synthesizer (source grid is ``source_oversample * grid_n`` samples
     per side).
     """
 
-    wavelength: float
-    z_source_to_object: float
-    source_width: float
+    coherence_length: float
     grid_n: int
     pixel_pitch: float
     source_oversample: int = 4
 
     def __post_init__(self):
-        for name in ("wavelength", "z_source_to_object", "source_width", "pixel_pitch"):
+        for name in ("coherence_length", "pixel_pitch"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be a positive finite length, got {value!r}")
@@ -58,30 +73,10 @@ class OpticalConfig:
             raise ConfigError(f"grid_n must be an integer >= 8, got {self.grid_n!r}")
         if not isinstance(self.source_oversample, (int, np.integer)) or self.source_oversample < 1:
             raise ConfigError("source_oversample must be an integer >= 1")
-        lc = self.wavelength * self.z_source_to_object / self.source_width
-        if lc < 2.0 * self.pixel_pitch:
+        if self.coherence_length < 2.0 * self.pixel_pitch:
             raise ConfigError(
-                f"coherence length {lc:.4g} m is below two pixel pitches "
+                f"coherence length {self.coherence_length:.4g} m is below two pixel pitches "
                 f"({2 * self.pixel_pitch:.4g} m); speckle would not be resolvable on the grid")
-
-    @property
-    def field_of_view(self) -> float:
-        return self.grid_n * self.pixel_pitch
-
-
-def coherence_length(config: OpticalConfig) -> float:
-    """Transverse coherence length on the object plane: wavelength * z / D."""
-    return config.wavelength * config.z_source_to_object / config.source_width
-
-
-def config_for_coherence_length(config: OpticalConfig, lc: float) -> OpticalConfig:
-    """Same bench with the source width adjusted to hit a target coherence length."""
-    if not (lc > 0 and math.isfinite(lc)):
-        raise ConfigError(f"target coherence length must be positive, got {lc!r}")
-    import dataclasses
-
-    return dataclasses.replace(
-        config, source_width=config.wavelength * config.z_source_to_object / lc)
 
 
 def grid_coords(grid_n: int, pitch: float) -> np.ndarray:
@@ -94,7 +89,6 @@ class ObjectMask:
     """Discretized intensity transmittance on the object grid, values in [0, 1]."""
 
     values: np.ndarray
-    pitch: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -106,9 +100,7 @@ class ObjectMask:
             raise ConfigError("mask values must lie in [0, 1]")
         if not (values > 0).any():
             raise ConfigError("mask is entirely opaque (no positive transmittance)")
-        if not (isinstance(self.pitch, (int, float)) and self.pitch > 0):
-            raise ConfigError("mask pitch must be positive")
-        object.__setattr__(self, "values", _frozen_array(values))
+        object.__setattr__(self, "values", _frozen(values))
 
     @property
     def grid_n(self) -> int:
@@ -138,31 +130,29 @@ class SlitGeometry:
         return (cx - self.separation / 2.0, cx + self.separation / 2.0)
 
 
-def make_double_slit(config: OpticalConfig, slit_width: float, slit_height: float,
-                     separation: float, center: tuple[float, float] = (0.0, 0.0)) -> ObjectMask:
+def make_double_slit(config: OpticalConfig, geometry: SlitGeometry) -> ObjectMask:
     """Binary double-slit mask rasterized by the pixel-center rule."""
-    geom = SlitGeometry(slit_width, slit_height, separation, center)
     n = config.grid_n
     pitch = config.pixel_pitch
     coords = grid_coords(n, pitch)
     tol = _EDGE_TOL * pitch
 
-    left, right = geom.slit_centers_x
-    x_lo = left - slit_width / 2.0
-    x_hi = right + slit_width / 2.0
-    y_lo = center[1] - slit_height / 2.0
-    y_hi = center[1] + slit_height / 2.0
+    left, right = geometry.slit_centers_x
+    x_lo = left - geometry.width / 2.0
+    x_hi = right + geometry.width / 2.0
+    y_lo = geometry.center[1] - geometry.height / 2.0
+    y_hi = geometry.center[1] + geometry.height / 2.0
     lo_edge = coords[0] - pitch / 2.0
     hi_edge = coords[-1] + pitch / 2.0
     if x_lo < lo_edge - tol or x_hi > hi_edge + tol or y_lo < lo_edge - tol or y_hi > hi_edge + tol:
         raise ConfigError("double slit extends outside the grid")
 
     in_x = np.zeros(n, dtype=bool)
-    for cx in geom.slit_centers_x:
-        in_x |= np.abs(coords - cx) <= slit_width / 2.0 + tol
-    in_y = np.abs(coords - center[1]) <= slit_height / 2.0 + tol
+    for cx in geometry.slit_centers_x:
+        in_x |= np.abs(coords - cx) <= geometry.width / 2.0 + tol
+    in_y = np.abs(coords - geometry.center[1]) <= geometry.height / 2.0 + tol
     values = np.outer(in_y, in_x).astype(float)
-    return ObjectMask(values, pitch)
+    return ObjectMask(values)
 
 
 def load_mask_pgm(path: str | Path, config: OpticalConfig) -> ObjectMask:
@@ -180,7 +170,7 @@ def load_mask_pgm(path: str | Path, config: OpticalConfig) -> ObjectMask:
             f"{config.grid_n}x{config.grid_n}")
     if not samples.any():
         raise ConfigError("mask graymap is all zero")
-    return ObjectMask(samples / float(maxval), config.pixel_pitch)
+    return ObjectMask(samples / float(maxval))
 
 
 def save_mask_pgm(mask: ObjectMask, path: str | Path, maxval: int = 255,

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .forward import MeasurementSet, _finite_min, _frozen
+from .forward import MeasurementSet, _finite_min
+from .optics import _Owned, _frozen
 from . import ioutil
 
 # GPSR converges once its KKT residual is at most this times ||A.T rhs||_inf,
@@ -53,16 +54,25 @@ class GicsParams:
 class SolveReport:
     """Solver diagnostics; history rows are (iteration, objective, kkt_residual).
 
-    kkt_residual is that of the returned iterate, history[-1][2]; atb_inf is
-    ||A.T rhs||_inf, the scale of the KKT stopping rule.
+    The last history row is the returned iterate; atb_inf is ||A.T rhs||_inf,
+    the scale of the KKT stopping rule.
     """
 
-    iterations: int
-    final_objective: float
-    kkt_residual: float
     converged: bool
-    history: tuple[tuple[int, float, float], ...] = ()
-    atb_inf: float = 0.0
+    history: tuple[tuple[int, float, float], ...]
+    atb_inf: float
+
+    @property
+    def iterations(self) -> int:
+        return self.history[-1][0]
+
+    @property
+    def final_objective(self) -> float:
+        return self.history[-1][1]
+
+    @property
+    def kkt_residual(self) -> float:
+        return self.history[-1][2]
 
 
 @dataclass(frozen=True)
@@ -70,9 +80,9 @@ class SensingSystem:
     """Linear model ``A x ~ rhs`` with A = (rows - col_mean) / col_scale, never formed.
 
     ``rows`` is the (m, n) raw matrix (for a campaign, a read-only view of its
-    intensity stack), ``col_mean`` is subtracted from every row and
-    ``col_scale`` divides every column; matvec and rmatvec apply A and A.T.
-    A solution x maps to the image x / col_scale.
+    intensity stack; any other array is copied), ``col_mean`` is subtracted
+    from every row and ``col_scale`` divides every column; matvec and rmatvec
+    apply A and A.T.  A solution x maps to the image x / col_scale.
     """
 
     rows: np.ndarray
@@ -149,7 +159,7 @@ def build_sensing(ms: MeasurementSet) -> SensingSystem:
 
     rhs = np.array(ms.buckets, dtype=float)
     rhs -= rhs.mean()
-    return SensingSystem(rows, rhs, col_scale, col_mean)
+    return SensingSystem(_Owned(rows), rhs, col_scale, col_mean)
 
 
 def lasso_objective(system: SensingSystem, x: np.ndarray, tau: float) -> float:
@@ -194,7 +204,6 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
 
     history = [(0, objective, kkt_residual(u - v, grad, tau))]
     converged = False
-    iterations = 0
 
     for it in range(1, params.max_iters + 1):
         if history[-1][2] <= kkt_stop:
@@ -233,7 +242,6 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
             alpha = min(max(dd / curvature, _BB_STEP_MIN), _BB_STEP_MAX)
 
         grad = system.rmatvec(resid)
-        iterations = it
         history.append((it, new_objective, kkt_residual(u - v, grad, tau)))
         small_change = abs(objective - new_objective) <= _TOL_REL_OBJ * max(
             abs(objective), 1e-300)
@@ -244,15 +252,7 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
     else:
         converged = history[-1][2] <= kkt_stop
 
-    report = SolveReport(
-        iterations=iterations,
-        final_objective=objective,
-        kkt_residual=history[-1][2],
-        converged=converged,
-        history=tuple(history),
-        atb_inf=atb_inf,
-    )
-    return u - v, report
+    return u - v, SolveReport(converged, tuple(history), atb_inf)
 
 
 def ista_reference(system: SensingSystem, tau: float, kkt_tol: float,

@@ -1,18 +1,19 @@
 """Pseudo-thermal speckle synthesis with a prescribed transverse coherence length.
 
 A frame is the far-field intensity of spatially incoherent light from a square
-aperture: draw i.i.d. circular complex Gaussian samples on a source-plane grid,
-keep only the samples inside the aperture of side D, and discrete-Fourier
-transform to the object plane.  The source-plane sample pitch is chosen as
-``wavelength * z / (n_src * pixel_pitch)`` so the transform's output pitch is
-exactly one detector pixel, which makes the ensemble field correlation on the
-object plane separable ``sinc(D dx / (lambda z)) * sinc(D dy / (lambda z))``
-(first zero at the coherence length ``lambda z / D``).  Intensity is |field|^2
-scaled to unit ensemble mean.
+aperture: draw i.i.d. circular complex Gaussian samples on a source-plane grid
+of n_src = source_oversample * grid_n samples per side, keep only a K x K
+block (the aperture), and discrete-Fourier transform to the object plane,
+whose output pitch is one detector pixel.  The ensemble field correlation on
+the object plane is then separable, ``sinc(K dx / n_src) * sinc(K dy / n_src)``
+with dx, dy in pixels, and its first zero sits at the coherence length
+l_c = n_src * pixel_pitch / K.  So K = round(n_src * pixel_pitch / l_c), and a
+frame depends on the bench only through (grid_n, n_src, K).  Intensity is
+|field|^2 scaled to unit ensemble mean.
 
-Only a K x K block of source samples is nonzero (K = aperture width in source
-samples), so the transform is evaluated as an explicit (grid_n x K) DFT-matrix
-product instead of a full source-grid FFT; the output samples are identical.
+Only the K x K block of source samples is nonzero, so the transform is
+evaluated as an explicit (grid_n x K) DFT-matrix product instead of a full
+source-grid FFT; the output samples are identical.
 The K x K noise block is the frame's entire random stream, derived from
 (master_seed, frame_index) alone, so frames can be generated in any order or
 concurrently with bit-identical results.
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .optics import OpticalConfig
+from .optics import OpticalConfig, _frozen
 
 # Minimum source samples across the aperture; below this the rasterized
 # aperture is too coarse for the target sinc correlation.  Raise
@@ -49,18 +50,18 @@ class SpeckleStats:
     measured_lc: float
 
     def __post_init__(self):
-        profile = np.asarray(self.covariance_profile, dtype=float).copy()
-        profile.flags.writeable = False
-        object.__setattr__(self, "covariance_profile", profile)
+        object.__setattr__(self, "covariance_profile", _frozen(self.covariance_profile))
         if self.contrast < 0:
             raise ConfigError("contrast cannot be negative")
 
 
 def aperture_sample_count(config: OpticalConfig) -> int:
-    """Source samples spanned by the aperture (quantizes the realized D)."""
+    """Source samples K spanned by the aperture, round(n_src * pixel_pitch / l_c).
+
+    Rounding quantizes the realized coherence length to n_src * pixel_pitch / K.
+    """
     n_src = config.source_oversample * config.grid_n
-    delta_src = config.wavelength * config.z_source_to_object / (n_src * config.pixel_pitch)
-    return int(round(config.source_width / delta_src))
+    return int(round(n_src * config.pixel_pitch / config.coherence_length))
 
 
 def checked_aperture_samples(config: OpticalConfig) -> int:
@@ -98,7 +99,7 @@ def synthesize_frame(config: OpticalConfig, master_seed: int, frame_index: int) 
     return (field.real**2 + field.imag**2) / float(k * k)
 
 
-def intensity_stats(frames, pixel_pitch: float, max_lag: int | None = None) -> SpeckleStats:
+def intensity_stats(frames, pixel_pitch: float) -> SpeckleStats:
     """Ensemble statistics over frames of identical geometry.
 
     ``frames`` is an (m, n, n) intensity stack or a sequence of (n, n) arrays.
@@ -106,7 +107,7 @@ def intensity_stats(frames, pixel_pitch: float, max_lag: int | None = None) -> S
     mean_intensity averages the per-pixel ensemble mean over the central half
     of the field; contrast is std/mean of the central pixel across the
     ensemble; the covariance profile is the ensemble intensity covariance at
-    row lags 0..max_lag, averaged over rows and base positions and normalized
+    row lags 0..n//2, averaged over rows and base positions and normalized
     to 1 at lag 0; measured_lc interpolates the profile's first zero crossing.
     """
     frames = [np.asarray(f, dtype=float) for f in frames]
@@ -122,9 +123,7 @@ def intensity_stats(frames, pixel_pitch: float, max_lag: int | None = None) -> S
 
     stack = np.stack(frames)
     n = shape[0]
-    if max_lag is None:
-        max_lag = n // 2
-    max_lag = min(max_lag, n - 1)
+    max_lag = n // 2
 
     ens_mean = stack.mean(axis=0)
     quarter = n // 4

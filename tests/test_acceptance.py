@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  Heavy ensembles are shared
 through session fixtures; every tolerance is fixed here, not tuned at runtime.
 """
+import dataclasses
 import time
 import warnings
 
@@ -20,7 +21,7 @@ SEEDS = (1, 2, 3, 4, 5)
 CALIBRATION_SEED = 7
 
 # Fig.3-scale bench: 100 px at 15 um, the canonical 0.1/1.0/0.2 mm double slit.
-FIG_BENCH = OpticalConfig(650e-9, 0.4, 1e-3, 100, 15e-6)
+FIG_BENCH = OpticalConfig(LC_LIST[0], 100, 15e-6)
 FIG_SLIT = SlitGeometry(1e-4, 1e-3, 2e-4)
 
 # Trend bench: 3 mm field so the background is estimator-noise limited rather
@@ -35,8 +36,6 @@ scenario.mask = double_slit
 scenario.slit_width_m = 1e-4
 scenario.slit_height_m = 0.5e-3
 scenario.slit_separation_m = 2e-4
-optics.wavelength_m = 650e-9
-optics.z_m = 0.4
 optics.lc_target_m = 135.5e-6
 optics.grid_n = 100
 optics.pixel_pitch_m = 30e-6
@@ -50,7 +49,7 @@ def report(num, description, ok):
 
 
 def config_at(lc):
-    return optics.config_for_coherence_length(FIG_BENCH, lc)
+    return dataclasses.replace(FIG_BENCH, coherence_length=lc)
 
 
 @pytest.fixture(scope="session")
@@ -71,8 +70,7 @@ def speckle_calibration():
 @pytest.fixture(scope="session")
 def fig_slit_runs():
     """Per (lc, seed) at the Fig.3 bench endpoints: images + metrics, tau=0.001."""
-    mask = optics.make_double_slit(FIG_BENCH, FIG_SLIT.width, FIG_SLIT.height,
-                                   FIG_SLIT.separation)
+    mask = optics.make_double_slit(FIG_BENCH, FIG_SLIT)
     runs = {}
     elapsed = {}
     for lc in (LC_LIST[0], LC_LIST[2]):
@@ -126,7 +124,7 @@ def test_criterion_3_gi_point_spread_function():
     cfg = config_at(LC_LIST[0])
     values = np.zeros((100, 100))
     values[50, 50] = 1.0
-    delta = ObjectMask(values, cfg.pixel_pitch)
+    delta = ObjectMask(values)
     accumulated = None
     for seed in SEEDS:
         ms = run_campaign(cfg, delta, 2000, seed)
@@ -244,8 +242,6 @@ scenario.mask = double_slit
 scenario.slit_width_m = 60e-6
 scenario.slit_height_m = 240e-6
 scenario.slit_separation_m = 120e-6
-optics.wavelength_m = 650e-9
-optics.z_m = 0.4
 optics.lc_target_m = 100e-6
 optics.grid_n = 48
 optics.pixel_pitch_m = 15e-6
@@ -262,7 +258,7 @@ gics.max_iters = 200
     threads_identical = trees[0] == trees[2]
 
     cfg = config_at(100e-6)
-    mask = optics.make_double_slit(config_at(100e-6), 60e-6, 240e-6, 120e-6)
+    mask = optics.make_double_slit(config_at(100e-6), SlitGeometry(60e-6, 240e-6, 120e-6))
     ms = run_campaign(cfg, mask, 10, 5)
     order_independent = True
     for i in reversed(range(10)):

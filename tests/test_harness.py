@@ -23,14 +23,15 @@ scenario.mask = double_slit
 scenario.slit_width_m = 60e-6
 scenario.slit_height_m = 240e-6
 scenario.slit_separation_m = 120e-6
-optics.wavelength_m = 650e-9
-optics.z_m = 0.4
 optics.lc_target_m = 100e-6
 optics.grid_n = 48
 optics.pixel_pitch_m = 15e-6
 gics.tau = 1e-3
 gics.max_iters = 150
 """
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def tree_bytes(root: Path) -> dict:
@@ -51,14 +52,6 @@ class TestParsing:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown"):
             harness.parse_scenario_text(SMALL_SCENARIO + "scenario.bogus = 1\n", tmp_path)
-
-    def test_width_and_lc_are_exclusive(self, tmp_path):
-        with pytest.raises(ConfigError, match="exactly one"):
-            harness.parse_scenario_text(
-                SMALL_SCENARIO + "optics.source_width_m = 1e-3\n", tmp_path)
-        trimmed = SMALL_SCENARIO.replace("optics.lc_target_m = 100e-6\n", "")
-        with pytest.raises(ConfigError, match="exactly one"):
-            harness.parse_scenario_text(trimmed, tmp_path)
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         bad = SMALL_SCENARIO.replace("scenario.seeds = 3,4", "scenario.seeds = 3,3")
@@ -102,7 +95,9 @@ class TestParsing:
             harness.parse_scenario_text(text, tmp_path)
 
     @pytest.mark.parametrize("line", ["scenario.m = 1.5", "optics.grid_n = x",
-                                      "gics.max_iters = 2.5", "scenario.seeds = 1,two"])
+                                      "gics.max_iters = 2.5", "scenario.seeds = 1,two",
+                                      "optics.lc_target_m = -1e-4", "optics.pixel_pitch_m = 0",
+                                      "optics.lc_target_m = inf"])
     def test_bad_value_names_key_and_value(self, tmp_path, line):
         key, value = (part.strip() for part in line.split("="))
         text = "".join(kv + "\n" for kv in SMALL_SCENARIO.splitlines()
@@ -281,6 +276,9 @@ class TestCli:
                                               "optics.lc_target_m = 1e-3")
         for text in (SMALL_SCENARIO + "scenario.bogus = 1\n", too_big_seed, undersampled,
                      SMALL_SCENARIO + "optics.z1_m = 0.5\n",
+                     SMALL_SCENARIO + "optics.wavelength_m = 650e-9\n",
+                     SMALL_SCENARIO + "optics.z_m = 0.4\n",
+                     SMALL_SCENARIO + "optics.source_width_m = 1e-3\n",
                      SMALL_SCENARIO + "gics.debias = true\n",
                      SMALL_SCENARIO + "gics.tol_rel_obj = 1e-8\n"):
             path = self.write_scenario(tmp_path, text)
@@ -392,8 +390,6 @@ scenario.mask = double_slit
 scenario.slit_width_m = 1e-4
 scenario.slit_height_m = 1e-3
 scenario.slit_separation_m = 2e-4
-optics.wavelength_m = 650e-9
-optics.z_m = 0.4
 optics.lc_target_m = 6.88e-05
 optics.grid_n = 100
 optics.pixel_pitch_m = 15e-6
@@ -418,18 +414,23 @@ class TestSchema:
     def test_seed_lists_roundtrip(self, seeds):
         assert harness.SCHEMA["scenario.seeds"].parse(",".join(map(str, seeds))) == tuple(seeds)
 
-    def test_recipe_matches_explicit_text(self, tmp_path):
-        explicit = harness.parse_scenario_text(EXPLICIT_SLIT_RECIPE, tmp_path)
+    def assert_canonical_recipe(self, text, tmp_path):
+        parsed = harness.parse_scenario_text(text, tmp_path)
         recipe = harness.parse_scenario_text(
             harness.double_slit_sweep_scenarios(lc_list=(68.8e-6,))[0], tmp_path)
         for field in ("name", "config", "slit_geometry", "m", "methods", "gics", "seeds",
                       "noise_sigma"):
-            assert getattr(recipe, field) == getattr(explicit, field), field
-        assert np.array_equal(recipe.mask.values, explicit.mask.values)
-        assert recipe.mask.pitch == explicit.mask.pitch
+            assert getattr(recipe, field) == getattr(parsed, field), field
+        assert np.array_equal(recipe.mask.values, parsed.mask.values)
+
+    def test_recipe_matches_explicit_text(self, tmp_path):
+        self.assert_canonical_recipe(EXPLICIT_SLIT_RECIPE, tmp_path)
 
     def test_readme_lists_every_key(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+        section = README.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
         named = set(re.findall(r"\b(?:scenario|optics|gics)\.[a-z0-9_]+", section))
         assert named == set(harness.SCHEMA)
+
+    def test_readme_canonical_scenario_parses(self, tmp_path):
+        block = README.split("The canonical double slit", 1)[1].split("```\n")[1]
+        self.assert_canonical_recipe(block, tmp_path)

@@ -7,8 +7,7 @@ from ghostbench import metrics
 from ghostbench.errors import ConfigError
 from ghostbench.forward import run_campaign
 from ghostbench.metrics import minmax_normalize, mse, psnr, recon_snr, slit_dip
-from ghostbench.optics import (ObjectMask, OpticalConfig, SlitGeometry,
-                               config_for_coherence_length, make_double_slit)
+from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry, make_double_slit
 from ghostbench.recon_gi import gi_reconstruct
 from ghostbench.recon_gics import GicsParams, gics_reconstruct
 
@@ -22,7 +21,7 @@ def double_slit_truth(n=64):
     for cx in geom.slit_centers_x:
         in_x |= np.abs(coords - cx) <= geom.width / 2 + 1e-9 * PITCH
     in_y = np.abs(coords) <= geom.height / 2 + 1e-9 * PITCH
-    return ObjectMask(np.outer(in_y, in_x).astype(float), PITCH), geom
+    return ObjectMask(np.outer(in_y, in_x).astype(float)), geom
 
 
 class TestSnr:
@@ -56,10 +55,10 @@ class TestSnr:
             recon_snr(img, truth), rel=1e-9)
 
     def test_requires_support_and_background(self):
-        full = ObjectMask(np.ones((8, 8)), PITCH)
+        full = ObjectMask(np.ones((8, 8)))
         with pytest.raises(ConfigError):
             recon_snr(np.ones((8, 8)), full)
-        faint = ObjectMask(np.full((8, 8), 0.2), PITCH)
+        faint = ObjectMask(np.full((8, 8), 0.2))
         with pytest.raises(ConfigError):
             recon_snr(np.ones((8, 8)), faint)
 
@@ -76,7 +75,7 @@ class TestMseAndPsnr:
 
     def test_checkerboard_against_constant_half(self):
         checker = np.indices((8, 8)).sum(axis=0) % 2
-        truth = ObjectMask(checker.astype(float), PITCH)
+        truth = ObjectMask(checker.astype(float))
         assert mse(np.full((8, 8), 0.5), truth) == pytest.approx(0.25)
         assert psnr(np.full((8, 8), 0.5), truth) == pytest.approx(-10 * math.log10(0.25))
 
@@ -122,8 +121,8 @@ class TestSlitDip:
 
 class TestReconstructions:
     def test_both_methods_return_read_only_arrays(self):
-        cfg = config_for_coherence_length(OpticalConfig(650e-9, 0.4, 1e-3, 16, 15e-6), 90e-6)
-        ms = run_campaign(cfg, make_double_slit(cfg, 6e-5, 1.5e-4, 1.2e-4), 12, 3)
+        cfg = OpticalConfig(90e-6, 16, 15e-6)
+        ms = run_campaign(cfg, make_double_slit(cfg, SlitGeometry(6e-5, 1.5e-4, 1.2e-4)), 12, 3)
         gi = gi_reconstruct(ms)
         gics, _ = gics_reconstruct(ms, GicsParams(max_iters=20))
         for image in (gi, gics):

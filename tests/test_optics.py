@@ -4,57 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ghostbench import ioutil, optics
 from ghostbench.errors import ConfigError
-from ghostbench.optics import ObjectMask, OpticalConfig
+from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
 
 
 def make_config(**overrides):
-    kwargs = dict(wavelength=650e-9, z_source_to_object=0.4, source_width=1e-3,
-                  grid_n=100, pixel_pitch=15e-6)
+    kwargs = dict(coherence_length=260e-6, grid_n=100, pixel_pitch=15e-6)
     kwargs.update(overrides)
     return OpticalConfig(**kwargs)
 
 
-class TestCoherenceLength:
-    def test_published_wide_aperture_value(self):
-        # l_c = lambda * z / D inverted against the 276.7 um calibration point
-        cfg = make_config(source_width=0.9397e-3)
-        assert optics.coherence_length(cfg) == pytest.approx(276.7e-6, rel=2e-4)
-
-    def test_published_narrow_aperture_value(self):
-        cfg = make_config(source_width=3.779e-3, pixel_pitch=15e-6)
-        assert optics.coherence_length(cfg) == pytest.approx(68.8e-6, rel=2e-4)
-
-    def test_doubling_source_width_halves_lc(self):
-        narrow = make_config(source_width=1e-3)
-        wide = make_config(source_width=2e-3)
-        ratio = optics.coherence_length(narrow) / optics.coherence_length(wide)
-        assert ratio == pytest.approx(2.0, rel=1e-12)
-
-    @given(wavelength=st.floats(200e-9, 2e-6), z=st.floats(0.05, 5.0),
-           d1=st.floats(1e-4, 5e-3), d2=st.floats(1e-4, 5e-3))
-    @settings(max_examples=50)
-    def test_monotone_in_geometry(self, wavelength, z, d1, d2):
-        lc = lambda d, zz: wavelength * zz / d
-        if d1 < d2:
-            assert lc(d1, z) > lc(d2, z)
-        # configs only matter through the formula; check against the op
-        cfg = make_config(wavelength=wavelength, z_source_to_object=z, source_width=d1,
-                          pixel_pitch=min(15e-6, lc(d1, z) / 2))
-        assert optics.coherence_length(cfg) == pytest.approx(lc(d1, z), rel=1e-12)
-
-    def test_config_for_coherence_length_roundtrip(self):
-        cfg = optics.config_for_coherence_length(make_config(), 135.5e-6)
-        assert optics.coherence_length(cfg) == pytest.approx(135.5e-6, rel=1e-12)
-
-
 class TestOpticalConfigValidation:
-    @pytest.mark.parametrize("field", ["wavelength", "z_source_to_object", "source_width",
-                                       "pixel_pitch"])
+    @pytest.mark.parametrize("field", ["coherence_length", "pixel_pitch"])
     def test_rejects_nonpositive_lengths(self, field):
         with pytest.raises(ConfigError):
             make_config(**{field: 0.0})
@@ -68,7 +31,7 @@ class TestOpticalConfigValidation:
     def test_rejects_unresolvable_speckle(self):
         # l_c = 26 um < 2 * 15 um
         with pytest.raises(ConfigError, match="pixel pitch"):
-            make_config(source_width=1e-2)
+            make_config(coherence_length=26e-6)
 
     def test_rejects_bad_oversample(self):
         with pytest.raises(ConfigError):
@@ -93,7 +56,7 @@ def bruteforce_double_slit(grid_n, pitch, width, height, separation, center):
 class TestDoubleSlit:
     def test_counts_match_bruteforce_oracle(self):
         cfg = make_config()
-        mask = optics.make_double_slit(cfg, 1e-4, 1e-3, 2e-4)
+        mask = optics.make_double_slit(cfg, SlitGeometry(1e-4, 1e-3, 2e-4))
         oracle = bruteforce_double_slit(100, "15e-6", 1e-4, 1e-3, 2e-4, (0, 0))
         assert np.array_equal(mask.values, oracle)
         # 0.1 mm / 15 um rasterizes to 7 columns, 1.0 mm to 67 rows
@@ -106,23 +69,23 @@ class TestDoubleSlit:
 
     def test_overlapping_slits_rejected(self):
         with pytest.raises(ConfigError, match="overlap"):
-            optics.make_double_slit(make_config(), 2e-4, 1e-3, 2e-4)
+            optics.make_double_slit(make_config(), SlitGeometry(2e-4, 1e-3, 2e-4))
 
     def test_out_of_grid_rejected(self):
         with pytest.raises(ConfigError, match="outside"):
-            optics.make_double_slit(make_config(), 1e-4, 2e-3, 2e-4)
+            optics.make_double_slit(make_config(), SlitGeometry(1e-4, 2e-3, 2e-4))
         with pytest.raises(ConfigError, match="outside"):
-            optics.make_double_slit(make_config(), 1e-4, 1e-3, 1.5e-3)
+            optics.make_double_slit(make_config(), SlitGeometry(1e-4, 1e-3, 1.5e-3))
 
     def test_mirror_symmetry_about_pixel_boundary(self):
         # x = -pitch/2 is a pixel boundary; mirroring there is exactly fliplr
         cfg = make_config()
-        mask = optics.make_double_slit(cfg, 1e-4, 1e-3, 2e-4, center=(-7.5e-6, 0.0))
+        mask = optics.make_double_slit(cfg, SlitGeometry(1e-4, 1e-3, 2e-4, center=(-7.5e-6, 0.0)))
         assert np.array_equal(mask.values, np.fliplr(mask.values))
 
     def test_nonzero_total_matches_oracle_for_odd_geometry(self):
         cfg = make_config(grid_n=64)
-        mask = optics.make_double_slit(cfg, 7e-5, 4.2e-4, 1.9e-4, center=(1e-5, -2e-5))
+        mask = optics.make_double_slit(cfg, SlitGeometry(7e-5, 4.2e-4, 1.9e-4, center=(1e-5, -2e-5)))
         oracle = bruteforce_double_slit(64, "15e-6", 7e-5, 4.2e-4, 1.9e-4, (1e-5, -2e-5))
         assert np.array_equal(mask.values, oracle)
 
@@ -130,20 +93,20 @@ class TestDoubleSlit:
 class TestObjectMask:
     def test_rejects_out_of_range(self):
         with pytest.raises(ConfigError):
-            ObjectMask(np.full((8, 8), 1.5), 1e-5)
+            ObjectMask(np.full((8, 8), 1.5))
         with pytest.raises(ConfigError):
-            ObjectMask(np.full((8, 8), -0.1), 1e-5)
+            ObjectMask(np.full((8, 8), -0.1))
 
     def test_rejects_all_opaque(self):
         with pytest.raises(ConfigError, match="opaque"):
-            ObjectMask(np.zeros((8, 8)), 1e-5)
+            ObjectMask(np.zeros((8, 8)))
 
     def test_rejects_non_square(self):
         with pytest.raises(ConfigError):
-            ObjectMask(np.ones((8, 9)), 1e-5)
+            ObjectMask(np.ones((8, 9)))
 
     def test_values_are_immutable(self):
-        mask = ObjectMask(np.ones((8, 8)), 1e-5)
+        mask = ObjectMask(np.ones((8, 8)))
         with pytest.raises(ValueError):
             mask.values[0, 0] = 0.5
 
@@ -152,7 +115,7 @@ class TestPgm:
     def test_roundtrip_binary_16bit(self, tmp_path):
         cfg = make_config(grid_n=16)
         rng = np.random.default_rng(0)
-        mask = ObjectMask(rng.uniform(0, 1, (16, 16)), cfg.pixel_pitch)
+        mask = ObjectMask(rng.uniform(0, 1, (16, 16)))
         path = tmp_path / "m.pgm"
         optics.save_mask_pgm(mask, path, maxval=65535)
         back = optics.load_mask_pgm(path, cfg)
@@ -161,7 +124,7 @@ class TestPgm:
     def test_roundtrip_ascii_8bit(self, tmp_path):
         cfg = make_config(grid_n=12)
         rng = np.random.default_rng(1)
-        mask = ObjectMask(rng.uniform(0, 1, (12, 12)), cfg.pixel_pitch)
+        mask = ObjectMask(rng.uniform(0, 1, (12, 12)))
         path = tmp_path / "m.pgm"
         optics.save_mask_pgm(mask, path, maxval=255, binary=False)
         back = optics.load_mask_pgm(path, cfg)
@@ -250,10 +213,10 @@ class TestConfigFile:
 
     def test_comments_and_spacing(self):
         pairs = ioutil.parse_kv_text(
-            "# bench geometry\noptics.wavelength_m = 650e-9\noptics.z_m=0.4\n"
-            "optics.lc_target_m =68.8e-6  # object plane\n\noptics.grid_n= 100\n")
-        assert pairs == {"optics.wavelength_m": "650e-9", "optics.z_m": "0.4",
-                         "optics.lc_target_m": "68.8e-6", "optics.grid_n": "100"}
+            "# bench geometry\noptics.grid_n= 100\noptics.pixel_pitch_m=15e-6\n"
+            "optics.lc_target_m =68.8e-6  # object plane\n\noptics.source_oversample =4\n")
+        assert pairs == {"optics.grid_n": "100", "optics.pixel_pitch_m": "15e-6",
+                         "optics.lc_target_m": "68.8e-6", "optics.source_oversample": "4"}
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -5,12 +5,11 @@ from ghostbench import optics
 from ghostbench.errors import ConfigError
 from ghostbench.forward import MeasurementSet, run_campaign
 from ghostbench.metrics import minmax_normalize
-from ghostbench.optics import ObjectMask, OpticalConfig
+from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
 from ghostbench.recon_gi import gi_reconstruct
 from ghostbench.speckle import synthesize_frame
 
-CFG = optics.config_for_coherence_length(
-    OpticalConfig(650e-9, 0.4, 1e-3, 64, 15e-6), 120e-6)
+CFG = OpticalConfig(120e-6, 64, 15e-6)
 
 
 def measurement_set_from(frames, buckets):
@@ -32,8 +31,8 @@ class TestGiReconstruct:
 
     def test_bilinear_in_the_mask(self):
         rng = np.random.default_rng(3)
-        mask_a = ObjectMask(rng.uniform(0, 1, (64, 64)), CFG.pixel_pitch)
-        mask_b = ObjectMask(rng.uniform(0, 1, (64, 64)), CFG.pixel_pitch)
+        mask_a = ObjectMask(rng.uniform(0, 1, (64, 64)))
+        mask_b = ObjectMask(rng.uniform(0, 1, (64, 64)))
         frames = [synthesize_frame(CFG, 2, i) for i in range(20)]
         buckets_a = [float(np.sum(f * mask_a.values)) for f in frames]
         buckets_b = [float(np.sum(f * mask_b.values)) for f in frames]
@@ -45,14 +44,14 @@ class TestGiReconstruct:
         assert np.allclose(img_c, alpha * img_a + beta * img_b, rtol=1e-10, atol=1e-12)
 
     def test_background_mean_vanishes_at_large_m(self):
-        mask = optics.make_double_slit(CFG, 6e-5, 3e-4, 1.2e-4)
+        mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
         ms = run_campaign(CFG, mask, 2000, 4)
         image = gi_reconstruct(ms)
         background = image[mask.values <= 0.5]
         assert abs(background.mean()) <= 3 * background.std()
 
     def test_normalize_flag(self):
-        mask = optics.make_double_slit(CFG, 6e-5, 3e-4, 1.2e-4)
+        mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
         ms = run_campaign(CFG, mask, 50, 4)
         image = gi_reconstruct(ms)
         normalized = minmax_normalize(image)
@@ -63,7 +62,7 @@ class TestGiReconstruct:
         # coarse version of the point-spread check: R^2 of the analytic kernel fit
         values = np.zeros((64, 64))
         values[32, 32] = 1.0
-        mask = ObjectMask(values, CFG.pixel_pitch)
+        mask = ObjectMask(values)
         avg = None
         for seed in (1, 2):
             ms = run_campaign(CFG, mask, 800, seed)

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 from ghostbench import optics, recon_gics
 from ghostbench.errors import ConfigError
 from ghostbench.forward import MeasurementSet, run_campaign
-from ghostbench.optics import OpticalConfig
+from ghostbench.optics import OpticalConfig, SlitGeometry
 from ghostbench.recon_gics import (GicsParams, SensingSystem, build_sensing,
                                    gics_reconstruct, gpsr_solve, ista_reference,
                                    kkt_residual, lasso_objective, write_solve_csv)
 
-CFG = optics.config_for_coherence_length(
-    OpticalConfig(650e-9, 0.4, 1e-3, 16, 15e-6), 90e-6)
+CFG = OpticalConfig(90e-6, 16, 15e-6)
+SLIT = SlitGeometry(6e-5, 1.5e-4, 1.2e-4)
 # Large enough that tau = 1e-3 leaves the program nearly unregularised, as on
 # the canonical bench, where GPSR meets the default KKT rule within ~100 steps.
-SLIT_CFG = optics.config_for_coherence_length(
-    OpticalConfig(650e-9, 0.4, 1e-3, 48, 15e-6), 100e-6)
+SLIT_CFG = OpticalConfig(100e-6, 48, 15e-6)
 
 
 def sparse_instance(seed, m=50, n=200, k=10):
@@ -33,7 +32,7 @@ def sparse_instance(seed, m=50, n=200, k=10):
 def synthetic_measurements(rng, m, grid_n, truth):
     intensities = rng.uniform(0.5, 1.5, size=(m, grid_n, grid_n))
     buckets = [float(np.sum(intensity * truth)) for intensity in intensities]
-    cfg = OpticalConfig(650e-9, 0.4, 1e-3, grid_n, 15e-6)
+    cfg = OpticalConfig(260e-6, grid_n, 15e-6)
     return MeasurementSet(intensities, buckets, cfg, 1)
 
 
@@ -44,7 +43,7 @@ def dense_operator(system):
 
 class TestBuildSensing:
     def test_centered_columns_have_zero_mean(self):
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 12, 3)
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 12, 3)
         system = build_sensing(ms)
         column_means = system.rmatvec(np.ones(ms.m)) / ms.m
         assert np.max(np.abs(column_means)) <= 1e-12
@@ -53,14 +52,14 @@ class TestBuildSensing:
     def test_forward_consistency_noiseless(self):
         # for the true mask t, the centered, scaled system satisfies
         # A @ (col_scale * t) = rhs
-        mask = optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4)
+        mask = optics.make_double_slit(CFG, SLIT)
         ms = run_campaign(CFG, mask, 10, 5)
         system = build_sensing(ms)
         predicted = system.matvec(system.col_scale * mask.values.ravel())
         assert np.allclose(predicted, system.rhs, rtol=1e-12)
 
     def test_uncentering_and_unscaling_reproduce_original(self):
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 9, 7)
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 9, 7)
         system = build_sensing(ms)
         original = ms.intensities.reshape(ms.m, -1)
         operator = np.array([system.rmatvec(e) for e in np.eye(ms.m)])
@@ -71,12 +70,12 @@ class TestBuildSensing:
     def test_columns_have_unit_rms(self, monkeypatch):
         # blocks of 4 rows: 15 frames make three full blocks and a short one
         monkeypatch.setattr(recon_gics, "_BLOCK_BYTES", 4 * CFG.grid_n**2 * 8)
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 15, 8)
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 15, 8)
         rms = np.sqrt(np.mean(dense_operator(build_sensing(ms)) ** 2, axis=0))
         assert np.allclose(rms, 1.0, rtol=1e-12)
 
     def test_operator_matches_dense_matrix(self):
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 11, 4)
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 11, 4)
         system = build_sensing(ms)
         dense = dense_operator(system)
         rng = np.random.default_rng(5)
@@ -98,11 +97,19 @@ class TestBuildSensing:
         assert abs(system.matvec(x) @ r - x @ system.rmatvec(r)) <= 1e-12 * bound
 
     def test_rows_are_the_campaign_stack(self):
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4), 5, 2)
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
         system = build_sensing(ms)
         assert np.shares_memory(system.rows, ms.intensities)
         assert system.rows.shape == (ms.m, CFG.grid_n**2)
         assert not system.rows.flags.writeable
+
+    def test_read_only_rows_made_writeable_do_not_leak(self):
+        rows = np.ones((3, 4))
+        rows.flags.writeable = False
+        system = SensingSystem(rows, np.zeros(3), np.ones(4), np.zeros(4))
+        rows.flags.writeable = True
+        rows[0, 0] = np.nan
+        assert np.isfinite(system.rows).all()
 
     def test_dead_pixel_scale_left_at_one(self):
         rng = np.random.default_rng(0)
@@ -218,7 +225,7 @@ class TestGpsr:
 class TestKktStop:
     @pytest.fixture(scope="class")
     def slit_system(self):
-        mask = optics.make_double_slit(SLIT_CFG, 1e-4, 240e-6, 2e-4)
+        mask = optics.make_double_slit(SLIT_CFG, SlitGeometry(1e-4, 240e-6, 2e-4))
         return build_sensing(run_campaign(SLIT_CFG, mask, 60, 1))
 
     def test_default_converges_on_kkt_residual(self, slit_system):
@@ -325,7 +332,7 @@ class TestGicsReconstruct:
         intensities = rng.uniform(0.5, 1.5, (2 * grid_n**2, grid_n, grid_n))
         intensities[:, 4, 4] = 0.75  # binary-exact constant: zero variance after centering
         buckets = [float(np.sum(intensity * truth)) for intensity in intensities]
-        ms = MeasurementSet(intensities, buckets, OpticalConfig(650e-9, 0.4, 1e-3, grid_n,
+        ms = MeasurementSet(intensities, buckets, OpticalConfig(260e-6, grid_n,
                                                                 15e-6), 1)
         with pytest.warns(UserWarning, match="zero-variance"):
             image, _ = gics_reconstruct(ms, GicsParams(tau=1e-3))
@@ -349,7 +356,7 @@ class TestGicsReconstruct:
         assert not image.any()
 
     def test_output_is_clamped_nonnegative(self):
-        mask = optics.make_double_slit(CFG, 6e-5, 1.5e-4, 1.2e-4)
+        mask = optics.make_double_slit(CFG, SLIT)
         ms = run_campaign(CFG, mask, 40, 2)
         image, report = gics_reconstruct(ms, GicsParams(tau=1e-3, max_iters=200))
         assert image.min() >= 0.0

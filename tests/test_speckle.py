@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
 
-from ghostbench import optics
 from ghostbench.errors import ConfigError
 from ghostbench.optics import OpticalConfig
-from ghostbench.speckle import intensity_stats, synthesize_frame
+from ghostbench.speckle import aperture_sample_count, intensity_stats, synthesize_frame
 
 
 def config_for(lc, grid_n=64, pitch=15e-6, oversample=4):
-    base = OpticalConfig(650e-9, 0.4, 1e-3, grid_n, pitch, source_oversample=oversample)
-    return optics.config_for_coherence_length(base, lc)
+    return OpticalConfig(lc, grid_n, pitch, source_oversample=oversample)
+
+
+class TestApertureSampleCount:
+    # K = round(source_oversample * grid_n * pitch / l_c) of every bench geometry:
+    # the canonical, aperture and sparse workloads with the sweep recipes
+    # (100 px at 15 or 30 um), and the determinism scenario (48 px at 15 um).
+    @pytest.mark.parametrize("grid_n,pitch,lc,k", [
+        (100, 15e-6, 68.8e-6, 87), (100, 15e-6, 135.5e-6, 44), (100, 15e-6, 276.7e-6, 22),
+        (100, 15e-6, 109.6e-6, 55), (100, 15e-6, 193.5e-6, 31), (100, 15e-6, 272.2e-6, 22),
+        (100, 30e-6, 276.7e-6, 43), (100, 30e-6, 135.5e-6, 89), (100, 30e-6, 68.8e-6, 174),
+        (48, 15e-6, 100e-6, 29),
+    ])
+    def test_bench_geometries(self, grid_n, pitch, lc, k):
+        assert aperture_sample_count(OpticalConfig(lc, grid_n, pitch)) == k
 
 
 class TestSynthesis:
@@ -95,7 +107,7 @@ class TestStats:
 
     def test_measured_lc_scales_inversely_with_source_width(self):
         cfg_narrow = config_for(240e-6, grid_n=96)
-        cfg_wide = config_for(120e-6, grid_n=96)  # doubled source width
+        cfg_wide = config_for(120e-6, grid_n=96)
         frames_n = [synthesize_frame(cfg_narrow, 5, i) for i in range(600)]
         frames_w = [synthesize_frame(cfg_wide, 5, i) for i in range(600)]
         ratio = (intensity_stats(frames_n, 15e-6).measured_lc
