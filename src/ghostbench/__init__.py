@@ -4,8 +4,8 @@ from .errors import ConfigError, GhostbenchError, SolverError
 from .optics import (ObjectMask, OpticalConfig, SlitGeometry, grid_coords, load_mask_pgm,
                      make_double_slit, save_mask_pgm)
 from .speckle import SpeckleStats, aperture_sample_count, intensity_stats, synthesize_frame
-from .forward import MeasurementSet, bucket_measure, run_campaign
-from .recon_gi import gi_reconstruct, write_image_csv
+from .forward import MeasurementSet, bucket_measure, campaign_blocks, run_campaign
+from .recon_gi import gi_from_blocks, gi_reconstruct, write_image_csv
 from .recon_gics import (GicsParams, SensingSystem, SolveReport, build_sensing,
                          gics_reconstruct, gpsr_solve, ista_reference,
                          kkt_residual, lasso_objective, soft_threshold,

@@ -1,4 +1,4 @@
-"""Scenario runner: parse flat key=value scenario files, execute campaigns,
+"""Scenario runner: parse flat key=value scenario files, run campaigns,
 reconstruct with both methods, and emit images plus CSV metrics.
 
 A scenario file is ``prefix.name = value`` lines with ``#`` comments.  Its keys,
@@ -15,6 +15,10 @@ seed list that ``Scenario`` rejects (empty, outside [0, 2**64) or repeated);
 Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
 gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
 atomically and are a pure function of the scenario file bytes.
+
+Memory per seed: a run with gics holds its campaign as one (m, grid_n,
+grid_n) stack, which GICS solves on and GI reads; a GI-only run folds the
+campaign block by block and holds O(grid_n**2) plus one block, whatever m is.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ import numpy as np
 
 from . import ioutil, metrics, optics, recon_gi, recon_gics
 from .errors import ConfigError
-from .forward import MeasurementSet, bucket_measure, run_campaign
+from .forward import bucket_measure, campaign_blocks, run_campaign
 from .optics import ObjectMask, OpticalConfig, SlitGeometry
 from .recon_gics import GicsParams
 from .speckle import SEED_LIMIT, checked_aperture_samples, synthesize_frame
@@ -79,6 +83,13 @@ def _length(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _seeds(text: str) -> tuple[int, ...]:
     return tuple(int(token) for token in _comma_list(text))
 
@@ -97,11 +108,11 @@ SCHEMA: dict[str, Key] = {
     "scenario.noise_sigma": Key(float, 0.0, "std of additive Gaussian bucket noise"),
     "scenario.mask": Key(str, REQUIRED, "double_slit or pgm"),
     "scenario.mask_pgm": Key(str, None, "graymap path relative to the file; needed for mask=pgm"),
-    "scenario.slit_width_m": Key(float, 1e-4, "width of each slit"),
-    "scenario.slit_height_m": Key(float, 1e-3, "height of each slit"),
-    "scenario.slit_separation_m": Key(float, 2e-4, "distance between the slit centers"),
-    "scenario.slit_center_x_m": Key(float, 0.0, "x of the midpoint between the slits"),
-    "scenario.slit_center_y_m": Key(float, 0.0, "y of the slit centers"),
+    "scenario.slit_width_m": Key(_length, 1e-4, "width of each slit"),
+    "scenario.slit_height_m": Key(_length, 1e-3, "height of each slit"),
+    "scenario.slit_separation_m": Key(_length, 2e-4, "distance between the slit centers"),
+    "scenario.slit_center_x_m": Key(_finite, 0.0, "x of the midpoint between the slits"),
+    "scenario.slit_center_y_m": Key(_finite, 0.0, "y of the slit centers"),
     "optics.lc_target_m": Key(_length, REQUIRED, "coherence length l_c on the object plane"),
     "optics.grid_n": Key(int, REQUIRED, "pixels per side of the object and reference grids"),
     "optics.pixel_pitch_m": Key(_length, REQUIRED, "pixel pitch on both grids"),
@@ -219,14 +230,28 @@ def _write_image_pgm(values: np.ndarray, path: Path) -> None:
     ioutil.write_pgm(path, np.rint(normalized * 65535).astype(np.int64), 65535)
 
 
-def _seed_metrics(scenario: Scenario, seed: int, ms: MeasurementSet) -> tuple[list[dict], dict]:
-    """Reconstruct with the requested methods; return metric rows and artifacts."""
+def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
+    """Run the seed's campaign, reconstruct with the requested methods; return
+    metric rows and artifacts.
+
+    GICS needs the whole (m, n, n) stack, so with "gics" requested the
+    campaign is one ``MeasurementSet`` that both methods read.  GI alone folds
+    the campaign's blocks as they are made and no stack is allocated.  Both
+    give the same GI image.
+    """
     lc = scenario.config.coherence_length
+    ms = None
+    if "gics" in scenario.methods:
+        ms = run_campaign(scenario.config, scenario.mask, scenario.m, seed,
+                          noise_sigma=scenario.noise_sigma)
     rows = []
     artifacts = {}
     for method in scenario.methods:
-        if method == "gi":
+        if method == "gi" and ms is not None:
             raw = recon_gi.gi_reconstruct(ms)
+        elif method == "gi":
+            raw = recon_gi.gi_from_blocks(campaign_blocks(
+                scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma))
         else:
             raw, report = recon_gics.gics_reconstruct(ms, scenario.gics)
             artifacts["solve_report"] = report
@@ -259,9 +284,7 @@ def _seed_metrics(scenario: Scenario, seed: int, ms: MeasurementSet) -> tuple[li
 def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> None:
     seed_dir = scenario_dir / str(seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
-    ms = run_campaign(scenario.config, scenario.mask, scenario.m, seed,
-                      noise_sigma=scenario.noise_sigma)
-    rows, artifacts = _seed_metrics(scenario, seed, ms)
+    rows, artifacts = _seed_metrics(scenario, seed)
     optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm", maxval=65535)
     if "gi" in artifacts:
         _write_image_pgm(artifacts["gi"], seed_dir / "gi.pgm")
@@ -327,10 +350,7 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = N
 
     def run_one(job):
         lc, seed = job
-        cfg = configs[lc]
-        scen = dataclasses.replace(scenario, config=cfg)
-        ms = run_campaign(cfg, scen.mask, scen.m, seed, noise_sigma=scen.noise_sigma)
-        rows, _ = _seed_metrics(scen, seed, ms)
+        rows, _ = _seed_metrics(dataclasses.replace(scenario, config=configs[lc]), seed)
         return {row["method"]: row for row in rows}
 
     by_job = dict(zip(jobs, _map_jobs(run_one, jobs, threads)))

@@ -117,6 +117,9 @@ class SlitGeometry:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.width, self.height, self.separation,
+                                              *self.center)):
+            raise ConfigError("slit geometry must be finite")
         if not (self.width > 0 and self.height > 0):
             raise ConfigError("slit width and height must be positive")
         if self.separation <= self.width:

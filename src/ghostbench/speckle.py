@@ -134,7 +134,10 @@ def intensity_stats(frames, pixel_pitch: float) -> SpeckleStats:
     center_mean = center_series.mean()
     contrast = float(center_series.std() / center_mean) if center_mean > 0 else 0.0
 
-    fluct = stack - ens_mean
+    level = float(stack.mean())
+    # np.stack made the function's own copy: turn it into the fluctuations in place
+    fluct = stack
+    fluct -= ens_mean
     raw = np.empty(max_lag + 1)
     for lag in range(max_lag + 1):
         if lag == 0:
@@ -143,7 +146,7 @@ def intensity_stats(frames, pixel_pitch: float) -> SpeckleStats:
             raw[lag] = np.mean(fluct[:, :, :-lag] * fluct[:, :, lag:])
 
     # fluctuation std below 1e-12 of the mean level is roundoff, not signal
-    if raw[0] <= (1e-12 * float(stack.mean())) ** 2:
+    if raw[0] <= (1e-12 * level) ** 2:
         profile = np.full(max_lag + 1, np.nan)
         return SpeckleStats(mean_intensity, contrast, profile, float("nan"))
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostbench import optics
+from ghostbench import forward, optics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import MeasurementSet, bucket_measure, run_campaign
+from ghostbench.forward import (_BLOCK_FRAMES, MeasurementSet, bucket_measure, campaign_blocks,
+                                run_campaign)
 from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
 from ghostbench.speckle import synthesize_frame
 
@@ -190,3 +191,38 @@ class TestCampaign:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * ms.intensities.nbytes
+
+
+class TestCampaignBlocks:
+    MASK = TestCampaign.MASK
+
+    def test_blocks_arrive_in_frame_order_with_a_short_last_block(self):
+        m = 2 * _BLOCK_FRAMES + 5
+        blocks = list(campaign_blocks(CFG, self.MASK, m, 3, noise_sigma=0.5))
+        assert [len(buckets) for _, buckets in blocks] == [_BLOCK_FRAMES, _BLOCK_FRAMES, 5]
+        assert all(not f.flags.writeable and not b.flags.writeable for f, b in blocks)
+        frames = np.concatenate([f for f, _ in blocks])
+        buckets = np.concatenate([b for _, b in blocks])
+        for i in (0, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, m - 1):
+            assert np.array_equal(frames[i], synthesize_frame(CFG, 3, i))
+        ms = run_campaign(CFG, self.MASK, m, 3, noise_sigma=0.5)
+        assert np.array_equal(frames, ms.intensities)
+        assert np.array_equal(buckets, ms.buckets)
+
+    @pytest.mark.parametrize("bad", ["nan_frame", "negative_frame", "negative_bucket"])
+    def test_streamed_checks_raise_what_measurement_set_raises(self, monkeypatch, bad):
+        frame = {"nan_frame": np.full((N, N), np.nan), "negative_frame": -1.0 - FRAME}.get(
+            bad, FRAME)
+        bucket = -1.0 if bad == "negative_bucket" else 1.0
+        with pytest.raises(ConfigError) as stacked:
+            MeasurementSet(np.stack([FRAME, frame]), [1.0, bucket], CFG, 0)
+        bad_index = _BLOCK_FRAMES + 6  # in the second block: the first one passes
+        monkeypatch.setattr(forward, "synthesize_frame",
+                            lambda config, seed, i: frame if i == bad_index else FRAME)
+        monkeypatch.setattr(forward, "bucket_measure", lambda f, mask: bucket)
+        passed = []
+        with pytest.raises(ConfigError) as streamed:
+            for block in campaign_blocks(CFG, self.MASK, 2 * _BLOCK_FRAMES, 0):
+                passed.append(block)
+        assert str(streamed.value) == str(stacked.value)
+        assert len(passed) == (0 if bad == "negative_bucket" else 1)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,12 @@ class TestParsing:
     @pytest.mark.parametrize("line", ["scenario.m = 1.5", "optics.grid_n = x",
                                       "gics.max_iters = 2.5", "scenario.seeds = 1,two",
                                       "optics.lc_target_m = -1e-4", "optics.pixel_pitch_m = 0",
-                                      "optics.lc_target_m = inf"])
+                                      "optics.lc_target_m = inf",
+                                      "scenario.slit_separation_m = nan",
+                                      "scenario.slit_width_m = inf",
+                                      "scenario.slit_height_m = 0",
+                                      "scenario.slit_center_x_m = nan",
+                                      "scenario.slit_center_y_m = -inf"])
     def test_bad_value_names_key_and_value(self, tmp_path, line):
         key, value = (part.strip() for part in line.split("="))
         text = "".join(kv + "\n" for kv in SMALL_SCENARIO.splitlines()
@@ -155,6 +161,39 @@ class TestRunScenario:
         gi_row = lines[1].split(",")
         assert gi_row[8] == ""  # no slit geometry: dip_ratio empty
         assert gi_row[9] == ""
+
+
+class TestStreamedGi:
+    def gi_scenario(self, tmp_path, methods, m):
+        text = (SMALL_SCENARIO.replace("scenario.methods = gi,gics",
+                                       f"scenario.methods = {methods}")
+                .replace("scenario.m = 16", f"scenario.m = {m}")
+                .replace("scenario.seeds = 3,4", "scenario.seeds = 3"))
+        return harness.parse_scenario_text(text, tmp_path)
+
+    def test_gi_only_image_is_the_gi_image_of_a_gics_run(self, tmp_path):
+        m = 150  # two full blocks and a short one
+        for methods in ("gi", "gi,gics"):
+            harness.run_scenario(self.gi_scenario(tmp_path, methods, m), tmp_path / methods)
+        gi_only, both = (np.loadtxt(tmp_path / methods / "smoke" / "3" / "gi_raw.csv",
+                                    delimiter=",") for methods in ("gi", "gi,gics"))
+        assert np.array_equal(gi_only, both)
+        assert not (tmp_path / "gi" / "smoke" / "3" / "gics_raw.csv").exists()
+
+    def test_gi_only_peak_memory_does_not_grow_with_m(self, tmp_path):
+        def traced_peak(m):
+            scenario = self.gi_scenario(tmp_path, "gi", m)
+            tracemalloc.start()
+            try:
+                harness.run_scenario(scenario, tmp_path / str(m))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        harness.run_scenario(self.gi_scenario(tmp_path, "gi", 2), tmp_path / "warm")
+        small, large = traced_peak(200), traced_peak(800)
+        # a 48 x 48 stack of 800 frames alone is 14.7 MB; a block is 1.2 MB
+        assert large < 1.2 * small
 
 
 class TestSolveCapWarning:
@@ -404,6 +443,16 @@ def rows_parsed_by(parse):
 class TestSchema:
     @given(key=rows_parsed_by(float), value=st.floats(allow_nan=False))
     def test_float_rows_roundtrip(self, key, value):
+        assert harness.SCHEMA[key].parse(repr(value)) == value
+
+    @given(key=rows_parsed_by(harness._finite), value=st.floats(allow_nan=False,
+                                                               allow_infinity=False))
+    def test_finite_rows_roundtrip(self, key, value):
+        assert harness.SCHEMA[key].parse(repr(value)) == value
+
+    @given(key=rows_parsed_by(harness._length),
+           value=st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    def test_length_rows_roundtrip(self, key, value):
         assert harness.SCHEMA[key].parse(repr(value)) == value
 
     @given(key=rows_parsed_by(int), value=st.integers())

@@ -1,3 +1,4 @@
+import math
 import os
 import stat
 from fractions import Fraction
@@ -70,6 +71,13 @@ class TestDoubleSlit:
     def test_overlapping_slits_rejected(self):
         with pytest.raises(ConfigError, match="overlap"):
             optics.make_double_slit(make_config(), SlitGeometry(2e-4, 1e-3, 2e-4))
+
+    @pytest.mark.parametrize("bad", [
+        {"width": math.nan}, {"height": math.inf}, {"separation": math.nan},
+        {"center": (math.nan, 0.0)}, {"center": (0.0, -math.inf)}])
+    def test_non_finite_geometry_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            SlitGeometry(**{"width": 1e-4, "height": 1e-3, "separation": 2e-4, **bad})
 
     def test_out_of_grid_rejected(self):
         with pytest.raises(ConfigError, match="outside"):

@@ -3,10 +3,10 @@ import pytest
 
 from ghostbench import optics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import MeasurementSet, run_campaign
+from ghostbench.forward import _BLOCK_FRAMES, MeasurementSet, campaign_blocks, run_campaign
 from ghostbench.metrics import minmax_normalize
 from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
-from ghostbench.recon_gi import gi_reconstruct
+from ghostbench.recon_gi import gi_from_blocks, gi_reconstruct
 from ghostbench.speckle import synthesize_frame
 
 CFG = OpticalConfig(120e-6, 64, 15e-6)
@@ -28,6 +28,23 @@ class TestGiReconstruct:
         ms = measurement_set_from([frame], [1.0])
         with pytest.raises(ConfigError):
             gi_reconstruct(ms)
+
+    def test_needs_two_streamed_frames(self):
+        mask = ObjectMask(np.ones((64, 64)))
+        with pytest.raises(ConfigError, match="at least 2 frames"):
+            gi_from_blocks(campaign_blocks(CFG, mask, 1, 1))
+
+    def test_streamed_image_is_the_stacked_image(self):
+        mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
+        m = 2 * _BLOCK_FRAMES + 22
+        streamed = gi_from_blocks(campaign_blocks(CFG, mask, m, 9))
+        ms = run_campaign(CFG, mask, m, 9)
+        assert np.array_equal(streamed, gi_reconstruct(ms))
+        assert not streamed.flags.writeable
+        # the closed-form estimator over the whole stack, to rounding
+        oracle = np.tensordot(ms.buckets, ms.intensities, axes=(0, 0)) / m \
+            - ms.buckets.mean() * ms.intensities.mean(axis=0)
+        assert np.allclose(streamed, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
 
     def test_bilinear_in_the_mask(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,21 @@ class TestStats:
         stats = intensity_stats(np.stack([frame] * 10), 15e-6)
         assert stats.contrast == 0.0
         assert np.isnan(stats.measured_lc)
+
+    def test_peak_memory_below_two_and_a_half_stacks(self):
+        # one working copy of the stack plus one lag product, not a third copy
+        cfg = config_for(120e-6)
+        stack = np.stack([synthesize_frame(cfg, 3, i) for i in range(200)])
+        before = stack.copy()
+        intensity_stats(stack[:2], 15e-6)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            intensity_stats(stack, 15e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * stack.nbytes
+        assert np.array_equal(stack, before)
 
     def test_profile_starts_at_unity(self):
         frames = [synthesize_frame(config_for(120e-6), 4, i) for i in range(80)]
