@@ -7,14 +7,19 @@ modeled as additive Gaussian noise on the bucket only, seeded per frame so
 campaigns are reproducible regardless of the order in which frames are
 acquired.
 
-A campaign is produced by one generator, ``campaign_blocks``, as checked
-blocks of at most ``_BLOCK_FRAMES`` frames in frame order.  A consumer that
-needs only running sums (GI) folds the blocks and never holds more than one;
-``run_campaign`` writes them into one read-only (m, n, n) stack, which GICS
-needs whole.
+A campaign is produced by one generator, ``campaign_blocks``, as checked,
+contiguous frame-major blocks in frame order.  A consumer that needs only
+running sums (GI) folds the blocks and never holds more than one.
+``run_campaign`` stores them into one read-only pixel-major stack, which GICS
+needs whole: row p of the (grid_n**2, m) array holds pixel p's m values, so
+the sensing operator reads the pixels it needs as contiguous m-vectors.  The
+frames are seen as the stack's (m, grid_n, grid_n) view, whose frames are
+strided, so every elementwise pass over a frame (checks, bucket, GI fold)
+runs on the contiguous block that is stored, never on the stack.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +31,10 @@ from .speckle import SEED_LIMIT, synthesize_frame
 # Extra entropy word separating the bucket-noise stream from the frame stream.
 _NOISE_STREAM = 0x4255434B
 
-# Frames per block of a campaign: a streamed consumer holds one block at a time.
+# Frames per block of a streamed campaign: a streamed consumer holds one block at a time.
 _BLOCK_FRAMES = 64
+# Frames per block of a stacked campaign: its one buffer beside the stack.
+_STACK_BLOCK_FRAMES = 8
 
 
 def _finite_min(arr: np.ndarray, what: str) -> float:
@@ -66,6 +73,11 @@ def _check_noise_sigma(noise_sigma: float) -> None:
         raise ConfigError("noise_sigma must be finite and non-negative")
 
 
+def _frames_of(stack: np.ndarray, grid_n: int) -> np.ndarray:
+    """The (m, grid_n, grid_n) frame view of a pixel-major (grid_n**2, m) stack."""
+    return stack.T.reshape(-1, grid_n, grid_n)
+
+
 def _check_campaign(config: OpticalConfig, mask: ObjectMask, m: int,
                     noise_sigma: float) -> None:
     if m < 1:
@@ -82,8 +94,12 @@ class MeasurementSet:
 
     ``intensities`` is a read-only (m, grid_n, grid_n) stack and ``buckets`` a
     read-only length-m vector of finite values; ``seed`` is the campaign's
-    master seed.  Both arrays are copies of what the caller passed, except the
-    stack that ``run_campaign`` allocates and hands over.
+    master seed.  The stack is always the frame view of a pixel-major
+    (grid_n**2, m) array (see ``_frames_of``).  A caller's stack is checked
+    whole and copied into that layout, and the buckets are copied too.  Only
+    the stack that ``run_campaign`` allocates is handed over uncopied; its
+    blocks passed the same checks as they were made, so it is not checked
+    again.
     """
 
     intensities: np.ndarray
@@ -93,24 +109,33 @@ class MeasurementSet:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        intensities = _frozen(self.intensities)
+        owned = isinstance(self.intensities, _Owned)
+        given = self.intensities.array if owned else np.asarray(self.intensities, dtype=float)
         buckets = _frozen(self.buckets)
-        if intensities.ndim != 3 or intensities.shape[1] != intensities.shape[2]:
-            raise ConfigError(f"intensities must be an (m, n, n) stack, got {intensities.shape}")
-        if intensities.shape[0] < 1:
+        if given.ndim != 3 or given.shape[1] != given.shape[2]:
+            raise ConfigError(f"intensities must be an (m, n, n) stack, got {given.shape}")
+        if given.shape[0] < 1:
             raise ConfigError("a measurement set needs at least one frame")
-        if buckets.shape != (intensities.shape[0],):
+        if buckets.shape != (given.shape[0],):
             raise ConfigError(
                 f"need one bucket per frame: {buckets.shape} buckets for "
-                f"{intensities.shape[0]} frames")
-        if intensities.shape[1] != self.config.grid_n:
+                f"{given.shape[0]} frames")
+        if given.shape[1] != self.config.grid_n:
             raise ConfigError(
-                f"frame grid {intensities.shape[1]} does not match config grid "
+                f"frame grid {given.shape[1]} does not match config grid "
                 f"{self.config.grid_n}")
         if not (0 <= int(self.seed) < SEED_LIMIT):
             raise ConfigError("seed must fit an unsigned 64-bit integer")
         _check_noise_sigma(self.noise_sigma)
-        _check_measurements(intensities, buckets, self.noise_sigma)
+        if owned:
+            intensities = _frozen(self.intensities)
+        else:
+            _check_measurements(given, buckets, self.noise_sigma)
+            stack = np.empty((given.shape[1] * given.shape[2], given.shape[0]))
+            intensities = _frames_of(stack, given.shape[1])
+            intensities[...] = given
+            stack.flags.writeable = False
+            intensities.flags.writeable = False
         object.__setattr__(self, "intensities", intensities)
         object.__setattr__(self, "buckets", buckets)
 
@@ -131,20 +156,21 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
                     noise_sigma: float = 0.0, out: np.ndarray | None = None):
     """Yield the campaign's m frames and buckets as read-only ``(frames, buckets)`` blocks.
 
-    Blocks hold ``_BLOCK_FRAMES`` frames (the last one may hold fewer) and
-    arrive in frame order.  Frame i is ``synthesize_frame(config, master_seed,
-    i)`` (0-based) and its bucket is ``bucket_measure`` of it, plus additive
-    Gaussian noise of std ``noise_sigma``; frame and noise draw depend on
-    (master_seed, i) alone.  Each block passes ``_check_measurements`` before
-    it is yielded.  With ``out``, an (m, grid_n, grid_n) array, the frames
-    are written into it and each block is a view of its rows; otherwise
-    every block is a new array.
+    Blocks hold ``_BLOCK_FRAMES`` frames (the last one may hold fewer), arrive
+    in frame order, and are new contiguous (b, grid_n, grid_n) arrays.  Frame
+    i is ``synthesize_frame(config, master_seed, i)`` (0-based) and its bucket
+    is ``bucket_measure`` of it, plus additive Gaussian noise of std
+    ``noise_sigma``; frame and noise draw depend on (master_seed, i) alone.
+    Each block passes ``_check_measurements`` before it is yielded.  With
+    ``out``, a pixel-major (grid_n**2, m) array, blocks hold
+    ``_STACK_BLOCK_FRAMES`` frames and each checked block is stored into its
+    columns of ``out`` before it is yielded.
     """
     _check_campaign(config, mask, m, noise_sigma)
-    for start in range(0, m, _BLOCK_FRAMES):
-        stop = min(start + _BLOCK_FRAMES, m)
-        frames = (np.empty((stop - start, config.grid_n, config.grid_n)) if out is None
-                  else out[start:stop])
+    step = _BLOCK_FRAMES if out is None else _STACK_BLOCK_FRAMES
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        frames = np.empty((stop - start, config.grid_n, config.grid_n))
         buckets = np.empty(stop - start)
         for j, i in enumerate(range(start, stop)):
             frames[j] = synthesize_frame(config, master_seed, i)
@@ -153,6 +179,8 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
                 rng = np.random.default_rng([int(master_seed), i, _NOISE_STREAM])
                 buckets[j] += noise_sigma * rng.standard_normal()
         _check_measurements(frames, buckets, noise_sigma)
+        if out is not None:
+            out[:, start:stop] = frames.reshape(stop - start, -1).T
         frames.flags.writeable = False
         buckets.flags.writeable = False
         yield frames, buckets
@@ -160,14 +188,28 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
 
 
 def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                 noise_sigma: float = 0.0) -> MeasurementSet:
+                 noise_sigma: float = 0.0, fold=None):
     """The whole campaign of ``campaign_blocks`` as one ``MeasurementSet``.
 
-    The frames are written straight into the set's stack, which is handed
-    over uncopied.
+    The frames are stored straight into the set's pixel-major stack, which is
+    handed over uncopied.  ``fold``, a consumer of the block iterator such as
+    ``recon_gi.gi_from_blocks``, sees each block while it is still
+    contiguous; with it, the result is ``(ms, fold(blocks))``.
     """
     _check_campaign(config, mask, m, noise_sigma)
-    intensities = np.empty((m, config.grid_n, config.grid_n))
-    buckets = np.concatenate([block_buckets for _, block_buckets in campaign_blocks(
-        config, mask, m, master_seed, noise_sigma, out=intensities)])
-    return MeasurementSet(_Owned(intensities), buckets, config, int(master_seed), noise_sigma)
+    stack = np.empty((config.grid_n ** 2, m))
+    bucket_blocks = []
+
+    def stored_blocks():
+        for block in campaign_blocks(config, mask, m, master_seed, noise_sigma, out=stack):
+            bucket_blocks.append(block[1])
+            yield block
+            del block  # the next block is made without this one
+
+    blocks = stored_blocks()
+    folded = None if fold is None else fold(blocks)
+    deque(blocks, maxlen=0)  # store whatever the fold left unread
+    stack.flags.writeable = False
+    ms = MeasurementSet(_Owned(_frames_of(stack, config.grid_n)), np.concatenate(bucket_blocks),
+                        config, int(master_seed), noise_sigma)
+    return ms if fold is None else (ms, folded)

@@ -16,9 +16,10 @@ Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
 gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
 atomically and are a pure function of the scenario file bytes.
 
-Memory per seed: a run with gics holds its campaign as one (m, grid_n,
-grid_n) stack, which GICS solves on and GI reads; a GI-only run folds the
-campaign block by block and holds O(grid_n**2) plus one block, whatever m is.
+Memory per seed: a run with gics holds its campaign as one pixel-major
+(grid_n**2, m) stack, which GICS solves on, plus one small block while the
+stack is filled; a GI-only run folds the campaign block by block and holds
+O(grid_n**2) plus one block, whatever m is.
 """
 from __future__ import annotations
 
@@ -234,24 +235,25 @@ def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
     """Run the seed's campaign, reconstruct with the requested methods; return
     metric rows and artifacts.
 
-    GICS needs the whole (m, n, n) stack, so with "gics" requested the
-    campaign is one ``MeasurementSet`` that both methods read.  GI alone folds
-    the campaign's blocks as they are made and no stack is allocated.  Both
-    give the same GI image.
+    GICS needs the whole stack, so with "gics" requested the campaign is one
+    ``MeasurementSet``, and GI folds its blocks while they are stored.  GI
+    alone folds the campaign's blocks as they are made and no stack is
+    allocated.  Both give the same GI image.
     """
     lc = scenario.config.coherence_length
-    ms = None
-    if "gics" in scenario.methods:
-        ms = run_campaign(scenario.config, scenario.mask, scenario.m, seed,
-                          noise_sigma=scenario.noise_sigma)
+    campaign = (scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
+    ms = gi = None
+    if "gics" not in scenario.methods:
+        gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign))
+    elif "gi" in scenario.methods:
+        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks)
+    else:
+        ms = run_campaign(*campaign)
     rows = []
     artifacts = {}
     for method in scenario.methods:
-        if method == "gi" and ms is not None:
-            raw = recon_gi.gi_reconstruct(ms)
-        elif method == "gi":
-            raw = recon_gi.gi_from_blocks(campaign_blocks(
-                scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma))
+        if method == "gi":
+            raw = gi
         else:
             raw, report = recon_gics.gics_reconstruct(ms, scenario.gics)
             artifacts["solve_report"] = report
@@ -458,6 +460,9 @@ def selftest(verbose: bool = True) -> bool:
     truth = np.zeros(80)
     truth[rng.choice(80, 5, replace=False)] = rng.standard_normal(5)
     sensing = recon_gics.SensingSystem.from_arrays(design, design @ truth)
+    # truth has 5 of 80 non-zeros, so matvec gathers their columns
+    record("gathered matvec", np.allclose(sensing.matvec(truth), design @ truth,
+                                          rtol=0, atol=1e-12 * np.abs(design @ truth).max()))
     big_tau = float(np.abs(sensing.rmatvec(sensing.rhs)).max())
     tau = 0.01 * big_tau
     x_gpsr, report = recon_gics.gpsr_solve(sensing, GicsParams(tau=tau))

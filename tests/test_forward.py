@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from ghostbench import forward, optics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import (_BLOCK_FRAMES, MeasurementSet, bucket_measure, campaign_blocks,
-                                run_campaign)
+from ghostbench.forward import (_BLOCK_FRAMES, _STACK_BLOCK_FRAMES, MeasurementSet,
+                                bucket_measure, campaign_blocks, run_campaign)
+from ghostbench.recon_gi import gi_from_blocks
 from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
 from ghostbench.speckle import synthesize_frame
 
@@ -191,6 +192,42 @@ class TestCampaign:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * ms.intensities.nbytes
+
+    @pytest.mark.parametrize("fold", [None, gi_from_blocks], ids=["stack", "stack_and_fold"])
+    def test_each_frame_is_checked_once(self, monkeypatch, fold):
+        checked = []
+        check = forward._check_measurements
+        monkeypatch.setattr(forward, "_check_measurements",
+                            lambda frames, buckets, sigma: (checked.append(len(frames)),
+                                                            check(frames, buckets, sigma)))
+        m = 2 * _STACK_BLOCK_FRAMES + 3
+        run_campaign(CFG, self.MASK, m, 6, fold=fold)
+        assert sum(checked) == m
+        assert len(checked) == 3  # block by block, never the whole stack again
+
+    def test_stack_is_pixel_major(self):
+        # row p of the stack holds pixel p of every frame, contiguously
+        for ms in (run_campaign(CFG, self.MASK, 11, 2),
+                   MeasurementSet(np.ones((3, N, N)), [1.0] * 3, CFG, 0)):
+            pixels = ms.intensities.reshape(ms.m, -1).T
+            assert pixels.flags.c_contiguous
+            assert np.shares_memory(pixels, ms.intensities)
+            assert not pixels.base.flags.writeable
+
+    def test_fold_sees_contiguous_blocks_in_frame_order(self):
+        m = 2 * _STACK_BLOCK_FRAMES + 3
+
+        def fold(blocks):
+            return [(np.array(frames), frames.flags.c_contiguous) for frames, _ in blocks]
+
+        ms, seen = run_campaign(CFG, self.MASK, m, 4, fold=fold)
+        assert all(contiguous for _, contiguous in seen)
+        assert np.array_equal(np.concatenate([frames for frames, _ in seen]), ms.intensities)
+
+    def test_fold_that_stops_early_still_gets_a_whole_stack(self):
+        ms, first = run_campaign(CFG, self.MASK, 20, 4, fold=lambda blocks: next(iter(blocks)))
+        assert len(first[1]) == _STACK_BLOCK_FRAMES
+        assert np.array_equal(ms.intensities, run_campaign(CFG, self.MASK, 20, 4).intensities)
 
 
 class TestCampaignBlocks:

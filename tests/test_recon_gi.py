@@ -46,6 +46,24 @@ class TestGiReconstruct:
             - ms.buckets.mean() * ms.intensities.mean(axis=0)
         assert np.allclose(streamed, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
 
+    def test_image_folded_while_stacking_is_the_streamed_image(self):
+        mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
+        m = _BLOCK_FRAMES + 13
+        ms, folded = run_campaign(CFG, mask, m, 5, noise_sigma=0.3, fold=gi_from_blocks)
+        streamed = gi_from_blocks(campaign_blocks(CFG, mask, m, 5, noise_sigma=0.3))
+        assert np.array_equal(folded, streamed)
+        assert np.array_equal(folded, gi_reconstruct(ms))
+
+    def test_bits_do_not_depend_on_block_size(self):
+        rng = np.random.default_rng(8)
+        frames = rng.uniform(0.5, 1.5, (23, 64, 64))
+        buckets = rng.uniform(1.0, 2.0, 23)
+        whole = gi_from_blocks([(frames, buckets)])
+        for size in (1, 5, 22):
+            blocks = [(frames[s:s + size], buckets[s:s + size]) for s in range(0, 23, size)]
+            assert np.array_equal(gi_from_blocks(blocks), whole)
+        assert np.array_equal(gi_from_blocks([(np.asfortranarray(frames), buckets)]), whole)
+
     def test_bilinear_in_the_mask(self):
         rng = np.random.default_rng(3)
         mask_a = ObjectMask(rng.uniform(0, 1, (64, 64)))

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestBuildSensing:
         assert np.allclose(system.rhs + np.mean(ms.buckets), ms.buckets, rtol=1e-12)
 
     def test_columns_have_unit_rms(self, monkeypatch):
-        # blocks of 4 rows: 15 frames make three full blocks and a short one
+        # blocks of 68 pixel rows: 256 pixels make three full blocks and a short one
         monkeypatch.setattr(recon_gics, "_BLOCK_BYTES", 4 * CFG.grid_n**2 * 8)
         ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 15, 8)
         rms = np.sqrt(np.mean(dense_operator(build_sensing(ms)) ** 2, axis=0))
@@ -141,6 +142,12 @@ class TestBuildSensing:
         with pytest.raises(ConfigError, match=f"sensing {name} must be finite"):
             SensingSystem(**arrays)
 
+    def test_columns_are_contiguous_pixel_rows(self):
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
+        system = build_sensing(ms)
+        assert system.rows.T.flags.c_contiguous
+        assert np.shares_memory(system.rows.T, ms.intensities)
+
     def test_raw_system_operator_is_the_matrix(self):
         rng = np.random.default_rng(12)
         design = rng.standard_normal((6, 9))
@@ -149,6 +156,77 @@ class TestBuildSensing:
         r = rng.standard_normal(6)
         assert np.array_equal(system.matvec(x), design @ x)
         assert np.array_equal(system.rmatvec(r), design.T @ r)
+
+
+class TestGatheredMatvec:
+    M = 40
+    CHUNK = 6  # columns per gathered block
+
+    @pytest.fixture
+    def system(self, monkeypatch):
+        monkeypatch.setattr(recon_gics, "_BLOCK_BYTES", self.CHUNK * self.M * 8)
+        return build_sensing(run_campaign(CFG, optics.make_double_slit(CFG, SLIT), self.M, 3))
+
+    @staticmethod
+    def sparse_vector(n, size, seed=0):
+        rng = np.random.default_rng(seed)
+        x = np.zeros(n)
+        x[rng.choice(n, size, replace=False)] = rng.standard_normal(size)
+        return x
+
+    @pytest.mark.parametrize("size", ["empty", "one", "chunk", "chunk_plus_one", "share",
+                                      "full"])
+    @pytest.mark.parametrize("share", [None, 1.0], ids=["dispatched", "always_gathered"])
+    def test_equals_dense_product(self, system, monkeypatch, size, share):
+        n = system.n_pix
+        count = {"empty": 0, "one": 1, "chunk": self.CHUNK, "chunk_plus_one": self.CHUNK + 1,
+                 "share": int(recon_gics._GATHER_SHARE * n), "full": n}[size]
+        if share is not None:
+            monkeypatch.setattr(recon_gics, "_GATHER_SHARE", share)
+        x = self.sparse_vector(n, count)
+        expected = dense_operator(system) @ x
+        scale = max(np.abs(dense_operator(system)) @ np.abs(x)) or 1.0
+        assert np.max(np.abs(system.matvec(x) - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("size", [3, 200])
+    def test_adjoint_identity_on_a_campaign_system(self, system, size):
+        x = self.sparse_vector(system.n_pix, size, seed=size)
+        r = np.random.default_rng(4).standard_normal(system.m)
+        bound = np.abs(r) @ np.abs(dense_operator(system)) @ np.abs(x)
+        assert abs(system.matvec(x) @ r - x @ system.rmatvec(r)) <= 1e-12 * bound
+
+    def test_gathered_peak_memory_is_one_block(self, monkeypatch):
+        m, chunk = 200, 8
+        monkeypatch.setattr(recon_gics, "_BLOCK_BYTES", chunk * m * 8)
+        system = build_sensing(run_campaign(CFG, optics.make_double_slit(CFG, SLIT), m, 3))
+        x = self.sparse_vector(system.n_pix, 60)  # 60 columns: 96 kB if gathered at once
+        tracemalloc.start()
+        try:
+            system.matvec(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < recon_gics._BLOCK_BYTES + 4 * 8 * (m + system.n_pix)
+
+
+class TestGicsParams:
+    @pytest.mark.parametrize("bad", [2.5, True, "3", None, 0, -1, 3.0],
+                             ids=["fraction", "bool", "str", "none", "zero", "negative", "float"])
+    def test_bad_max_iters_rejected(self, bad):
+        with pytest.raises(ConfigError, match="max_iters must be a positive integer"):
+            GicsParams(max_iters=bad)
+
+    @pytest.mark.parametrize("bad", [True, "1", None, 1j, -1.0, np.nan, np.inf],
+                             ids=["bool", "str", "none", "complex", "negative", "nan", "inf"])
+    def test_bad_tau_rejected(self, bad):
+        with pytest.raises(ConfigError, match="tau must be a finite non-negative number"):
+            GicsParams(tau=bad)
+
+    @pytest.mark.parametrize("tau,max_iters", [(0, 1), (np.float64(2.5), np.int64(7)),
+                                               (np.float32(1e-3), 2000), (Fraction(1, 2), 3)])
+    def test_real_tau_and_integer_cap_accepted(self, tau, max_iters):
+        params = GicsParams(tau=tau, max_iters=max_iters)
+        assert (params.tau, params.max_iters) == (tau, max_iters)
 
 
 class TestGpsr:
