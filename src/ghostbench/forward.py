@@ -8,8 +8,9 @@ campaigns are reproducible regardless of the order in which frames are
 acquired.
 
 A campaign is produced by one generator, ``campaign_blocks``, as checked,
-contiguous frame-major blocks in frame order.  A consumer that needs only
-running sums (GI) folds the blocks and never holds more than one.
+contiguous frame-major blocks of ``_BLOCK_FRAMES`` (8) frames in frame order;
+each frame is synthesized in place into its row of the block.  A consumer that
+needs only running sums (GI) folds the blocks and never holds more than one.
 ``run_campaign`` stores them into one read-only pixel-major stack, which GICS
 needs whole: row p of the (grid_n**2, m) array holds pixel p's m values, so
 the sensing operator reads the pixels it needs as contiguous m-vectors.  The
@@ -26,15 +27,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .optics import ObjectMask, OpticalConfig, _Owned, _frozen
-from .speckle import SEED_LIMIT, synthesize_frame
+from .speckle import _checked_seed, _integer, synthesize_frame
 
 # Extra entropy word separating the bucket-noise stream from the frame stream.
 _NOISE_STREAM = 0x4255434B
 
-# Frames per block of a streamed campaign: a streamed consumer holds one block at a time.
-_BLOCK_FRAMES = 64
-# Frames per block of a stacked campaign: its one buffer beside the stack.
-_STACK_BLOCK_FRAMES = 8
+# Frames per block of every campaign: a streamed consumer holds one block at a
+# time, a stacked campaign one block beside its stack.
+_BLOCK_FRAMES = 8
 
 
 def _finite_min(arr: np.ndarray, what: str) -> float:
@@ -78,13 +78,14 @@ def _frames_of(stack: np.ndarray, grid_n: int) -> np.ndarray:
     return stack.T.reshape(-1, grid_n, grid_n)
 
 
-def _check_campaign(config: OpticalConfig, mask: ObjectMask, m: int,
+def _check_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
                     noise_sigma: float) -> None:
-    if m < 1:
+    if _integer(m, "m") < 1:
         raise ConfigError("a campaign needs m >= 1 measurements")
     if mask.grid_n != config.grid_n:
         raise ConfigError(
             f"mask grid {mask.grid_n} does not match config grid {config.grid_n}")
+    _checked_seed(master_seed)
     _check_noise_sigma(noise_sigma)
 
 
@@ -124,8 +125,7 @@ class MeasurementSet:
             raise ConfigError(
                 f"frame grid {given.shape[1]} does not match config grid "
                 f"{self.config.grid_n}")
-        if not (0 <= int(self.seed) < SEED_LIMIT):
-            raise ConfigError("seed must fit an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         _check_noise_sigma(self.noise_sigma)
         if owned:
             intensities = _frozen(self.intensities)
@@ -158,22 +158,22 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
 
     Blocks hold ``_BLOCK_FRAMES`` frames (the last one may hold fewer), arrive
     in frame order, and are new contiguous (b, grid_n, grid_n) arrays.  Frame
-    i is ``synthesize_frame(config, master_seed, i)`` (0-based) and its bucket
-    is ``bucket_measure`` of it, plus additive Gaussian noise of std
-    ``noise_sigma``; frame and noise draw depend on (master_seed, i) alone.
-    Each block passes ``_check_measurements`` before it is yielded.  With
-    ``out``, a pixel-major (grid_n**2, m) array, blocks hold
-    ``_STACK_BLOCK_FRAMES`` frames and each checked block is stored into its
-    columns of ``out`` before it is yielded.
+    i is ``synthesize_frame(config, master_seed, i)`` (0-based), written in
+    place into its row of the block, and its bucket is ``bucket_measure`` of
+    it, plus additive Gaussian noise of std ``noise_sigma``; frame and noise
+    draw depend on (master_seed, i) alone.  Each block passes
+    ``_check_measurements`` before it is yielded.  With ``out``, a pixel-major
+    (grid_n**2, m) array, each checked block is also stored into its columns
+    of ``out`` before it is yielded.  ``m`` and ``master_seed`` must be
+    integers.
     """
-    _check_campaign(config, mask, m, noise_sigma)
-    step = _BLOCK_FRAMES if out is None else _STACK_BLOCK_FRAMES
-    for start in range(0, m, step):
-        stop = min(start + step, m)
+    _check_campaign(config, mask, m, master_seed, noise_sigma)
+    for start in range(0, m, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, m)
         frames = np.empty((stop - start, config.grid_n, config.grid_n))
         buckets = np.empty(stop - start)
         for j, i in enumerate(range(start, stop)):
-            frames[j] = synthesize_frame(config, master_seed, i)
+            synthesize_frame(config, master_seed, i, out=frames[j])
             buckets[j] = bucket_measure(frames[j], mask)
             if noise_sigma > 0:
                 rng = np.random.default_rng([int(master_seed), i, _NOISE_STREAM])
@@ -196,7 +196,7 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
     ``recon_gi.gi_from_blocks``, sees each block while it is still
     contiguous; with it, the result is ``(ms, fold(blocks))``.
     """
-    _check_campaign(config, mask, m, noise_sigma)
+    _check_campaign(config, mask, m, master_seed, noise_sigma)
     stack = np.empty((config.grid_n ** 2, m))
     bucket_blocks = []
 
@@ -211,5 +211,5 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
     deque(blocks, maxlen=0)  # store whatever the fold left unread
     stack.flags.writeable = False
     ms = MeasurementSet(_Owned(_frames_of(stack, config.grid_n)), np.concatenate(bucket_blocks),
-                        config, int(master_seed), noise_sigma)
+                        config, master_seed, noise_sigma)
     return ms if fold is None else (ms, folded)

@@ -16,9 +16,10 @@ Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
 gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
 atomically and are a pure function of the scenario file bytes.
 
-Memory per seed: a run with gics holds its campaign as one pixel-major
-(grid_n**2, m) stack, which GICS solves on, plus one small block while the
-stack is filled; a GI-only run folds the campaign block by block and holds
+Memory per seed: every campaign is made in blocks of ``forward._BLOCK_FRAMES``
+(8) frames.  A run with gics holds its campaign as one pixel-major
+(grid_n**2, m) stack, which GICS solves on, plus one block while the stack is
+filled; a GI-only run folds the campaign block by block and holds
 O(grid_n**2) plus one block, whatever m is.
 """
 from __future__ import annotations
@@ -454,6 +455,9 @@ def selftest(verbose: bool = True) -> bool:
 
     again = synthesize_frame(config, 11, 0)
     record("speckle determinism", np.array_equal(frame, again))
+    buf = np.empty_like(frame)
+    record("in-place frame",
+           synthesize_frame(config, 11, 0, out=buf) is buf and np.array_equal(buf, frame))
 
     rng = np.random.default_rng(42)
     design = rng.standard_normal((30, 80))

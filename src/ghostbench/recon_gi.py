@@ -21,20 +21,21 @@ def gi_from_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarra
 
     Each block is a (b, n, n) frame stack and its b buckets.  The frames are
     folded one at a time, in the order given, into sum(B * I), sum(I), sum(B)
-    and the frame count.  Every sum is taken in frame order, so the image's
-    bits depend neither on how the frames are split into blocks nor on their
-    memory layout.  Returns a read-only (n, n) array; negative estimator noise
-    is kept.
+    and the frame count; each B * I is formed in one scratch array.  Every sum
+    is taken in frame order, so the image's bits depend neither on how the
+    frames are split into blocks nor on their memory layout.  Returns a
+    read-only (n, n) array; negative estimator noise is kept.
     """
-    weighted = frame_sum = None
+    weighted = frame_sum = scratch = None
     bucket_sum = 0.0
     count = 0
     for frames, buckets in blocks:
         if weighted is None:
             weighted = np.zeros(frames.shape[1:])
             frame_sum = np.zeros(frames.shape[1:])
+            scratch = np.empty(frames.shape[1:])
         for frame, bucket in zip(frames, buckets):
-            weighted += bucket * frame
+            weighted += np.multiply(bucket, frame, out=scratch)
             frame_sum += frame
             bucket_sum += float(bucket)
         count += len(buckets)

@@ -83,20 +83,60 @@ def _dft_factor(grid_n: int, n_src: int, k: int) -> np.ndarray:
     return w
 
 
-def synthesize_frame(config: OpticalConfig, master_seed: int, frame_index: int) -> np.ndarray:
-    """One (grid_n, grid_n) speckle intensity; pure in (config, master_seed, frame_index)."""
-    if not (0 <= int(master_seed) < SEED_LIMIT):
-        raise ConfigError("master_seed must fit an unsigned 64-bit integer")
-    if int(frame_index) < 0:
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ConfigError unless it is a Python or NumPy integer, not a bool.
+
+    A float, a string or a bool is refused rather than truncated to a
+    different campaign's seed or frame.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _checked_seed(seed) -> int:
+    """``seed`` as an int; ConfigError unless it is an integer in [0, 2**64)."""
+    seed = _integer(seed, "seed")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError("seed must fit an unsigned 64-bit integer")
+    return seed
+
+
+def synthesize_frame(config: OpticalConfig, master_seed: int, frame_index: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """One (grid_n, grid_n) speckle intensity; pure in (config, master_seed, frame_index).
+
+    With ``out``, a writeable C-contiguous float64 (grid_n, grid_n) array, the
+    intensity is written into it and ``out`` is returned; the bits are those of
+    the allocating call.
+    """
+    seed = _checked_seed(master_seed)
+    index = _integer(frame_index, "frame_index")
+    if index < 0:
         raise ConfigError("frame_index must be non-negative")
+    shape = (config.grid_n, config.grid_n)
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ConfigError(
+            f"out must be a writeable C-contiguous float64 {shape} array")
     k = checked_aperture_samples(config)
     n_src = config.source_oversample * config.grid_n
     w = _dft_factor(config.grid_n, n_src, k)
-    rng = np.random.default_rng([int(master_seed), int(frame_index)])
+    rng = np.random.default_rng([seed, index])
     noise = rng.standard_normal((2, k, k))
-    amplitudes = np.sqrt(0.5) * (noise[0] + 1j * noise[1])
+    noise *= np.sqrt(0.5)
+    amplitudes = np.empty((k, k), dtype=complex)
+    amplitudes.real = noise[0]
+    amplitudes.imag = noise[1]
     field = (w @ amplitudes) @ w.T
-    return (field.real**2 + field.imag**2) / float(k * k)
+    # (re**2 + im**2) / K**2 in place: the same elementwise operations, so the same bits
+    np.square(field.real, out=out)
+    np.square(field.imag, out=field.imag)
+    out += field.imag
+    out /= float(k * k)
+    return out
 
 
 def intensity_stats(frames, pixel_pitch: float) -> SpeckleStats:
@@ -118,8 +158,8 @@ def intensity_stats(frames, pixel_pitch: float) -> SpeckleStats:
         raise ConfigError("frames have mismatched grids")
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ConfigError(f"frames must be square 2-D, got {shape}")
-    if pixel_pitch <= 0:
-        raise ConfigError("pixel_pitch must be positive")
+    if not (pixel_pitch > 0 and np.isfinite(pixel_pitch)):
+        raise ConfigError(f"pixel_pitch must be finite and positive, got {pixel_pitch!r}")
 
     stack = np.stack(frames)
     n = shape[0]

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ghostbench import forward, optics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import (_BLOCK_FRAMES, _STACK_BLOCK_FRAMES, MeasurementSet,
-                                bucket_measure, campaign_blocks, run_campaign)
+from ghostbench.forward import (_BLOCK_FRAMES, MeasurementSet, bucket_measure, campaign_blocks,
+                                run_campaign)
 from ghostbench.recon_gi import gi_from_blocks
 from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
 from ghostbench.speckle import synthesize_frame
@@ -148,10 +148,27 @@ class TestCampaign:
         with pytest.raises(ConfigError, match="one bucket per frame"):
             MeasurementSet(np.ones((3, 8, 8)), [1.0, 1.0], CFG, 0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.7, 2.9, True, np.float64(1.2), "1"])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             MeasurementSet(np.ones((1, N, N)), [1.0], CFG, seed)
+        with pytest.raises(ConfigError, match="seed"):
+            run_campaign(CFG, self.MASK, 4, seed)
+        with pytest.raises(ConfigError, match="seed"):
+            next(campaign_blocks(CFG, self.MASK, 4, seed))
+
+    @pytest.mark.parametrize("m", [4.5, 4.0, True, "4"])
+    def test_rejects_an_m_that_is_not_an_integer(self, m):
+        with pytest.raises(ConfigError, match="m must be an integer"):
+            run_campaign(CFG, self.MASK, m, 1)
+        with pytest.raises(ConfigError, match="m must be an integer"):
+            next(campaign_blocks(CFG, self.MASK, m, 1))
+
+    def test_numpy_integers_are_accepted(self):
+        ms = run_campaign(CFG, self.MASK, np.int32(3), np.uint64(5))
+        assert type(ms.seed) is int and ms.seed == 5
+        assert np.array_equal(ms.intensities, run_campaign(CFG, self.MASK, 3, 5).intensities)
+        assert type(MeasurementSet(np.ones((1, N, N)), [1.0], CFG, np.int64(7)).seed) is int
 
     def test_caller_mutation_does_not_leak(self):
         stack = np.ones((2, N, N))
@@ -200,7 +217,7 @@ class TestCampaign:
         monkeypatch.setattr(forward, "_check_measurements",
                             lambda frames, buckets, sigma: (checked.append(len(frames)),
                                                             check(frames, buckets, sigma)))
-        m = 2 * _STACK_BLOCK_FRAMES + 3
+        m = 2 * _BLOCK_FRAMES + 3
         run_campaign(CFG, self.MASK, m, 6, fold=fold)
         assert sum(checked) == m
         assert len(checked) == 3  # block by block, never the whole stack again
@@ -215,7 +232,7 @@ class TestCampaign:
             assert not pixels.base.flags.writeable
 
     def test_fold_sees_contiguous_blocks_in_frame_order(self):
-        m = 2 * _STACK_BLOCK_FRAMES + 3
+        m = 2 * _BLOCK_FRAMES + 3
 
         def fold(blocks):
             return [(np.array(frames), frames.flags.c_contiguous) for frames, _ in blocks]
@@ -226,7 +243,7 @@ class TestCampaign:
 
     def test_fold_that_stops_early_still_gets_a_whole_stack(self):
         ms, first = run_campaign(CFG, self.MASK, 20, 4, fold=lambda blocks: next(iter(blocks)))
-        assert len(first[1]) == _STACK_BLOCK_FRAMES
+        assert len(first[1]) == _BLOCK_FRAMES
         assert np.array_equal(ms.intensities, run_campaign(CFG, self.MASK, 20, 4).intensities)
 
 
@@ -246,6 +263,30 @@ class TestCampaignBlocks:
         assert np.array_equal(frames, ms.intensities)
         assert np.array_equal(buckets, ms.buckets)
 
+    def test_streamed_and_stacked_campaigns_share_block_sizes(self):
+        m = 2 * _BLOCK_FRAMES + 3
+        streamed = [len(b) for _, b in campaign_blocks(CFG, self.MASK, m, 2)]
+        _, stacked = run_campaign(CFG, self.MASK, m, 2, fold=lambda blocks: [len(b) for _, b in blocks])
+        assert streamed == stacked == [_BLOCK_FRAMES, _BLOCK_FRAMES, 3]
+
+    def test_streamed_gi_memory_does_not_grow_with_m(self):
+        # the aperture_gi geometry: 100-px grid, K = 55
+        config = OpticalConfig(109.6e-6, 100, 15e-6)
+        mask = optics.make_double_slit(config, SlitGeometry(1e-4, 1e-3, 2e-4))
+        gi_from_blocks(campaign_blocks(config, mask, 2, 1))  # warm the DFT-factor cache
+        peaks = []
+        for m in (200, 800):
+            tracemalloc.start()
+            try:
+                gi_from_blocks(campaign_blocks(config, mask, m, 1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        frame_bytes = config.grid_n ** 2 * 8
+        assert abs(peaks[1] - peaks[0]) < frame_bytes / 4
+        # one block, plus the three GI sums and the synthesis temporaries
+        assert max(peaks) < (_BLOCK_FRAMES + 8) * frame_bytes
+
     @pytest.mark.parametrize("bad", ["nan_frame", "negative_frame", "negative_bucket"])
     def test_streamed_checks_raise_what_measurement_set_raises(self, monkeypatch, bad):
         frame = {"nan_frame": np.full((N, N), np.nan), "negative_frame": -1.0 - FRAME}.get(
@@ -255,7 +296,8 @@ class TestCampaignBlocks:
             MeasurementSet(np.stack([FRAME, frame]), [1.0, bucket], CFG, 0)
         bad_index = _BLOCK_FRAMES + 6  # in the second block: the first one passes
         monkeypatch.setattr(forward, "synthesize_frame",
-                            lambda config, seed, i: frame if i == bad_index else FRAME)
+                            lambda config, seed, i, out: np.copyto(
+                                out, frame if i == bad_index else FRAME) or out)
         monkeypatch.setattr(forward, "bucket_measure", lambda f, mask: bucket)
         passed = []
         with pytest.raises(ConfigError) as streamed:

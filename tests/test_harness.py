@@ -172,7 +172,7 @@ class TestStreamedGi:
         return harness.parse_scenario_text(text, tmp_path)
 
     def test_gi_only_image_is_the_gi_image_of_a_gics_run(self, tmp_path):
-        m = 150  # two full blocks and a short one
+        m = 150  # eighteen full blocks and a short one
         for methods in ("gi", "gi,gics"):
             harness.run_scenario(self.gi_scenario(tmp_path, methods, m), tmp_path / methods)
         gi_only, both = (np.loadtxt(tmp_path / methods / "smoke" / "3" / "gi_raw.csv",
@@ -192,7 +192,7 @@ class TestStreamedGi:
 
         harness.run_scenario(self.gi_scenario(tmp_path, "gi", 2), tmp_path / "warm")
         small, large = traced_peak(200), traced_peak(800)
-        # a 48 x 48 stack of 800 frames alone is 14.7 MB; a block is 1.2 MB
+        # a 48 x 48 stack of 800 frames alone is 14.7 MB; a block is 0.15 MB
         assert large < 1.2 * small
 
 

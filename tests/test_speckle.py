@@ -12,6 +12,9 @@ def config_for(lc, grid_n=64, pitch=15e-6, oversample=4):
     return OpticalConfig(lc, grid_n, pitch, source_oversample=oversample)
 
 
+SMALL = config_for(60e-6, grid_n=16)  # K = 16
+
+
 class TestApertureSampleCount:
     # K = round(source_oversample * grid_n * pitch / l_c) of every bench geometry:
     # the canonical, aperture and sparse workloads with the sweep recipes
@@ -72,6 +75,42 @@ class TestSynthesis:
         with pytest.raises(ConfigError, match="frame_index"):
             synthesize_frame(cfg, 0, -1)
 
+    @pytest.mark.parametrize("seed,index", [
+        (1.7, 0), (True, 0), (np.float64(1.2), 0), ("1", 0), (1.0, 0),
+        (1, 0.9), (1, False), (1, np.float64(0.0)), (1, "0")],
+        ids=["seed_float", "seed_bool", "seed_np_float", "seed_str", "seed_integral_float",
+             "index_float", "index_bool", "index_np_float", "index_str"])
+    def test_seed_and_index_must_be_integers(self, seed, index):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            synthesize_frame(SMALL, seed, index)
+
+    def test_numpy_integers_are_accepted(self):
+        frame = synthesize_frame(SMALL, 1, 2)
+        for seed, index in ((np.int64(1), np.int32(2)), (np.uint64(1), np.uint8(2))):
+            assert np.array_equal(synthesize_frame(SMALL, seed, index), frame)
+
+
+class TestInPlace:
+    # the aperture K of three bench geometries on the 100-px grid
+    @pytest.mark.parametrize("lc,pitch,k", [(276.7e-6, 30e-6, 43), (109.6e-6, 15e-6, 55),
+                                            (68.8e-6, 15e-6, 87)])
+    def test_in_place_frame_is_the_allocating_frame(self, lc, pitch, k):
+        cfg = OpticalConfig(lc, 100, pitch)
+        assert aperture_sample_count(cfg) == k
+        buf = np.full((100, 100), np.nan)
+        for i in range(3):  # a reused buffer is overwritten whole
+            assert synthesize_frame(cfg, 17, i, out=buf) is buf
+            assert np.array_equal(buf, synthesize_frame(cfg, 17, i))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((16, 17)), np.empty((16, 16), dtype=np.float32),
+        np.empty((16, 32))[:, ::2], np.asfortranarray(np.empty((16, 16))),
+        np.empty((16, 16)).tolist(), np.frombuffer(bytes(16 * 16 * 8)).reshape(16, 16)],
+        ids=["shape", "dtype", "strided", "fortran", "list", "read_only"])
+    def test_rejects_a_bad_out(self, out):
+        with pytest.raises(ConfigError, match="out"):
+            synthesize_frame(SMALL, 1, 0, out=out)
+
 
 class TestStats:
     def test_duplicated_frame_has_zero_contrast(self):
@@ -104,6 +143,12 @@ class TestStats:
         frame = synthesize_frame(config_for(150e-6), 3, 0)
         with pytest.raises(ConfigError):
             intensity_stats([frame], 15e-6)
+
+    @pytest.mark.parametrize("pitch", [np.nan, np.inf, -np.inf, 0.0, -15e-6])
+    def test_rejects_a_pitch_that_is_not_finite_and_positive(self, pitch):
+        frames = [synthesize_frame(SMALL, 3, i) for i in range(2)]
+        with pytest.raises(ConfigError, match="pixel_pitch"):
+            intensity_stats(frames, pitch)
 
     def test_rejects_mismatched_grids(self):
         a = synthesize_frame(config_for(150e-6, grid_n=64), 3, 0)
