@@ -259,9 +259,11 @@ def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
             raw, report = recon_gics.gics_reconstruct(ms, scenario.gics)
             artifacts["solve_report"] = report
             if not report.converged:
-                _log.warning("%s l_c %.4g m seed %d: GICS solve stopped at its %d-iteration "
-                             "cap without converging (KKT residual %.3g x ||A'b||inf)",
-                             scenario.name, lc, seed, report.iterations,
+                stop = (f"at its {report.iterations}-iteration cap without converging"
+                        if report.iterations == scenario.gics.max_iters else
+                        f"after {report.iterations} iterations without meeting its KKT rule")
+                _log.warning("%s l_c %.4g m seed %d: GICS solve stopped %s "
+                             "(KKT residual %.3g x ||A'b||inf)", scenario.name, lc, seed, stop,
                              report.kkt_residual / report.atb_inf)
         artifacts[method] = raw
         dip_ratio = resolved = None

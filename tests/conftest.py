@@ -11,9 +11,8 @@ except ImportError:  # run from a fresh checkout without installing
 
 @pytest.fixture
 def exact_solve(monkeypatch):
-    """Run GPSR to a 1e-13 relative objective change with the KKT stop off,
-    so an accuracy gate checks more than the stopping rule."""
+    """Run GPSR to a KKT residual of 1e-10 x ||A'b||inf, four decades below the
+    default rule, so an accuracy gate checks more than the stopping rule."""
     from ghostbench import recon_gics
 
-    monkeypatch.setattr(recon_gics, "_KKT_REL_TOL", 0.0)
-    monkeypatch.setattr(recon_gics, "_TOL_REL_OBJ", 1e-13)
+    monkeypatch.setattr(recon_gics, "_KKT_REL_TOL", 1e-10)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghostbench import cli, harness
+from ghostbench import cli, harness, recon_gics
 from ghostbench.errors import ConfigError
 
 SMALL_SCENARIO = """\
@@ -222,6 +222,23 @@ class TestSolveCapWarning:
             assert "5-iteration cap" in message
         written = (tmp_path / "out" / "smoke" / "trend.csv").read_bytes()
         assert b"iteration cap" not in written and b"KKT" not in written
+
+    def test_unconverged_solve_below_cap_names_its_stop(self, tmp_path, caplog, monkeypatch):
+        # a solve that leaves its loop early without meeting the KKT rule
+        def early_stop(system, params):
+            x, report = solve(system, params)
+            return x, dataclasses.replace(report, converged=False, history=report.history[:3])
+
+        solve = recon_gics.gpsr_solve
+        monkeypatch.setattr(recon_gics, "gpsr_solve", early_stop)
+        scenario = harness.parse_scenario_text(
+            SMALL_SCENARIO.replace("scenario.seeds = 3,4\n", "scenario.seeds = 3\n"), tmp_path)
+        with caplog.at_level(logging.WARNING, logger="ghostbench"):
+            harness.run_scenario(scenario, tmp_path / "out")
+        messages = [r.getMessage() for r in caplog.records if r.name == "ghostbench"]
+        assert len(messages) == 1
+        assert "stopped after 2 iterations without meeting its KKT rule" in messages[0]
+        assert "cap" not in messages[0]
 
     def test_converged_solve_is_silent(self, tmp_path, caplog):
         text = (SMALL_SCENARIO.replace("scenario.m = 16\n", "scenario.m = 60\n")

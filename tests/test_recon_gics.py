@@ -142,6 +142,19 @@ class TestBuildSensing:
         with pytest.raises(ConfigError, match=f"sensing {name} must be finite"):
             SensingSystem(**arrays)
 
+    def test_raw_rows_from_arrays_checked(self):
+        with pytest.raises(ConfigError, match="sensing rows must be finite"):
+            SensingSystem.from_arrays(np.array([[1.0, np.nan]]), np.ones(1))
+
+    def test_campaign_stack_not_rescanned(self, monkeypatch):
+        # run_campaign checked the stack block by block as it was made
+        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
+        scanned = []
+        monkeypatch.setattr(recon_gics, "_finite_min",
+                            lambda arr, what: scanned.append(what) or 0.0)
+        build_sensing(ms)
+        assert scanned == ["sensing rhs", "sensing col_scale", "sensing col_mean"]
+
     def test_columns_are_contiguous_pixel_rows(self):
         ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
         system = build_sensing(ms)
@@ -322,6 +335,46 @@ class TestKktStop:
         _, full = gpsr_solve(slit_system, params)
         assert len(stopped.history) < len(full.history)
         assert full.history[:len(stopped.history)] == stopped.history
+
+
+def selftest_system():
+    """The system ``ghostbench selftest`` cross-checks GPSR on."""
+    rng = np.random.default_rng(42)
+    design = rng.standard_normal((30, 80))
+    truth = np.zeros(80)
+    truth[rng.choice(80, 5, replace=False)] = rng.standard_normal(5)
+    return SensingSystem.from_arrays(design, design @ truth)
+
+
+class TestConvergedIsTheKktRule:
+    """A report is converged exactly when its last iterate meets the KKT rule."""
+
+    @staticmethod
+    def meets_rule(report):
+        return report.kkt_residual <= recon_gics._KKT_REL_TOL * report.atb_inf
+
+    # Slow tails: the objective changes by under 1e-8 (relative) per step
+    # while the KKT residual is still 5x to 18x above the rule.
+    @pytest.mark.parametrize("system,tau_rel", [
+        (sparse_instance(13)[0], 0.05),
+        (sparse_instance(10, m=30, n=60, k=6)[0], 0.02),
+        (selftest_system(), 0.01),
+    ], ids=["history", "scaling", "selftest"])
+    def test_slow_tail_meets_rule_before_cap(self, system, tau_rel):
+        tau = tau_rel * float(np.abs(system.rmatvec(system.rhs)).max())
+        params = GicsParams(tau=tau)
+        _, report = gpsr_solve(system, params)
+        assert report.converged == self.meets_rule(report)
+        assert report.converged
+        assert report.iterations < params.max_iters
+
+    @pytest.mark.parametrize("max_iters", [1, 5, 2000])
+    @pytest.mark.parametrize("tau_rel", [0.0, 0.01, 0.3, 1.0])
+    def test_every_report_is_the_rule(self, tau_rel, max_iters):
+        system, _ = sparse_instance(14)
+        tau = tau_rel * float(np.abs(system.rmatvec(system.rhs)).max())
+        _, report = gpsr_solve(system, GicsParams(tau=tau, max_iters=max_iters))
+        assert report.converged == self.meets_rule(report)
 
 
 class TestIsta:
