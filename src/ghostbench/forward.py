@@ -9,8 +9,15 @@ acquired.
 
 A campaign is produced by one generator, ``campaign_blocks``, as checked,
 contiguous frame-major blocks of ``_BLOCK_FRAMES`` (8) frames in frame order;
-each frame is synthesized in place into its row of the block.  A consumer that
-needs only running sums (GI) folds the blocks and never holds more than one.
+each frame is synthesized in place into its row of the block.  A block's
+frames are made on the usable CPUs (at most ``_BLOCK_FRAMES`` threads, the
+calling thread among them) while the loaded OpenBLAS is held to one thread:
+each frame's two small ``zgemm`` calls would otherwise start BLAS pool threads
+that compete with the frame threads.  Frames are pure in (seed, index), so
+the bytes do not depend on the thread count.  Everything else (buckets,
+noise, checks, the store, a fold) runs in the calling thread, in frame order,
+at the inherited BLAS thread count.  A consumer that needs only running sums
+(GI) folds the blocks and never holds more than one.
 ``run_campaign`` stores them into one read-only pixel-major stack, which GICS
 needs whole: row p of the (grid_n**2, m) array holds pixel p's m values, so
 the sensing operator reads the pixels it needs as contiguous m-vectors.  The
@@ -20,7 +27,12 @@ runs on the contiguous block that is stored, never on the stack.
 """
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from collections import deque
+from contextlib import contextmanager, nullcontext
+from queue import SimpleQueue
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +47,15 @@ _NOISE_STREAM = 0x4255434B
 # Frames per block of every campaign: a streamed consumer holds one block at a
 # time, a stacked campaign one block beside its stack.
 _BLOCK_FRAMES = 8
+
+# OpenBLAS thread-count getters, as numpy's scipy-openblas wheels (ILP64 or not)
+# and system builds export them; each has a setter of the same name with "set".
+_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+# Held while a block's frames are made with OpenBLAS at one thread, so campaigns
+# run side by side never save or restore each other's thread count.
+_BLAS_PIN = threading.Lock()
 
 
 def _finite_min(arr: np.ndarray, what: str) -> float:
@@ -144,6 +165,116 @@ class MeasurementSet:
         return self.intensities.shape[0]
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the loaded OpenBLAS's thread count, or None when none is found.
+
+    The library is looked up among the files mapped into this process, so
+    only a BLAS that numpy already loaded is used; the lookup runs at the
+    first campaign, not at import.
+    """
+    import ctypes  # here, so that importing ghostbench does not pay for it
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "blas" in line.lower()
+                            and line.split()[-1].startswith("/")})
+    except OSError:  # no /proc: not Linux
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_GETTERS:
+            get = getattr(lib, name, None)
+            set_ = getattr(lib, name.replace("_get_", "_set_"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _blas_single_threaded():
+    """Hold the loaded OpenBLAS at one thread for the body; restore its count after."""
+    control = _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    with _BLAS_PIN:
+        inherited = get()
+        if inherited != 1:
+            set_(1)
+        try:
+            yield
+        finally:
+            if inherited != 1:
+                set_(inherited)
+
+
+def _frame_workers() -> int:
+    """Frame threads of a campaign: the usable CPUs, at most ``_BLOCK_FRAMES``, when
+    OpenBLAS can be held to one thread, else 1 (threads would compete with its pool)."""
+    if _openblas_threads() is None:
+        return 1
+    return min(len(os.sched_getaffinity(0)), _BLOCK_FRAMES)
+
+
+class _BlockRows:
+    """The rows of one block's frames, made by every thread that calls ``make``.
+
+    Row j is frame start + j.  Each thread pops rows until none is left, so a
+    thread that runs faster makes more of them.  ``wait`` returns once every
+    row is made: it waits for the threads that took a row, never for one that
+    has not woken up yet, and it drops the block's frames so a late thread
+    cannot touch them.  The first error a frame raises is kept, no further row
+    is started after it, and ``wait`` raises it.
+    """
+
+    def __init__(self, config: OpticalConfig, master_seed: int, start: int,
+                 frames: np.ndarray):
+        self._args = (config, master_seed, start, frames)
+        self._todo = deque(range(len(frames)))
+        self._busy = 0
+        self._error = None
+        self._idle = threading.Condition()
+
+    def make(self) -> None:
+        while True:
+            with self._idle:
+                if not self._todo:
+                    return
+                j = self._todo.popleft()
+                self._busy += 1
+                config, master_seed, start, frames = self._args
+            try:
+                synthesize_frame(config, master_seed, start + j, out=frames[j])
+            except BaseException as exc:  # raised again, in the calling thread, by wait
+                with self._idle:
+                    self._error = self._error or exc
+                    self._todo.clear()
+            finally:
+                with self._idle:
+                    self._busy -= 1
+                    self._idle.notify_all()
+
+    def wait(self) -> None:
+        with self._idle:
+            self._idle.wait_for(lambda: self._busy == 0)
+            self._args = None
+        if self._error is not None:
+            raise self._error
+
+
+def _frame_helper(blocks: SimpleQueue) -> None:
+    """Make rows of each block taken from ``blocks`` until it yields None."""
+    for block in iter(blocks.get, None):
+        block.make()
+
+
 def bucket_measure(intensity: np.ndarray, mask: ObjectMask) -> float:
     """Total intensity transmitted by the mask: sum of intensity * transmittance."""
     if intensity.shape != mask.values.shape:
@@ -153,7 +284,8 @@ def bucket_measure(intensity: np.ndarray, mask: ObjectMask) -> float:
 
 
 def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                    noise_sigma: float = 0.0, out: np.ndarray | None = None):
+                    noise_sigma: float = 0.0, out: np.ndarray | None = None,
+                    workers: int | None = None):
     """Yield the campaign's m frames and buckets as read-only ``(frames, buckets)`` blocks.
 
     Blocks hold ``_BLOCK_FRAMES`` frames (the last one may hold fewer), arrive
@@ -166,30 +298,66 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
     (grid_n**2, m) array, each checked block is also stored into its columns
     of ``out`` before it is yielded.  ``m`` and ``master_seed`` must be
     integers.
+
+    A block's frames are made on ``workers`` threads, the calling thread among
+    them, each taking the next frame not yet taken (see ``_BlockRows``), with
+    the loaded OpenBLAS held to one thread until the last frame is made; its
+    inherited thread count is restored before anything else runs,
+    so the generator never suspends while BLAS is held.  By default
+    ``workers`` is the number of usable CPUs, at most ``_BLOCK_FRAMES``, or 1
+    where no OpenBLAS thread control is found.  Pass 1 when another thread
+    may run BLAS work meanwhile: holding BLAS to one thread would change the
+    thread count that work runs at.  Buckets, noise, checks and ``out`` are
+    done in the calling thread, in frame order; no output bit depends on
+    ``workers``.
     """
     _check_campaign(config, mask, m, master_seed, noise_sigma)
-    for start in range(0, m, _BLOCK_FRAMES):
-        stop = min(start + _BLOCK_FRAMES, m)
-        frames = np.empty((stop - start, config.grid_n, config.grid_n))
-        buckets = np.empty(stop - start)
-        for j, i in enumerate(range(start, stop)):
-            synthesize_frame(config, master_seed, i, out=frames[j])
-            buckets[j] = bucket_measure(frames[j], mask)
-            if noise_sigma > 0:
-                rng = np.random.default_rng([int(master_seed), i, _NOISE_STREAM])
-                buckets[j] += noise_sigma * rng.standard_normal()
-        _check_measurements(frames, buckets, noise_sigma)
-        if out is not None:
-            out[:, start:stop] = frames.reshape(stop - start, -1).T
-        frames.flags.writeable = False
-        buckets.flags.writeable = False
-        yield frames, buckets
-        del frames, buckets  # one block alive at a time
+    if workers is None:
+        workers = _frame_workers()
+    elif _integer(workers, "workers") < 1:
+        raise ConfigError("a campaign needs workers >= 1")
+    workers = min(workers, _BLOCK_FRAMES, m)
+    blocks = SimpleQueue()
+    helpers = [threading.Thread(target=_frame_helper, args=(blocks,), daemon=True)
+               for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        for start in range(0, m, _BLOCK_FRAMES):
+            stop = min(start + _BLOCK_FRAMES, m)
+            frames = np.empty((stop - start, config.grid_n, config.grid_n))
+            rows = _BlockRows(config, master_seed, start, frames)
+            with _blas_single_threaded() if helpers else nullcontext():
+                for _ in helpers:
+                    blocks.put(rows)
+                rows.make()
+                rows.wait()
+            buckets = np.empty(stop - start)
+            for j, i in enumerate(range(start, stop)):
+                buckets[j] = bucket_measure(frames[j], mask)
+                if noise_sigma > 0:
+                    rng = np.random.default_rng([int(master_seed), i, _NOISE_STREAM])
+                    buckets[j] += noise_sigma * rng.standard_normal()
+            _check_measurements(frames, buckets, noise_sigma)
+            if out is not None:
+                out[:, start:stop] = frames.reshape(stop - start, -1).T
+            frames.flags.writeable = False
+            buckets.flags.writeable = False
+            yield frames, buckets
+            del frames, buckets  # one block alive at a time
+    finally:
+        for _ in helpers:
+            blocks.put(None)
+        for helper in helpers:
+            helper.join()
 
 
 def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                 noise_sigma: float = 0.0, fold=None):
+                 noise_sigma: float = 0.0, fold=None, workers: int | None = None):
     """The whole campaign of ``campaign_blocks`` as one ``MeasurementSet``.
+
+    ``workers`` is passed to ``campaign_blocks``: the threads that make each
+    block's frames (by default the usable CPUs).
 
     The frames are stored straight into the set's pixel-major stack, which is
     handed over uncopied.  ``fold``, a consumer of the block iterator such as
@@ -201,7 +369,8 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
     bucket_blocks = []
 
     def stored_blocks():
-        for block in campaign_blocks(config, mask, m, master_seed, noise_sigma, out=stack):
+        for block in campaign_blocks(config, mask, m, master_seed, noise_sigma, out=stack,
+                                     workers=workers):
             bucket_blocks.append(block[1])
             yield block
             del block  # the next block is made without this one

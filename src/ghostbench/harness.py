@@ -20,7 +20,12 @@ Memory per seed: every campaign is made in blocks of ``forward._BLOCK_FRAMES``
 (8) frames.  A run with gics holds its campaign as one pixel-major
 (grid_n**2, m) stack, which GICS solves on, plus one block while the stack is
 filled; a GI-only run folds the campaign block by block and holds
-O(grid_n**2) plus one block, whatever m is.
+O(grid_n**2) plus one block, whatever m is.  With ``threads`` = 1 each
+block's frames are made on the usable CPUs (see ``forward.campaign_blocks``),
+which adds one set of synthesis temporaries per frame thread; with
+``threads`` > 1 the seeds run at once and each makes its frames serially,
+because holding BLAS to one thread for one seed's frames would change the
+thread count another seed's GICS solve runs at.
 """
 from __future__ import annotations
 
@@ -232,9 +237,11 @@ def _write_image_pgm(values: np.ndarray, path: Path) -> None:
     ioutil.write_pgm(path, np.rint(normalized * 65535).astype(np.int64), 65535)
 
 
-def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
+def _seed_metrics(scenario: Scenario, seed: int,
+                  workers: int | None) -> tuple[list[dict], dict]:
     """Run the seed's campaign, reconstruct with the requested methods; return
-    metric rows and artifacts.
+    metric rows and artifacts.  ``workers`` is the campaign's frame threads
+    (see ``forward.campaign_blocks``).
 
     GICS needs the whole stack, so with "gics" requested the campaign is one
     ``MeasurementSet``, and GI folds its blocks while they are stored.  GI
@@ -245,11 +252,11 @@ def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
     campaign = (scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
     ms = gi = None
     if "gics" not in scenario.methods:
-        gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign))
+        gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign, workers=workers))
     elif "gi" in scenario.methods:
-        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks)
+        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks, workers=workers)
     else:
-        ms = run_campaign(*campaign)
+        ms = run_campaign(*campaign, workers=workers)
     rows = []
     artifacts = {}
     for method in scenario.methods:
@@ -286,10 +293,11 @@ def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
     return rows, artifacts
 
 
-def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> None:
+def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path,
+              workers: int | None) -> None:
     seed_dir = scenario_dir / str(seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
-    rows, artifacts = _seed_metrics(scenario, seed)
+    rows, artifacts = _seed_metrics(scenario, seed, workers)
     optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm", maxval=65535)
     if "gi" in artifacts:
         _write_image_pgm(artifacts["gi"], seed_dir / "gi.pgm")
@@ -304,6 +312,12 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> None:
     ioutil.atomic_write_text(seed_dir / "metrics.csv", "\n".join(lines) + "\n")
 
 
+def _campaign_workers(threads: int) -> int | None:
+    """Frame threads per campaign: the default (usable CPUs) when jobs run one at a
+    time, else 1, so no campaign holds BLAS to one thread beside another job's solve."""
+    return None if threads == 1 else 1
+
+
 def _map_jobs(fn, jobs, threads: int) -> list:
     """``[fn(job) for job in jobs]``, on ``threads`` worker threads when threads > 1."""
     if threads > 1:
@@ -313,10 +327,17 @@ def _map_jobs(fn, jobs, threads: int) -> list:
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> Path:
-    """Run every seed; returns the scenario output directory."""
+    """Run every seed; returns the scenario output directory.
+
+    With ``threads`` > 1 that many seeds run at once, each making its frames
+    in its own thread; with 1, one seed at a time makes its frames on the
+    usable CPUs.
+    """
     scenario_dir = Path(out_dir) / scenario.name
     scenario_dir.mkdir(parents=True, exist_ok=True)
-    _map_jobs(lambda seed: _run_seed(scenario, seed, scenario_dir), scenario.seeds, threads)
+    workers = _campaign_workers(threads)
+    _map_jobs(lambda seed: _run_seed(scenario, seed, scenario_dir, workers), scenario.seeds,
+              threads)
     return scenario_dir
 
 
@@ -352,10 +373,12 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = N
             raise ConfigError(f"coherence length {lc!r}: {exc}") from None
 
     jobs = [(lc, seed) for lc in lc_values for seed in seeds]
+    workers = _campaign_workers(threads)
 
     def run_one(job):
         lc, seed = job
-        rows, _ = _seed_metrics(dataclasses.replace(scenario, config=configs[lc]), seed)
+        rows, _ = _seed_metrics(dataclasses.replace(scenario, config=configs[lc]), seed,
+                                workers)
         return {row["method"]: row for row in rows}
 
     by_job = dict(zip(jobs, _map_jobs(run_one, jobs, threads)))
@@ -460,6 +483,10 @@ def selftest(verbose: bool = True) -> bool:
     buf = np.empty_like(frame)
     record("in-place frame",
            synthesize_frame(config, 11, 0, out=buf) is buf and np.array_equal(buf, frame))
+    serial, parallel = (run_campaign(config, mask, 16, 11, noise_sigma=0.5, workers=workers)
+                        for workers in (1, 2))
+    record("parallel frames", np.array_equal(serial.intensities, parallel.intensities)
+           and np.array_equal(serial.buckets, parallel.buckets))
 
     rng = np.random.default_rng(42)
     design = rng.standard_normal((30, 80))

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostbench import forward, optics
+from ghostbench import forward, optics, recon_gics
 from ghostbench.errors import ConfigError
 from ghostbench.forward import (_BLOCK_FRAMES, MeasurementSet, bucket_measure, campaign_blocks,
                                 run_campaign)
@@ -274,18 +276,20 @@ class TestCampaignBlocks:
         config = OpticalConfig(109.6e-6, 100, 15e-6)
         mask = optics.make_double_slit(config, SlitGeometry(1e-4, 1e-3, 2e-4))
         gi_from_blocks(campaign_blocks(config, mask, 2, 1))  # warm the DFT-factor cache
-        peaks = []
-        for m in (200, 800):
-            tracemalloc.start()
-            try:
-                gi_from_blocks(campaign_blocks(config, mask, m, 1))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
         frame_bytes = config.grid_n ** 2 * 8
-        assert abs(peaks[1] - peaks[0]) < frame_bytes / 4
-        # one block, plus the three GI sums and the synthesis temporaries
-        assert max(peaks) < (_BLOCK_FRAMES + 8) * frame_bytes
+        for workers in (1, 2):
+            peaks = []
+            for m in (200, 800):
+                tracemalloc.start()
+                try:
+                    gi_from_blocks(campaign_blocks(config, mask, m, 1, workers=workers))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) < frame_bytes / 4
+            # one block, plus the three GI sums and each frame thread's synthesis
+            # temporaries (noise, amplitudes, half and whole complex field: under 5 frames)
+            assert max(peaks) < (_BLOCK_FRAMES + 3 + 5 * workers) * frame_bytes
 
     @pytest.mark.parametrize("bad", ["nan_frame", "negative_frame", "negative_bucket"])
     def test_streamed_checks_raise_what_measurement_set_raises(self, monkeypatch, bad):
@@ -305,3 +309,103 @@ class TestCampaignBlocks:
                 passed.append(block)
         assert str(streamed.value) == str(stacked.value)
         assert len(passed) == (0 if bad == "negative_bucket" else 1)
+
+
+@pytest.fixture
+def blas_threads():
+    """The loaded OpenBLAS's thread-count getter, with the count set to 2 for the
+    test so that holding it to one thread is seen; the count is put back after."""
+    control = forward._openblas_threads()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control found")
+    get, set_ = control
+    inherited = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(inherited)
+
+
+class TestFrameWorkers:
+    MASK = TestCampaign.MASK
+
+    def test_worker_count_changes_no_bit(self):
+        m = 2 * _BLOCK_FRAMES + 5
+        serial, serial_gi = run_campaign(CFG, self.MASK, m, 7, noise_sigma=0.5,
+                                         fold=gi_from_blocks, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for workers in (2, 3):
+                ms, gi = run_campaign(CFG, self.MASK, m, 7, noise_sigma=0.5,
+                                      fold=gi_from_blocks, workers=workers)
+                streamed = gi_from_blocks(campaign_blocks(CFG, self.MASK, m, 7, noise_sigma=0.5,
+                                                          workers=workers))
+                assert np.array_equal(ms.intensities, serial.intensities)
+                assert np.array_equal(ms.buckets, serial.buckets)
+                assert np.array_equal(gi, serial_gi)
+                assert np.array_equal(streamed, serial_gi)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_gics_solve_is_unchanged_after_a_parallel_campaign(self):
+        params = recon_gics.GicsParams(tau=1e-3, max_iters=100)
+        serial = recon_gics.gics_reconstruct(run_campaign(CFG, self.MASK, 40, 8, workers=1),
+                                             params)
+        parallel = recon_gics.gics_reconstruct(run_campaign(CFG, self.MASK, 40, 8, workers=2),
+                                               params)
+        assert np.array_equal(parallel[0], serial[0])
+        assert parallel[1].history == serial[1].history
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.0, True])
+    def test_rejects_bad_workers(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            list(campaign_blocks(CFG, self.MASK, 4, 0, workers=workers))
+
+    def test_blas_is_held_to_one_thread_only_while_frames_are_made(self, monkeypatch,
+                                                                    blas_threads):
+        seen = []
+        synthesize = forward.synthesize_frame
+        monkeypatch.setattr(forward, "synthesize_frame",
+                            lambda *args, **kwargs: (seen.append(blas_threads()),
+                                                     synthesize(*args, **kwargs))[1])
+        folded = []
+
+        def fold(blocks):
+            for _ in blocks:
+                folded.append(blas_threads())
+
+        run_campaign(CFG, self.MASK, 2 * _BLOCK_FRAMES, 1, fold=fold, workers=2)
+        assert seen == [1] * 2 * _BLOCK_FRAMES
+        assert folded == [2, 2]
+        assert blas_threads() == 2
+
+    def test_blas_count_is_restored_when_a_block_check_raises(self, monkeypatch, blas_threads):
+        monkeypatch.setattr(forward, "synthesize_frame",
+                            lambda config, seed, i, out: out.fill(np.nan if i == 3 else 1.0))
+        with pytest.raises(ConfigError, match="finite"):
+            list(campaign_blocks(CFG, self.MASK, 2 * _BLOCK_FRAMES, 0, workers=2))
+        assert blas_threads() == 2
+
+    def test_blas_count_is_restored_when_a_frame_thread_raises(self, monkeypatch, blas_threads):
+        helper_started = threading.Event()
+
+        def synthesize(config, seed, i, out):
+            if threading.current_thread() is not threading.main_thread():
+                helper_started.set()
+                raise ConfigError("frame failed")
+            helper_started.wait(timeout=10)  # let the helper thread take a frame
+            out.fill(1.0)
+
+        monkeypatch.setattr(forward, "synthesize_frame", synthesize)
+        with pytest.raises(ConfigError, match="frame failed"):
+            list(campaign_blocks(CFG, self.MASK, _BLOCK_FRAMES, 0, workers=2))
+        assert blas_threads() == 2
+
+    def test_blas_count_is_restored_when_the_consumer_stops_early(self, blas_threads):
+        blocks = campaign_blocks(CFG, self.MASK, 3 * _BLOCK_FRAMES, 0, workers=2)
+        next(blocks)
+        assert blas_threads() == 2  # suspended at a yield, never while held
+        blocks.close()
+        assert blas_threads() == 2

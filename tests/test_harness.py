@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghostbench import cli, harness, recon_gics
+from ghostbench import cli, forward, harness, recon_gics
 from ghostbench.errors import ConfigError
 
 SMALL_SCENARIO = """\
@@ -145,6 +146,23 @@ class TestRunScenario:
         harness.run_scenario(scenario, out1, threads=1)
         harness.run_scenario(scenario, out2, threads=3)
         assert tree_bytes(out1) == tree_bytes(out2)
+
+    def test_threaded_seeds_make_their_frames_serially(self, tmp_path, monkeypatch):
+        made = []
+        synthesize = forward.synthesize_frame
+        control = forward._openblas_threads()
+        inherited = control[0]() if control is not None else None
+        monkeypatch.setattr(forward, "synthesize_frame", lambda config, seed, i, out: (
+            made.append((seed, threading.get_ident(),
+                         control[0]() if control is not None else None)),
+            synthesize(config, seed, i, out=out))[1])
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        harness.run_scenario(scenario, tmp_path / "out", threads=2)
+        for seed in scenario.seeds:
+            frames = [(ident, blas) for s, ident, blas in made if s == seed]
+            assert len(frames) == scenario.m
+            assert len({ident for ident, _ in frames}) == 1  # one worker per seed
+            assert {blas for _, blas in frames} == {inherited}  # BLAS never held
 
     def test_pgm_mask_scenario(self, tmp_path):
         rng = np.random.default_rng(5)
