@@ -9,14 +9,15 @@ acquired.
 
 A campaign is produced by one generator, ``campaign_blocks``, as checked,
 contiguous frame-major blocks of ``_BLOCK_FRAMES`` (8) frames in frame order;
-each frame is synthesized in place into its row of the block.  A block's
-frames are made on the usable CPUs (at most ``_BLOCK_FRAMES`` threads, the
-calling thread among them) while the loaded OpenBLAS is held to one thread:
-each frame's two small ``zgemm`` calls would otherwise start BLAS pool threads
-that compete with the frame threads.  Frames are pure in (seed, index), so
-the bytes do not depend on the thread count.  Everything else (buckets,
-noise, checks, the store, a fold) runs in the calling thread, in frame order,
-at the inherited BLAS thread count.  A consumer that needs only running sums
+each frame is synthesized in place into its row of the block.  With
+``parallel_frames`` a block's frames are made on the usable CPUs (at most
+``_BLOCK_FRAMES`` threads, the calling thread among them) while the loaded
+OpenBLAS is held to one thread: each frame's two small ``zgemm`` calls would
+otherwise start BLAS pool threads that compete with the frame threads.
+Frames are pure in (seed, index), so the bytes do not depend on the thread
+count.  Everything else (buckets, noise, checks, the store, a fold) runs in
+the calling thread, in frame order, at the inherited BLAS thread count.  A
+consumer that needs only running sums
 (GI) folds the blocks and never holds more than one.
 ``run_campaign`` stores them into one read-only pixel-major stack, which GICS
 needs whole: row p of the (grid_n**2, m) array holds pixel p's m values, so
@@ -31,8 +32,8 @@ import functools
 import os
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
-from queue import SimpleQueue
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,56 +224,30 @@ def _frame_workers() -> int:
     return min(len(os.sched_getaffinity(0)), _BLOCK_FRAMES)
 
 
-class _BlockRows:
-    """The rows of one block's frames, made by every thread that calls ``make``.
+def _make_frames(config: OpticalConfig, master_seed: int, start: int, frames: np.ndarray,
+                 pool: ThreadPoolExecutor | None, workers: int) -> None:
+    """Synthesize frame start + j into row j of ``frames``, on ``workers`` threads.
 
-    Row j is frame start + j.  Each thread pops rows until none is left, so a
-    thread that runs faster makes more of them.  ``wait`` returns once every
-    row is made: it waits for the threads that took a row, never for one that
-    has not woken up yet, and it drops the block's frames so a late thread
-    cannot touch them.  The first error a frame raises is kept, no further row
-    is started after it, and ``wait`` raises it.
+    Thread w (the caller is thread 0, the others come from ``pool``) makes rows
+    w, w + workers, ... while the loaded OpenBLAS is held to one thread.  The
+    caller waits for every helper before BLAS is restored, then raises the
+    first helper error.
     """
+    def rows(first):
+        for j in range(first, len(frames), workers):
+            synthesize_frame(config, master_seed, start + j, out=frames[j])
 
-    def __init__(self, config: OpticalConfig, master_seed: int, start: int,
-                 frames: np.ndarray):
-        self._args = (config, master_seed, start, frames)
-        self._todo = deque(range(len(frames)))
-        self._busy = 0
-        self._error = None
-        self._idle = threading.Condition()
-
-    def make(self) -> None:
-        while True:
-            with self._idle:
-                if not self._todo:
-                    return
-                j = self._todo.popleft()
-                self._busy += 1
-                config, master_seed, start, frames = self._args
-            try:
-                synthesize_frame(config, master_seed, start + j, out=frames[j])
-            except BaseException as exc:  # raised again, in the calling thread, by wait
-                with self._idle:
-                    self._error = self._error or exc
-                    self._todo.clear()
-            finally:
-                with self._idle:
-                    self._busy -= 1
-                    self._idle.notify_all()
-
-    def wait(self) -> None:
-        with self._idle:
-            self._idle.wait_for(lambda: self._busy == 0)
-            self._args = None
-        if self._error is not None:
-            raise self._error
-
-
-def _frame_helper(blocks: SimpleQueue) -> None:
-    """Make rows of each block taken from ``blocks`` until it yields None."""
-    for block in iter(blocks.get, None):
-        block.make()
+    if pool is None:
+        rows(0)
+        return
+    with _blas_single_threaded():
+        helpers = [pool.submit(rows, w) for w in range(1, workers)]
+        try:
+            rows(0)
+        finally:
+            wait(helpers)
+    for helper in helpers:
+        helper.result()
 
 
 def bucket_measure(intensity: np.ndarray, mask: ObjectMask) -> float:
@@ -284,8 +259,8 @@ def bucket_measure(intensity: np.ndarray, mask: ObjectMask) -> float:
 
 
 def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                    noise_sigma: float = 0.0, out: np.ndarray | None = None,
-                    workers: int | None = None):
+                    noise_sigma: float = 0.0, out: np.ndarray | None = None, *,
+                    parallel_frames: bool = False):
     """Yield the campaign's m frames and buckets as read-only ``(frames, buckets)`` blocks.
 
     Blocks hold ``_BLOCK_FRAMES`` frames (the last one may hold fewer), arrive
@@ -299,39 +274,25 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
     of ``out`` before it is yielded.  ``m`` and ``master_seed`` must be
     integers.
 
-    A block's frames are made on ``workers`` threads, the calling thread among
-    them, each taking the next frame not yet taken (see ``_BlockRows``), with
-    the loaded OpenBLAS held to one thread until the last frame is made; its
-    inherited thread count is restored before anything else runs,
-    so the generator never suspends while BLAS is held.  By default
-    ``workers`` is the number of usable CPUs, at most ``_BLOCK_FRAMES``, or 1
-    where no OpenBLAS thread control is found.  Pass 1 when another thread
-    may run BLAS work meanwhile: holding BLAS to one thread would change the
-    thread count that work runs at.  Buckets, noise, checks and ``out`` are
-    done in the calling thread, in frame order; no output bit depends on
-    ``workers``.
+    Frames are made serially unless ``parallel_frames`` is set.  Then a
+    block's frames are split among the usable CPUs (at most
+    ``_BLOCK_FRAMES`` threads, the calling thread among them; see
+    ``_make_frames``) and the process's OpenBLAS is held to one thread while
+    they are made.  That changes process-wide state: BLAS work that another
+    thread runs meanwhile runs at one thread, so set it only when no other
+    thread uses BLAS.  The inherited count is restored before anything else
+    runs, so the generator never suspends while BLAS is held.  Where no
+    OpenBLAS thread control is found, frames are made serially.  Buckets,
+    noise, checks and ``out`` are done in the calling thread, in frame order;
+    no output bit depends on how the frames were made.
     """
     _check_campaign(config, mask, m, master_seed, noise_sigma)
-    if workers is None:
-        workers = _frame_workers()
-    elif _integer(workers, "workers") < 1:
-        raise ConfigError("a campaign needs workers >= 1")
-    workers = min(workers, _BLOCK_FRAMES, m)
-    blocks = SimpleQueue()
-    helpers = [threading.Thread(target=_frame_helper, args=(blocks,), daemon=True)
-               for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
+    workers = min(_frame_workers(), m) if parallel_frames else 1
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
         for start in range(0, m, _BLOCK_FRAMES):
             stop = min(start + _BLOCK_FRAMES, m)
             frames = np.empty((stop - start, config.grid_n, config.grid_n))
-            rows = _BlockRows(config, master_seed, start, frames)
-            with _blas_single_threaded() if helpers else nullcontext():
-                for _ in helpers:
-                    blocks.put(rows)
-                rows.make()
-                rows.wait()
+            _make_frames(config, master_seed, start, frames, pool, workers)
             buckets = np.empty(stop - start)
             for j, i in enumerate(range(start, stop)):
                 buckets[j] = bucket_measure(frames[j], mask)
@@ -345,19 +306,15 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
             buckets.flags.writeable = False
             yield frames, buckets
             del frames, buckets  # one block alive at a time
-    finally:
-        for _ in helpers:
-            blocks.put(None)
-        for helper in helpers:
-            helper.join()
 
 
 def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                 noise_sigma: float = 0.0, fold=None, workers: int | None = None):
+                 noise_sigma: float = 0.0, fold=None, *, parallel_frames: bool = False):
     """The whole campaign of ``campaign_blocks`` as one ``MeasurementSet``.
 
-    ``workers`` is passed to ``campaign_blocks``: the threads that make each
-    block's frames (by default the usable CPUs).
+    ``parallel_frames`` is passed to ``campaign_blocks``: set, each block's
+    frames are made on the usable CPUs with the process's OpenBLAS held to
+    one thread meanwhile.
 
     The frames are stored straight into the set's pixel-major stack, which is
     handed over uncopied.  ``fold``, a consumer of the block iterator such as
@@ -370,7 +327,7 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
 
     def stored_blocks():
         for block in campaign_blocks(config, mask, m, master_seed, noise_sigma, out=stack,
-                                     workers=workers):
+                                     parallel_frames=parallel_frames):
             bucket_blocks.append(block[1])
             yield block
             del block  # the next block is made without this one

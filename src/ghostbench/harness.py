@@ -21,11 +21,11 @@ Memory per seed: every campaign is made in blocks of ``forward._BLOCK_FRAMES``
 (grid_n**2, m) stack, which GICS solves on, plus one block while the stack is
 filled; a GI-only run folds the campaign block by block and holds
 O(grid_n**2) plus one block, whatever m is.  With ``threads`` = 1 each
-block's frames are made on the usable CPUs (see ``forward.campaign_blocks``),
-which adds one set of synthesis temporaries per frame thread; with
-``threads`` > 1 the seeds run at once and each makes its frames serially,
-because holding BLAS to one thread for one seed's frames would change the
-thread count another seed's GICS solve runs at.
+block's frames are made on the usable CPUs (``parallel_frames``, see
+``forward.campaign_blocks``), which adds one set of synthesis temporaries per
+frame thread; with ``threads`` > 1 the seeds run at once and each makes its
+frames serially, because holding BLAS to one thread for one seed's frames
+would change the thread count another seed's GICS solve runs at.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import ioutil, metrics, optics, recon_gi, recon_gics
 from .errors import ConfigError
-from .forward import bucket_measure, campaign_blocks, run_campaign
+from .forward import _make_frames, bucket_measure, campaign_blocks, run_campaign
 from .optics import ObjectMask, OpticalConfig, SlitGeometry
 from .recon_gics import GicsParams
 from .speckle import SEED_LIMIT, checked_aperture_samples, synthesize_frame
@@ -238,9 +238,9 @@ def _write_image_pgm(values: np.ndarray, path: Path) -> None:
 
 
 def _seed_metrics(scenario: Scenario, seed: int,
-                  workers: int | None) -> tuple[list[dict], dict]:
+                  parallel_frames: bool) -> tuple[list[dict], dict]:
     """Run the seed's campaign, reconstruct with the requested methods; return
-    metric rows and artifacts.  ``workers`` is the campaign's frame threads
+    metric rows and artifacts.  ``parallel_frames`` is passed to the campaign
     (see ``forward.campaign_blocks``).
 
     GICS needs the whole stack, so with "gics" requested the campaign is one
@@ -252,11 +252,12 @@ def _seed_metrics(scenario: Scenario, seed: int,
     campaign = (scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
     ms = gi = None
     if "gics" not in scenario.methods:
-        gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign, workers=workers))
+        gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign, parallel_frames=parallel_frames))
     elif "gi" in scenario.methods:
-        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks, workers=workers)
+        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks,
+                             parallel_frames=parallel_frames)
     else:
-        ms = run_campaign(*campaign, workers=workers)
+        ms = run_campaign(*campaign, parallel_frames=parallel_frames)
     rows = []
     artifacts = {}
     for method in scenario.methods:
@@ -294,10 +295,10 @@ def _seed_metrics(scenario: Scenario, seed: int,
 
 
 def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path,
-              workers: int | None) -> None:
+              parallel_frames: bool) -> None:
     seed_dir = scenario_dir / str(seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
-    rows, artifacts = _seed_metrics(scenario, seed, workers)
+    rows, artifacts = _seed_metrics(scenario, seed, parallel_frames)
     optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm", maxval=65535)
     if "gi" in artifacts:
         _write_image_pgm(artifacts["gi"], seed_dir / "gi.pgm")
@@ -310,12 +311,6 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path,
     for row in rows:
         lines.append(",".join(_format_cell(row[k]) for k in METRICS_HEADER.split(",")))
     ioutil.atomic_write_text(seed_dir / "metrics.csv", "\n".join(lines) + "\n")
-
-
-def _campaign_workers(threads: int) -> int | None:
-    """Frame threads per campaign: the default (usable CPUs) when jobs run one at a
-    time, else 1, so no campaign holds BLAS to one thread beside another job's solve."""
-    return None if threads == 1 else 1
 
 
 def _map_jobs(fn, jobs, threads: int) -> list:
@@ -335,9 +330,10 @@ def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> P
     """
     scenario_dir = Path(out_dir) / scenario.name
     scenario_dir.mkdir(parents=True, exist_ok=True)
-    workers = _campaign_workers(threads)
-    _map_jobs(lambda seed: _run_seed(scenario, seed, scenario_dir, workers), scenario.seeds,
-              threads)
+    # jobs run one at a time, so no campaign holds BLAS to one thread beside a solve
+    parallel_frames = threads == 1
+    _map_jobs(lambda seed: _run_seed(scenario, seed, scenario_dir, parallel_frames),
+              scenario.seeds, threads)
     return scenario_dir
 
 
@@ -373,12 +369,12 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = N
             raise ConfigError(f"coherence length {lc!r}: {exc}") from None
 
     jobs = [(lc, seed) for lc in lc_values for seed in seeds]
-    workers = _campaign_workers(threads)
+    parallel_frames = threads == 1  # as in run_scenario
 
     def run_one(job):
         lc, seed = job
         rows, _ = _seed_metrics(dataclasses.replace(scenario, config=configs[lc]), seed,
-                                workers)
+                                parallel_frames)
         return {row["method"]: row for row in rows}
 
     by_job = dict(zip(jobs, _map_jobs(run_one, jobs, threads)))
@@ -483,10 +479,11 @@ def selftest(verbose: bool = True) -> bool:
     buf = np.empty_like(frame)
     record("in-place frame",
            synthesize_frame(config, 11, 0, out=buf) is buf and np.array_equal(buf, frame))
-    serial, parallel = (run_campaign(config, mask, 16, 11, noise_sigma=0.5, workers=workers)
-                        for workers in (1, 2))
-    record("parallel frames", np.array_equal(serial.intensities, parallel.intensities)
-           and np.array_equal(serial.buckets, parallel.buckets))
+    serial = np.stack([synthesize_frame(config, 11, i) for i in range(16)])
+    parallel = np.empty_like(serial)
+    with ThreadPoolExecutor(max_workers=1) as pool:  # frames on 2 threads, the caller one
+        _make_frames(config, 11, 0, parallel, pool, 2)
+    record("parallel frames", np.array_equal(serial, parallel))
 
     rng = np.random.default_rng(42)
     design = rng.standard_normal((30, 80))

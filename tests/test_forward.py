@@ -271,18 +271,19 @@ class TestCampaignBlocks:
         _, stacked = run_campaign(CFG, self.MASK, m, 2, fold=lambda blocks: [len(b) for _, b in blocks])
         assert streamed == stacked == [_BLOCK_FRAMES, _BLOCK_FRAMES, 3]
 
-    def test_streamed_gi_memory_does_not_grow_with_m(self):
+    def test_streamed_gi_memory_does_not_grow_with_m(self, monkeypatch):
         # the aperture_gi geometry: 100-px grid, K = 55
         config = OpticalConfig(109.6e-6, 100, 15e-6)
         mask = optics.make_double_slit(config, SlitGeometry(1e-4, 1e-3, 2e-4))
         gi_from_blocks(campaign_blocks(config, mask, 2, 1))  # warm the DFT-factor cache
         frame_bytes = config.grid_n ** 2 * 8
         for workers in (1, 2):
+            monkeypatch.setattr(forward, "_frame_workers", lambda: workers)
             peaks = []
             for m in (200, 800):
                 tracemalloc.start()
                 try:
-                    gi_from_blocks(campaign_blocks(config, mask, m, 1, workers=workers))
+                    gi_from_blocks(campaign_blocks(config, mask, m, 1, parallel_frames=True))
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -327,21 +328,27 @@ def blas_threads():
         set_(inherited)
 
 
+def frame_workers(monkeypatch, workers):
+    """Make a campaign with ``parallel_frames`` use ``workers`` frame threads."""
+    monkeypatch.setattr(forward, "_frame_workers", lambda: workers)
+
+
 class TestFrameWorkers:
     MASK = TestCampaign.MASK
 
-    def test_worker_count_changes_no_bit(self):
+    def test_worker_count_changes_no_bit(self, monkeypatch):
         m = 2 * _BLOCK_FRAMES + 5
         serial, serial_gi = run_campaign(CFG, self.MASK, m, 7, noise_sigma=0.5,
-                                         fold=gi_from_blocks, workers=1)
+                                         fold=gi_from_blocks)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
-            for workers in (2, 3):
+            for workers in (1, 2, 3):
+                frame_workers(monkeypatch, workers)
                 ms, gi = run_campaign(CFG, self.MASK, m, 7, noise_sigma=0.5,
-                                      fold=gi_from_blocks, workers=workers)
+                                      fold=gi_from_blocks, parallel_frames=True)
                 streamed = gi_from_blocks(campaign_blocks(CFG, self.MASK, m, 7, noise_sigma=0.5,
-                                                          workers=workers))
+                                                          parallel_frames=True))
                 assert np.array_equal(ms.intensities, serial.intensities)
                 assert np.array_equal(ms.buckets, serial.buckets)
                 assert np.array_equal(gi, serial_gi)
@@ -349,22 +356,30 @@ class TestFrameWorkers:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_gics_solve_is_unchanged_after_a_parallel_campaign(self):
+    def test_gics_solve_is_unchanged_after_a_parallel_campaign(self, monkeypatch):
         params = recon_gics.GicsParams(tau=1e-3, max_iters=100)
-        serial = recon_gics.gics_reconstruct(run_campaign(CFG, self.MASK, 40, 8, workers=1),
-                                             params)
-        parallel = recon_gics.gics_reconstruct(run_campaign(CFG, self.MASK, 40, 8, workers=2),
-                                               params)
+        serial = recon_gics.gics_reconstruct(run_campaign(CFG, self.MASK, 40, 8), params)
+        frame_workers(monkeypatch, 2)
+        parallel = recon_gics.gics_reconstruct(
+            run_campaign(CFG, self.MASK, 40, 8, parallel_frames=True), params)
         assert np.array_equal(parallel[0], serial[0])
         assert parallel[1].history == serial[1].history
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.0, True])
-    def test_rejects_bad_workers(self, workers):
-        with pytest.raises(ConfigError, match="workers"):
-            list(campaign_blocks(CFG, self.MASK, 4, 0, workers=workers))
+    def test_frames_are_serial_by_default(self, monkeypatch):
+        frame_workers(monkeypatch, 2)
+        made = []
+        synthesize = forward.synthesize_frame
+        monkeypatch.setattr(forward, "synthesize_frame", lambda *args, **kwargs: (
+            made.append(threading.get_ident()), synthesize(*args, **kwargs))[1])
+        run_campaign(CFG, self.MASK, _BLOCK_FRAMES, 1)
+        assert set(made) == {threading.get_ident()}
+        made.clear()
+        run_campaign(CFG, self.MASK, _BLOCK_FRAMES, 1, parallel_frames=True)
+        assert len(set(made)) == 2
 
     def test_blas_is_held_to_one_thread_only_while_frames_are_made(self, monkeypatch,
                                                                     blas_threads):
+        frame_workers(monkeypatch, 2)
         seen = []
         synthesize = forward.synthesize_frame
         monkeypatch.setattr(forward, "synthesize_frame",
@@ -376,35 +391,37 @@ class TestFrameWorkers:
             for _ in blocks:
                 folded.append(blas_threads())
 
-        run_campaign(CFG, self.MASK, 2 * _BLOCK_FRAMES, 1, fold=fold, workers=2)
+        run_campaign(CFG, self.MASK, 2 * _BLOCK_FRAMES, 1, fold=fold, parallel_frames=True)
         assert seen == [1] * 2 * _BLOCK_FRAMES
         assert folded == [2, 2]
         assert blas_threads() == 2
 
     def test_blas_count_is_restored_when_a_block_check_raises(self, monkeypatch, blas_threads):
+        frame_workers(monkeypatch, 2)
         monkeypatch.setattr(forward, "synthesize_frame",
                             lambda config, seed, i, out: out.fill(np.nan if i == 3 else 1.0))
         with pytest.raises(ConfigError, match="finite"):
-            list(campaign_blocks(CFG, self.MASK, 2 * _BLOCK_FRAMES, 0, workers=2))
+            list(campaign_blocks(CFG, self.MASK, 2 * _BLOCK_FRAMES, 0, parallel_frames=True))
         assert blas_threads() == 2
 
     def test_blas_count_is_restored_when_a_frame_thread_raises(self, monkeypatch, blas_threads):
-        helper_started = threading.Event()
+        frame_workers(monkeypatch, 2)
+        caller = threading.get_ident()
 
         def synthesize(config, seed, i, out):
-            if threading.current_thread() is not threading.main_thread():
-                helper_started.set()
+            if threading.get_ident() != caller:
                 raise ConfigError("frame failed")
-            helper_started.wait(timeout=10)  # let the helper thread take a frame
             out.fill(1.0)
 
         monkeypatch.setattr(forward, "synthesize_frame", synthesize)
         with pytest.raises(ConfigError, match="frame failed"):
-            list(campaign_blocks(CFG, self.MASK, _BLOCK_FRAMES, 0, workers=2))
+            list(campaign_blocks(CFG, self.MASK, _BLOCK_FRAMES, 0, parallel_frames=True))
         assert blas_threads() == 2
 
-    def test_blas_count_is_restored_when_the_consumer_stops_early(self, blas_threads):
-        blocks = campaign_blocks(CFG, self.MASK, 3 * _BLOCK_FRAMES, 0, workers=2)
+    def test_blas_count_is_restored_when_the_consumer_stops_early(self, monkeypatch,
+                                                                   blas_threads):
+        frame_workers(monkeypatch, 2)
+        blocks = campaign_blocks(CFG, self.MASK, 3 * _BLOCK_FRAMES, 0, parallel_frames=True)
         next(blocks)
         assert blas_threads() == 2  # suspended at a yield, never while held
         blocks.close()

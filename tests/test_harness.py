@@ -152,6 +152,7 @@ class TestRunScenario:
         synthesize = forward.synthesize_frame
         control = forward._openblas_threads()
         inherited = control[0]() if control is not None else None
+        monkeypatch.setattr(forward, "_frame_workers", lambda: 2)
         monkeypatch.setattr(forward, "synthesize_frame", lambda config, seed, i, out: (
             made.append((seed, threading.get_ident(),
                          control[0]() if control is not None else None)),
@@ -163,6 +164,19 @@ class TestRunScenario:
             assert len(frames) == scenario.m
             assert len({ident for ident, _ in frames}) == 1  # one worker per seed
             assert {blas for _, blas in frames} == {inherited}  # BLAS never held
+
+    def test_one_seed_at_a_time_makes_its_frames_in_parallel(self, tmp_path, monkeypatch):
+        made = []
+        synthesize = forward.synthesize_frame
+        monkeypatch.setattr(forward, "_frame_workers", lambda: 2)
+        monkeypatch.setattr(forward, "synthesize_frame", lambda config, seed, i, out: (
+            made.append((seed, threading.get_ident())), synthesize(config, seed, i, out=out))[1])
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        harness.run_scenario(scenario, tmp_path / "out", threads=1)
+        for seed in scenario.seeds:
+            frames = [ident for s, ident in made if s == seed]
+            assert len(frames) == scenario.m
+            assert len(set(frames)) == 2
 
     def test_pgm_mask_scenario(self, tmp_path):
         rng = np.random.default_rng(5)
