@@ -23,7 +23,6 @@ def main() -> int:
     parser.add_argument("--out", default="out")
     parser.add_argument("--mask", default=None, help="100x100 graymap path (generated if omitted)")
     parser.add_argument("--seeds", default="1,2,3")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     out = Path(args.out)
@@ -41,7 +40,7 @@ def main() -> int:
                                                      seeds=seeds):
             scenario = harness.parse_scenario_text(text)
             print(f"running {scenario.name} (m={scenario.m})")
-            harness.run_scenario(scenario, out, threads=args.threads)
+            harness.run_scenario(scenario, out)
     return 0
 
 

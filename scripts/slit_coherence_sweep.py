@@ -18,7 +18,6 @@ def main() -> int:
     parser.add_argument("--out", default="out")
     parser.add_argument("--m", type=int, default=500)
     parser.add_argument("--seeds", default="1,2,3,4,5")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     seeds = tuple(int(s) for s in args.seeds.split(","))
@@ -26,12 +25,11 @@ def main() -> int:
     for text in harness.double_slit_sweep_scenarios(lc_list=lc_list, m=args.m, seeds=seeds):
         scenario = harness.parse_scenario_text(text)
         print(f"running {scenario.name} (m={scenario.m}, {len(seeds)} seeds)")
-        harness.run_scenario(scenario, args.out, threads=args.threads)
+        harness.run_scenario(scenario, args.out)
 
     base = harness.parse_scenario_text(
         harness.double_slit_sweep_scenarios(lc_list=lc_list[:1], m=args.m, seeds=seeds)[0])
-    csv_text, verdicts = harness.trend_experiment(base, lc_list, out_dir=args.out,
-                                                  threads=args.threads)
+    csv_text, verdicts = harness.trend_experiment(base, lc_list, out_dir=args.out)
     print(csv_text)
     print("verdicts:", verdicts)
     return 0

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-  ghostbench run <scenario.file> [--out DIR] [--threads N]
-  ghostbench trend <scenario.file> --lc <comma list, meters> [--out DIR] [--threads N]
+  ghostbench run <scenario.file> [--out DIR]
+  ghostbench trend <scenario.file> --lc <comma list, meters> [--out DIR]
   ghostbench selftest
 
 ``trend`` runs the scenario's own seeds (at least 2) at each coherence length.
@@ -37,7 +37,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         return _fail(f"parse error: {exc}", EXIT_USAGE)
     try:
-        harness.run_scenario(scenario, _default_out(args.out), threads=args.threads)
+        harness.run_scenario(scenario, _default_out(args.out))
     except Exception as exc:  # noqa: BLE001 - surface one line, signal via exit code
         return _fail(f"runtime error: {exc}", EXIT_RUNTIME)
     return EXIT_OK
@@ -52,9 +52,7 @@ def _cmd_trend(args) -> int:
     except ValueError as exc:
         return _fail(f"bad --lc: {exc}", EXIT_USAGE)
     try:
-        _, verdicts = harness.trend_experiment(scenario, lc_list,
-                                               out_dir=_default_out(args.out),
-                                               threads=args.threads)
+        _, verdicts = harness.trend_experiment(scenario, lc_list, out_dir=_default_out(args.out))
     except ConfigError as exc:  # trend_experiment checks its inputs before any work
         return _fail(f"bad trend input: {exc}", EXIT_USAGE)
     except Exception as exc:  # noqa: BLE001
@@ -76,14 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario file")
     run.add_argument("scenario")
     run.add_argument("--out", default=None, help="output directory (default $GHOSTBENCH_OUT or ./out)")
-    run.add_argument("--threads", type=int, default=1)
     run.set_defaults(func=_cmd_run)
 
     trend = sub.add_parser("trend", help="coherence-length trend table from a base scenario")
     trend.add_argument("scenario")
     trend.add_argument("--lc", required=True, help="comma list of coherence lengths in meters")
     trend.add_argument("--out", default=None)
-    trend.add_argument("--threads", type=int, default=1)
     trend.set_defaults(func=_cmd_trend)
 
     selftest = sub.add_parser("selftest", help="run the built-in oracle checks")
@@ -92,10 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        return _fail("--threads must be >= 1", EXIT_USAGE)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

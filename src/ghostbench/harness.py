@@ -14,18 +14,19 @@ seed list that ``Scenario`` rejects (empty, outside [0, 2**64) or repeated);
 
 Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
 gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
-atomically and are a pure function of the scenario file bytes.
+atomically and are a pure function of the scenario file bytes and of the BLAS
+thread count the process inherits; that count matters for the GICS files only
+(``recon_gics.SensingSystem.matvec`` sums in the order of OpenBLAS's threads).
 
-Memory per seed: every campaign is made in blocks of ``forward._BLOCK_FRAMES``
-(8) frames.  A run with gics holds its campaign as one pixel-major
-(grid_n**2, m) stack, which GICS solves on, plus one block while the stack is
-filled; a GI-only run folds the campaign block by block and holds
-O(grid_n**2) plus one block, whatever m is.  With ``threads`` = 1 each
-block's frames are made on the usable CPUs (``parallel_frames``, see
-``forward.campaign_blocks``), which adds one set of synthesis temporaries per
-frame thread; with ``threads`` > 1 the seeds run at once and each makes its
-frames serially, because holding BLAS to one thread for one seed's frames
-would change the thread count another seed's GICS solve runs at.
+Seeds (and a trend's (l_c, seed) jobs) run one at a time, in order.  Each
+campaign is made in blocks of ``forward._BLOCK_FRAMES`` (8) frames, and each
+block's frames on the usable CPUs (``parallel_frames``, see
+``forward.campaign_blocks``); that is safe here because no other thread uses
+BLAS meanwhile, and it adds one set of synthesis temporaries per frame
+thread.  A run with gics holds its campaign as one pixel-major (grid_n**2, m)
+stack, which GICS solves on, plus one block while the stack is filled; a
+GI-only run folds the campaign block by block and holds O(grid_n**2) plus one
+block, whatever m is.
 """
 from __future__ import annotations
 
@@ -237,11 +238,9 @@ def _write_image_pgm(values: np.ndarray, path: Path) -> None:
     ioutil.write_pgm(path, np.rint(normalized * 65535).astype(np.int64), 65535)
 
 
-def _seed_metrics(scenario: Scenario, seed: int,
-                  parallel_frames: bool) -> tuple[list[dict], dict]:
+def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
     """Run the seed's campaign, reconstruct with the requested methods; return
-    metric rows and artifacts.  ``parallel_frames`` is passed to the campaign
-    (see ``forward.campaign_blocks``).
+    metric rows and artifacts.
 
     GICS needs the whole stack, so with "gics" requested the campaign is one
     ``MeasurementSet``, and GI folds its blocks while they are stored.  GI
@@ -252,12 +251,11 @@ def _seed_metrics(scenario: Scenario, seed: int,
     campaign = (scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
     ms = gi = None
     if "gics" not in scenario.methods:
-        gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign, parallel_frames=parallel_frames))
+        gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign, parallel_frames=True))
     elif "gi" in scenario.methods:
-        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks,
-                             parallel_frames=parallel_frames)
+        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks, parallel_frames=True)
     else:
-        ms = run_campaign(*campaign, parallel_frames=parallel_frames)
+        ms = run_campaign(*campaign, parallel_frames=True)
     rows = []
     artifacts = {}
     for method in scenario.methods:
@@ -276,8 +274,11 @@ def _seed_metrics(scenario: Scenario, seed: int,
         artifacts[method] = raw
         dip_ratio = resolved = None
         if scenario.slit_geometry is not None:
-            dip_ratio, resolved = metrics.slit_dip(raw, scenario.slit_geometry,
-                                                   scenario.config.pixel_pitch)
+            try:
+                dip_ratio, resolved = metrics.slit_dip(raw, scenario.slit_geometry,
+                                                       scenario.config.pixel_pitch)
+            except metrics.PeaksNotLocatable:  # e.g. the zero GICS image of a large tau
+                resolved = False
         normalized = metrics.minmax_normalize(raw)
         rows.append({
             "scenario": scenario.name,
@@ -294,11 +295,10 @@ def _seed_metrics(scenario: Scenario, seed: int,
     return rows, artifacts
 
 
-def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path,
-              parallel_frames: bool) -> None:
-    seed_dir = scenario_dir / str(seed)
+def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> None:
+    rows, artifacts = _seed_metrics(scenario, seed)
+    seed_dir = scenario_dir / str(seed)  # made once the seed's work has succeeded
     seed_dir.mkdir(parents=True, exist_ok=True)
-    rows, artifacts = _seed_metrics(scenario, seed, parallel_frames)
     optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm", maxval=65535)
     if "gi" in artifacts:
         _write_image_pgm(artifacts["gi"], seed_dir / "gi.pgm")
@@ -313,32 +313,22 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path,
     ioutil.atomic_write_text(seed_dir / "metrics.csv", "\n".join(lines) + "\n")
 
 
-def _map_jobs(fn, jobs, threads: int) -> list:
-    """``[fn(job) for job in jobs]``, on ``threads`` worker threads when threads > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
-
-
 def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> Path:
-    """Run every seed; returns the scenario output directory.
+    """Run every seed, one at a time; returns the scenario output directory.
 
-    With ``threads`` > 1 that many seeds run at once, each making its frames
-    in its own thread; with 1, one seed at a time makes its frames on the
-    usable CPUs.
+    ``threads`` is kept because existing callers (the benchmark among them)
+    pass ``threads=1``; any other value is a ``ConfigError``.
     """
+    if threads != 1:
+        raise ConfigError(f"threads must be 1 (seeds run one at a time), got {threads!r}")
     scenario_dir = Path(out_dir) / scenario.name
     scenario_dir.mkdir(parents=True, exist_ok=True)
-    # jobs run one at a time, so no campaign holds BLAS to one thread beside a solve
-    parallel_frames = threads == 1
-    _map_jobs(lambda seed: _run_seed(scenario, seed, scenario_dir, parallel_frames),
-              scenario.seeds, threads)
+    for seed in scenario.seeds:
+        _run_seed(scenario, seed, scenario_dir)
     return scenario_dir
 
 
-def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = None,
-                     threads: int = 1):
+def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = None):
     """Mean/std of SNR and MSE per (coherence length, method) over ``scenario.seeds``.
 
     Coherence lengths are canonicalized to descending order; they must be
@@ -368,16 +358,11 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = N
         except ConfigError as exc:
             raise ConfigError(f"coherence length {lc!r}: {exc}") from None
 
-    jobs = [(lc, seed) for lc in lc_values for seed in seeds]
-    parallel_frames = threads == 1  # as in run_scenario
-
-    def run_one(job):
-        lc, seed = job
-        rows, _ = _seed_metrics(dataclasses.replace(scenario, config=configs[lc]), seed,
-                                parallel_frames)
-        return {row["method"]: row for row in rows}
-
-    by_job = dict(zip(jobs, _map_jobs(run_one, jobs, threads)))
+    by_job = {}
+    for lc in lc_values:
+        for seed in seeds:
+            rows, _ = _seed_metrics(dataclasses.replace(scenario, config=configs[lc]), seed)
+            by_job[(lc, seed)] = {row["method"]: row for row in rows}
 
     lines = [TREND_HEADER]
     means: dict[str, list[float]] = {"gi_snr": [], "gics_mse": []}

@@ -13,6 +13,10 @@ from .optics import ObjectMask, SlitGeometry, grid_coords
 RESOLVED_THRESHOLD = 0.8
 
 
+class PeaksNotLocatable(ConfigError):
+    """The image has no slit peaks to compare: a flat profile or non-positive peaks."""
+
+
 def minmax_normalize(image: np.ndarray) -> np.ndarray:
     """Rescale to [0, 1]; a constant image maps to all zeros."""
     lo = image.min()
@@ -25,8 +29,9 @@ def minmax_normalize(image: np.ndarray) -> np.ndarray:
 def recon_snr(image: np.ndarray, truth: ObjectMask) -> float:
     """Background-normalized contrast: (mean on support - mean off) / std off.
 
-    Support is truth > 0.5.  Affine-invariant in the image.  A zero-variance
-    background yields the +inf sentinel.
+    Support is truth > 0.5.  Affine-invariant in the image.  Over a
+    zero-variance background a contrast of either sign yields the signed inf
+    sentinel, and a flat image (no contrast) yields 0.
     """
     t = truth.values
     if image.shape != t.shape:
@@ -41,7 +46,7 @@ def recon_snr(image: np.ndarray, truth: ObjectMask) -> float:
     bg_std = float(bg.std())
     signal = float(image[support].mean() - bg.mean())
     if bg_std == 0.0:
-        return math.inf
+        return math.copysign(math.inf, signal) if signal else 0.0
     return signal / bg_std
 
 
@@ -64,7 +69,9 @@ def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float) -> tuple[f
 
     dip_ratio = profile at the midpoint between the slit centers divided by
     the mean of the two per-slit peaks (each searched within half a separation
-    of its slit center); resolved iff dip_ratio < RESOLVED_THRESHOLD.
+    of its slit center); resolved iff dip_ratio < RESOLVED_THRESHOLD.  An
+    image whose profile is flat or whose peaks are not positive raises
+    ``PeaksNotLocatable``.
     """
     if image.ndim != 2:
         raise ConfigError("slit_dip expects a 2-D image")
@@ -80,7 +87,7 @@ def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float) -> tuple[f
 
     span = profile.max() - profile.min()
     if span <= 1e-12 * max(1.0, abs(profile.max())):
-        raise ConfigError("flat profile: peaks not locatable")
+        raise PeaksNotLocatable("flat profile: peaks not locatable")
 
     half = geometry.separation / 2.0
     peaks = []
@@ -91,7 +98,7 @@ def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float) -> tuple[f
         peaks.append(float(profile[window].max()))
     peak = 0.5 * (peaks[0] + peaks[1])
     if peak <= 0:
-        raise ConfigError("non-positive peaks: peaks not locatable")
+        raise PeaksNotLocatable("non-positive peaks: peaks not locatable")
 
     mid_index = int(np.argmin(np.abs(coords - cx)))
     dip_ratio = float(profile[mid_index]) / peak

@@ -232,7 +232,7 @@ def test_criterion_7_analytic_solver_facts():
     report(7, "analytic solver facts", zero_exact and ls_rel <= 1e-6)
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
     scenario_text = """\
 scenario.name = determinism
 scenario.m = 20
@@ -249,9 +249,10 @@ gics.max_iters = 200
 """
     scenario = harness.parse_scenario_text(scenario_text, tmp_path)
     trees = []
-    for label, threads in (("a", 1), ("b", 1), ("c", 3)):
+    for label, workers in (("a", 1), ("b", 1), ("c", 3)):  # frame threads per campaign
         out = tmp_path / label
-        harness.run_scenario(scenario, out, threads=threads)
+        monkeypatch.setattr(forward, "_frame_workers", lambda: workers)
+        harness.run_scenario(scenario, out)
         trees.append({p.relative_to(out).as_posix(): p.read_bytes()
                       for p in sorted(out.rglob("*")) if p.is_file()})
     rerun_identical = trees[0] == trees[1]

@@ -140,43 +140,57 @@ class TestRunScenario:
         harness.run_scenario(scenario, out2)
         assert tree_bytes(out1) == tree_bytes(out2)
 
-    def test_thread_count_changes_nothing(self, tmp_path):
+    def test_thread_count_changes_nothing(self, tmp_path, monkeypatch):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        harness.run_scenario(scenario, out1, threads=1)
-        harness.run_scenario(scenario, out2, threads=3)
+        monkeypatch.setattr(forward, "_frame_workers", lambda: 1)
+        harness.run_scenario(scenario, out1)
+        monkeypatch.setattr(forward, "_frame_workers", lambda: 3)
+        harness.run_scenario(scenario, out2)
         assert tree_bytes(out1) == tree_bytes(out2)
 
-    def test_threaded_seeds_make_their_frames_serially(self, tmp_path, monkeypatch):
-        made = []
-        synthesize = forward.synthesize_frame
-        control = forward._openblas_threads()
-        inherited = control[0]() if control is not None else None
-        monkeypatch.setattr(forward, "_frame_workers", lambda: 2)
-        monkeypatch.setattr(forward, "synthesize_frame", lambda config, seed, i, out: (
-            made.append((seed, threading.get_ident(),
-                         control[0]() if control is not None else None)),
-            synthesize(config, seed, i, out=out))[1])
+    def test_threads_other_than_one_rejected_before_any_work(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        harness.run_scenario(scenario, tmp_path / "out", threads=2)
-        for seed in scenario.seeds:
-            frames = [(ident, blas) for s, ident, blas in made if s == seed]
-            assert len(frames) == scenario.m
-            assert len({ident for ident, _ in frames}) == 1  # one worker per seed
-            assert {blas for _, blas in frames} == {inherited}  # BLAS never held
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="threads must be 1"):
+            harness.run_scenario(scenario, out, threads=2)
+        assert not out.exists()
+        harness.run_scenario(scenario, out, threads=1)  # the benchmark's call still runs
+        assert (out / "smoke" / "4" / "metrics.csv").is_file()
 
     def test_one_seed_at_a_time_makes_its_frames_in_parallel(self, tmp_path, monkeypatch):
         made = []
         synthesize = forward.synthesize_frame
         monkeypatch.setattr(forward, "_frame_workers", lambda: 2)
         monkeypatch.setattr(forward, "synthesize_frame", lambda config, seed, i, out: (
-            made.append((seed, threading.get_ident())), synthesize(config, seed, i, out=out))[1])
+            made.append((config.coherence_length, seed, threading.get_ident())),
+            synthesize(config, seed, i, out=out))[1])
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        harness.run_scenario(scenario, tmp_path / "out", threads=1)
-        for seed in scenario.seeds:
-            frames = [ident for s, ident in made if s == seed]
-            assert len(frames) == scenario.m
-            assert len(set(frames)) == 2
+        harness.run_scenario(scenario, tmp_path / "out")
+        harness.trend_experiment(scenario, [60e-6, 120e-6])
+        jobs = [(lc, seed) for lc in (100e-6, 120e-6, 60e-6) for seed in scenario.seeds]
+        # one (l_c, seed) job at a time, in order, each on two frame threads
+        assert [(lc, seed) for lc, seed, _ in made] == [job for job in jobs
+                                                        for _ in range(scenario.m)]
+        for job in jobs:
+            assert len({ident for lc, seed, ident in made if (lc, seed) == job}) == 2
+
+    def test_zero_gics_image_writes_every_file(self, tmp_path):
+        # at tau >= ||A'b||inf the lasso solution is 0: a flat image resolves nothing
+        text = SMALL_SCENARIO.replace("gics.tau = 1e-3", "gics.tau = 1e9")
+        scenario = harness.parse_scenario_text(text, tmp_path)
+        out = tmp_path / "out"
+        harness.run_scenario(scenario, out)
+        for seed in ("3", "4"):
+            seed_dir = out / "smoke" / seed
+            assert len(list(seed_dir.iterdir())) == 7
+            assert not np.loadtxt(seed_dir / "gics_raw.csv", delimiter=",").any()
+            gi_row, gics_row = (line.split(",") for line in
+                                (seed_dir / "metrics.csv").read_text().splitlines()[1:])
+            assert gi_row[8] != "" and gi_row[9] in ("true", "false")
+            assert gics_row[3] == "gics"
+            assert float(gics_row[5]) == 0.0  # no contrast, not an infinite SNR
+            assert gics_row[8:] == ["", "false"]
 
     def test_pgm_mask_scenario(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -317,12 +331,6 @@ class TestTrend:
         with pytest.raises(ConfigError, match="at least 2 seeds"):
             harness.trend_experiment(one_seed, [60e-6, 120e-6])
 
-    def test_threads_give_identical_csv_and_verdicts(self, tmp_path):
-        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        serial = harness.trend_experiment(scenario, [60e-6, 120e-6], threads=1)
-        pooled = harness.trend_experiment(scenario, [60e-6, 120e-6], threads=2)
-        assert pooled == serial
-
     def test_repeated_lc_verdicts_trivially_true(self, tmp_path):
         # a repeated l_c would run its jobs twice, write its rows twice and make the
         # monotonicity verdicts trivially true, so it is rejected before any job runs
@@ -409,15 +417,26 @@ class TestCli:
         assert cli.main(argv) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("command", ["run", "trend"])
-    def test_threads_below_one_exits_2(self, tmp_path, command, threads):
+    def test_threads_option_exits_2(self, tmp_path, command):
         path = self.write_scenario(tmp_path)
         out = tmp_path / "out"
         extra = ["--lc", "60e-6,120e-6"] if command == "trend" else []
-        argv = [command, str(path), "--out", str(out), "--threads", threads, *extra]
-        assert cli.main(argv) == 2
+        with pytest.raises(SystemExit) as exited:
+            cli.main([command, str(path), "--out", str(out), "--threads", "2", *extra])
+        assert exited.value.code == 2
         assert not out.exists()
+
+    def test_zero_gics_image_run_and_trend_exit_0(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, SMALL_SCENARIO.replace("gics.tau = 1e-3",
+                                                                    "gics.tau = 1e9"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        for seed in ("3", "4"):
+            assert len(list((out / "smoke" / seed).iterdir())) == 7
+        assert cli.main(["trend", str(path), "--lc", "60e-6,120e-6", "--out", str(out)]) == 0
+        assert "monotone_gics_mse=true" in capsys.readouterr().out
+        assert (out / "smoke" / "trend.csv").is_file()
 
     def test_selftest_passes(self):
         assert cli.main(["selftest"]) == 0

@@ -28,6 +28,10 @@ class TestSnr:
     def test_degenerate_background_yields_inf_sentinel(self):
         truth, _ = double_slit_truth()
         assert recon_snr(truth.values, truth) == math.inf
+        assert recon_snr(-truth.values, truth) == -math.inf
+        # a flat image has no contrast, however flat its background is
+        for flat in (np.zeros_like(truth.values), np.full_like(truth.values, 0.7)):
+            assert recon_snr(flat, truth) == 0.0
 
     def test_unit_noise_oracle(self):
         truth, _ = double_slit_truth(n=200)
@@ -102,6 +106,11 @@ class TestSlitDip:
         _, geom = double_slit_truth()
         with pytest.raises(ConfigError, match="flat"):
             slit_dip(np.full((64, 64), 0.7), geom, PITCH)
+
+    def test_non_positive_peaks_not_locatable(self):
+        truth, geom = double_slit_truth()
+        with pytest.raises(metrics.PeaksNotLocatable, match="non-positive"):
+            slit_dip(-truth.values, geom, PITCH)
 
     def test_merged_blob_not_resolved(self):
         truth, geom = double_slit_truth()
