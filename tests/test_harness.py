@@ -417,13 +417,16 @@ class TestCli:
         assert cli.main(argv) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "2"])
     @pytest.mark.parametrize("command", ["run", "trend"])
-    def test_threads_option_exits_2(self, tmp_path, command):
+    def test_threads_below_one_exits_2(self, tmp_path, command, threads):
+        """--threads is gone: argparse rejects it with exit 2 for any value."""
         path = self.write_scenario(tmp_path)
         out = tmp_path / "out"
         extra = ["--lc", "60e-6,120e-6"] if command == "trend" else []
+        argv = [command, str(path), "--out", str(out), "--threads", threads, *extra]
         with pytest.raises(SystemExit) as exited:
-            cli.main([command, str(path), "--out", str(out), "--threads", "2", *extra])
+            cli.main(argv)
         assert exited.value.code == 2
         assert not out.exists()
 
