@@ -9,16 +9,11 @@ acquired.
 
 A campaign is produced by one generator, ``campaign_blocks``, as checked,
 contiguous frame-major blocks of ``_BLOCK_FRAMES`` (8) frames in frame order;
-each frame is synthesized in place into its row of the block.  With
-``parallel_frames`` a block's frames are made on the usable CPUs (at most
-``_BLOCK_FRAMES`` threads, the calling thread among them) while the loaded
-OpenBLAS is held to one thread: each frame's two small ``zgemm`` calls would
-otherwise start BLAS pool threads that compete with the frame threads.
-Frames are pure in (seed, index), so the bytes do not depend on the thread
-count.  Everything else (buckets, noise, checks, the store, a fold) runs in
-the calling thread, in frame order, at the inherited BLAS thread count.  A
-consumer that needs only running sums
-(GI) folds the blocks and never holds more than one.
+each frame is synthesized in place into its row of the block.  A block's
+frames are made on the usable CPUs with the process's OpenBLAS held to one
+thread (see ``campaign_blocks``); frames are pure in (seed, index), so the
+bytes do not depend on the thread count.  A consumer that needs only running
+sums (GI) folds the blocks and never holds more than one.
 ``run_campaign`` stores them into one read-only pixel-major stack, which GICS
 needs whole: row p of the (grid_n**2, m) array holds pixel p's m values, so
 the sensing operator reads the pixels it needs as contiguous m-vectors.  The
@@ -259,8 +254,7 @@ def bucket_measure(intensity: np.ndarray, mask: ObjectMask) -> float:
 
 
 def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                    noise_sigma: float = 0.0, out: np.ndarray | None = None, *,
-                    parallel_frames: bool = False):
+                    noise_sigma: float = 0.0, out: np.ndarray | None = None):
     """Yield the campaign's m frames and buckets as read-only ``(frames, buckets)`` blocks.
 
     Blocks hold ``_BLOCK_FRAMES`` frames (the last one may hold fewer), arrive
@@ -274,20 +268,20 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
     of ``out`` before it is yielded.  ``m`` and ``master_seed`` must be
     integers.
 
-    Frames are made serially unless ``parallel_frames`` is set.  Then a
-    block's frames are split among the usable CPUs (at most
-    ``_BLOCK_FRAMES`` threads, the calling thread among them; see
-    ``_make_frames``) and the process's OpenBLAS is held to one thread while
-    they are made.  That changes process-wide state: BLAS work that another
-    thread runs meanwhile runs at one thread, so set it only when no other
-    thread uses BLAS.  The inherited count is restored before anything else
-    runs, so the generator never suspends while BLAS is held.  Where no
-    OpenBLAS thread control is found, frames are made serially.  Buckets,
-    noise, checks and ``out`` are done in the calling thread, in frame order;
-    no output bit depends on how the frames were made.
+    A block's frames are made on ``min(_frame_workers(), m)`` threads, the
+    calling thread among them (see ``_make_frames``).  With more than one, the
+    loaded OpenBLAS is held to one thread while the frames are made, since
+    each frame's two small ``zgemm`` calls would otherwise start BLAS pool
+    threads that compete with the frame threads.  The hold is process-wide:
+    while a block's frames are made, BLAS calls from other threads also run
+    at one thread.  The inherited count is restored before anything else
+    runs, so the generator never suspends while BLAS is held.  Buckets,
+    noise, checks and ``out`` are done in the calling thread, in frame order,
+    at the inherited count; no output bit depends on how the frames were
+    made.
     """
     _check_campaign(config, mask, m, master_seed, noise_sigma)
-    workers = min(_frame_workers(), m) if parallel_frames else 1
+    workers = min(_frame_workers(), m)
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
         for start in range(0, m, _BLOCK_FRAMES):
             stop = min(start + _BLOCK_FRAMES, m)
@@ -309,12 +303,8 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
 
 
 def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                 noise_sigma: float = 0.0, fold=None, *, parallel_frames: bool = False):
+                 noise_sigma: float = 0.0, fold=None):
     """The whole campaign of ``campaign_blocks`` as one ``MeasurementSet``.
-
-    ``parallel_frames`` is passed to ``campaign_blocks``: set, each block's
-    frames are made on the usable CPUs with the process's OpenBLAS held to
-    one thread meanwhile.
 
     The frames are stored straight into the set's pixel-major stack, which is
     handed over uncopied.  ``fold``, a consumer of the block iterator such as
@@ -326,8 +316,7 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
     bucket_blocks = []
 
     def stored_blocks():
-        for block in campaign_blocks(config, mask, m, master_seed, noise_sigma, out=stack,
-                                     parallel_frames=parallel_frames):
+        for block in campaign_blocks(config, mask, m, master_seed, noise_sigma, out=stack):
             bucket_blocks.append(block[1])
             yield block
             del block  # the next block is made without this one

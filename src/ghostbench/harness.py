@@ -15,18 +15,20 @@ seed list that ``Scenario`` rejects (empty, outside [0, 2**64) or repeated);
 Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
 gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
 atomically and are a pure function of the scenario file bytes and of the BLAS
-thread count the process inherits; that count matters for the GICS files only
-(``recon_gics.SensingSystem.matvec`` sums in the order of OpenBLAS's threads).
+thread count the process inherits.  That count matters for gics_raw.csv,
+solve.csv and metrics.csv, not for the GI files or truth.pgm: the dense
+branch of ``recon_gics.SensingSystem.matvec`` sums in the order of
+OpenBLAS's threads, and OpenBLAS threads every dot product longer than
+10 000 elements (the solve's length-grid_n**2 dots, for any grid_n > 100).
 
-Seeds (and a trend's (l_c, seed) jobs) run one at a time, in order.  Each
-campaign is made in blocks of ``forward._BLOCK_FRAMES`` (8) frames, and each
-block's frames on the usable CPUs (``parallel_frames``, see
-``forward.campaign_blocks``); that is safe here because no other thread uses
-BLAS meanwhile, and it adds one set of synthesis temporaries per frame
-thread.  A run with gics holds its campaign as one pixel-major (grid_n**2, m)
-stack, which GICS solves on, plus one block while the stack is filled; a
-GI-only run folds the campaign block by block and holds O(grid_n**2) plus one
-block, whatever m is.
+Seeds (and a trend's (l_c, seed) jobs) run one at a time, in order, so no
+other thread uses BLAS while a campaign holds it to one thread (see
+``forward.campaign_blocks``).  Each campaign is made in blocks of
+``forward._BLOCK_FRAMES`` (8) frames, each on the usable CPUs, with one set
+of synthesis temporaries per frame thread.  A run with gics holds its
+campaign as one pixel-major (grid_n**2, m) stack, which GICS solves on, plus
+one block while the stack is filled; a GI-only run folds the campaign block
+by block and holds O(grid_n**2) plus one block, whatever m is.
 """
 from __future__ import annotations
 
@@ -251,11 +253,11 @@ def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
     campaign = (scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
     ms = gi = None
     if "gics" not in scenario.methods:
-        gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign, parallel_frames=True))
+        gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign))
     elif "gi" in scenario.methods:
-        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks, parallel_frames=True)
+        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks)
     else:
-        ms = run_campaign(*campaign, parallel_frames=True)
+        ms = run_campaign(*campaign)
     rows = []
     artifacts = {}
     for method in scenario.methods:

@@ -283,7 +283,7 @@ class TestCampaignBlocks:
             for m in (200, 800):
                 tracemalloc.start()
                 try:
-                    gi_from_blocks(campaign_blocks(config, mask, m, 1, parallel_frames=True))
+                    gi_from_blocks(campaign_blocks(config, mask, m, 1))
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -329,7 +329,7 @@ def blas_threads():
 
 
 def frame_workers(monkeypatch, workers):
-    """Make a campaign with ``parallel_frames`` use ``workers`` frame threads."""
+    """Make every campaign use ``workers`` frame threads."""
     monkeypatch.setattr(forward, "_frame_workers", lambda: workers)
 
 
@@ -338,6 +338,7 @@ class TestFrameWorkers:
 
     def test_worker_count_changes_no_bit(self, monkeypatch):
         m = 2 * _BLOCK_FRAMES + 5
+        frame_workers(monkeypatch, 1)
         serial, serial_gi = run_campaign(CFG, self.MASK, m, 7, noise_sigma=0.5,
                                          fold=gi_from_blocks)
         interval = sys.getswitchinterval()
@@ -346,9 +347,8 @@ class TestFrameWorkers:
             for workers in (1, 2, 3):
                 frame_workers(monkeypatch, workers)
                 ms, gi = run_campaign(CFG, self.MASK, m, 7, noise_sigma=0.5,
-                                      fold=gi_from_blocks, parallel_frames=True)
-                streamed = gi_from_blocks(campaign_blocks(CFG, self.MASK, m, 7, noise_sigma=0.5,
-                                                          parallel_frames=True))
+                                      fold=gi_from_blocks)
+                streamed = gi_from_blocks(campaign_blocks(CFG, self.MASK, m, 7, noise_sigma=0.5))
                 assert np.array_equal(ms.intensities, serial.intensities)
                 assert np.array_equal(ms.buckets, serial.buckets)
                 assert np.array_equal(gi, serial_gi)
@@ -358,23 +358,24 @@ class TestFrameWorkers:
 
     def test_gics_solve_is_unchanged_after_a_parallel_campaign(self, monkeypatch):
         params = recon_gics.GicsParams(tau=1e-3, max_iters=100)
+        frame_workers(monkeypatch, 1)
         serial = recon_gics.gics_reconstruct(run_campaign(CFG, self.MASK, 40, 8), params)
         frame_workers(monkeypatch, 2)
-        parallel = recon_gics.gics_reconstruct(
-            run_campaign(CFG, self.MASK, 40, 8, parallel_frames=True), params)
+        parallel = recon_gics.gics_reconstruct(run_campaign(CFG, self.MASK, 40, 8), params)
         assert np.array_equal(parallel[0], serial[0])
         assert parallel[1].history == serial[1].history
 
-    def test_frames_are_serial_by_default(self, monkeypatch):
-        frame_workers(monkeypatch, 2)
+    def test_worker_count_sets_the_frame_threads(self, monkeypatch):
         made = []
         synthesize = forward.synthesize_frame
         monkeypatch.setattr(forward, "synthesize_frame", lambda *args, **kwargs: (
             made.append(threading.get_ident()), synthesize(*args, **kwargs))[1])
+        frame_workers(monkeypatch, 1)
         run_campaign(CFG, self.MASK, _BLOCK_FRAMES, 1)
         assert set(made) == {threading.get_ident()}
         made.clear()
-        run_campaign(CFG, self.MASK, _BLOCK_FRAMES, 1, parallel_frames=True)
+        frame_workers(monkeypatch, 2)
+        run_campaign(CFG, self.MASK, _BLOCK_FRAMES, 1)
         assert len(set(made)) == 2
 
     def test_blas_is_held_to_one_thread_only_while_frames_are_made(self, monkeypatch,
@@ -391,7 +392,7 @@ class TestFrameWorkers:
             for _ in blocks:
                 folded.append(blas_threads())
 
-        run_campaign(CFG, self.MASK, 2 * _BLOCK_FRAMES, 1, fold=fold, parallel_frames=True)
+        run_campaign(CFG, self.MASK, 2 * _BLOCK_FRAMES, 1, fold=fold)
         assert seen == [1] * 2 * _BLOCK_FRAMES
         assert folded == [2, 2]
         assert blas_threads() == 2
@@ -401,7 +402,7 @@ class TestFrameWorkers:
         monkeypatch.setattr(forward, "synthesize_frame",
                             lambda config, seed, i, out: out.fill(np.nan if i == 3 else 1.0))
         with pytest.raises(ConfigError, match="finite"):
-            list(campaign_blocks(CFG, self.MASK, 2 * _BLOCK_FRAMES, 0, parallel_frames=True))
+            list(campaign_blocks(CFG, self.MASK, 2 * _BLOCK_FRAMES, 0))
         assert blas_threads() == 2
 
     def test_blas_count_is_restored_when_a_frame_thread_raises(self, monkeypatch, blas_threads):
@@ -415,13 +416,13 @@ class TestFrameWorkers:
 
         monkeypatch.setattr(forward, "synthesize_frame", synthesize)
         with pytest.raises(ConfigError, match="frame failed"):
-            list(campaign_blocks(CFG, self.MASK, _BLOCK_FRAMES, 0, parallel_frames=True))
+            list(campaign_blocks(CFG, self.MASK, _BLOCK_FRAMES, 0))
         assert blas_threads() == 2
 
     def test_blas_count_is_restored_when_the_consumer_stops_early(self, monkeypatch,
                                                                    blas_threads):
         frame_workers(monkeypatch, 2)
-        blocks = campaign_blocks(CFG, self.MASK, 3 * _BLOCK_FRAMES, 0, parallel_frames=True)
+        blocks = campaign_blocks(CFG, self.MASK, 3 * _BLOCK_FRAMES, 0)
         next(blocks)
         assert blas_threads() == 2  # suspended at a yield, never while held
         blocks.close()

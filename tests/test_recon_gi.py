@@ -1,10 +1,12 @@
+from itertools import chain, islice
+
 import numpy as np
 import pytest
 
 from ghostbench import optics
 from ghostbench.errors import ConfigError
 from ghostbench.forward import _BLOCK_FRAMES, MeasurementSet, campaign_blocks, run_campaign
-from ghostbench.metrics import minmax_normalize
+from ghostbench.metrics import minmax_normalize, recon_snr
 from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
 from ghostbench.recon_gi import gi_from_blocks, gi_reconstruct
 from ghostbench.speckle import synthesize_frame
@@ -112,3 +114,39 @@ class TestGiReconstruct:
         resid = profile - design @ coef
         r2 = 1 - np.sum(resid**2) / np.sum((profile - profile.mean()) ** 2)
         assert r2 >= 0.9
+
+
+class TestNoiseLaw:
+    """GI SNR grows as sqrt(m) where the image is limited by estimator noise.
+
+    Trend-bench geometry (100-px grid, 30 um pitch, 0.5 mm slit), GI only,
+    streamed, seeds 1-3, m = 200 and 4m = 800.  On seeds 4-13 the per-seed
+    ratio SNR(4m) / SNR(m) had mean 2.00, std 0.096 at 68.8 um and mean 1.35,
+    std 0.112 at 276.7 um; the tolerance is 4 standard deviations of a
+    3-seed mean, 4 * 0.112 / sqrt(3) = 0.26.
+    """
+
+    GEOMETRY = SlitGeometry(1e-4, 0.5e-3, 2e-4)
+    SEEDS = (1, 2, 3)
+    M = 25 * _BLOCK_FRAMES  # 200: the first m frames are whole blocks
+    TOL = 0.26
+
+    def snr_ratio(self, lc):
+        """Mean recon_snr over the seeds after all 4m frames, over the mean after the first m."""
+        config = OpticalConfig(lc, 100, 30e-6)
+        mask = optics.make_double_slit(config, self.GEOMETRY)
+        at_m, at_4m = [], []
+        for seed in self.SEEDS:
+            # the first m frames of the 4m campaign are the m campaign
+            blocks = campaign_blocks(config, mask, 4 * self.M, seed)
+            first = list(islice(blocks, self.M // _BLOCK_FRAMES))
+            at_m.append(recon_snr(gi_from_blocks(first), mask))
+            at_4m.append(recon_snr(gi_from_blocks(chain(first, blocks)), mask))
+        return np.mean(at_4m) / np.mean(at_m)
+
+    def test_snr_doubles_at_four_times_m_when_noise_limited(self):
+        assert abs(self.snr_ratio(68.8e-6) - 2.0) <= self.TOL
+
+    def test_snr_grows_slower_when_resolution_limited(self):
+        # the speckle blur, not estimator noise, limits the image at 276.7 um
+        assert abs(self.snr_ratio(276.7e-6) - 1.35) <= self.TOL
