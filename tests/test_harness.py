@@ -158,6 +158,27 @@ class TestRunScenario:
         harness.run_scenario(scenario, out, threads=1)  # the benchmark's call still runs
         assert (out / "smoke" / "4" / "metrics.csv").is_file()
 
+    @pytest.mark.parametrize("command", ["run", "trend"])
+    def test_rerun_deletes_only_the_files_of_methods_it_drops(self, tmp_path, command):
+        def run(methods, out):
+            scenario = dataclasses.replace(both, methods=methods)
+            if command == "run":
+                harness.run_scenario(scenario, out)
+            else:
+                harness.trend_experiment(scenario, [60e-6, 100e-6], out)
+
+        both = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        out = tmp_path / "out"
+        run(("gi", "gics"), out)
+        notes = next((out / "smoke").rglob("metrics.csv")).with_name("notes.txt")
+        notes.write_text("not a file of the run")
+        for methods in (("gi",), ("gics",)):
+            run(methods, out)
+            run(methods, tmp_path / methods[0])
+            assert notes.read_text() == "not a file of the run"
+            assert tree_bytes(out) == {**tree_bytes(tmp_path / methods[0]),
+                                       notes.relative_to(out).as_posix(): notes.read_bytes()}
+
     def test_one_seed_at_a_time_makes_its_frames_in_parallel(self, tmp_path, monkeypatch):
         made = []
         synthesize = forward.synthesize_frame
@@ -167,7 +188,7 @@ class TestRunScenario:
             synthesize(config, seed, i, out=out))[1])
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         harness.run_scenario(scenario, tmp_path / "out")
-        harness.trend_experiment(scenario, [60e-6, 120e-6])
+        harness.trend_experiment(scenario, [60e-6, 120e-6], tmp_path)
         jobs = [(lc, seed) for lc in (100e-6, 120e-6, 60e-6) for seed in scenario.seeds]
         # one (l_c, seed) job at a time, in order, each on two frame threads
         assert [(lc, seed) for lc, seed, _ in made] == [job for job in jobs
@@ -226,7 +247,11 @@ class TestStreamedGi:
         assert np.array_equal(gi_only, both)
         assert not (tmp_path / "gi" / "smoke" / "3" / "gics_raw.csv").exists()
 
-    def test_gi_only_peak_memory_does_not_grow_with_m(self, tmp_path):
+    def test_gi_only_peak_memory_does_not_grow_with_m(self, tmp_path, monkeypatch):
+        # at 2 frame threads the peak depends on how far their synthesis temporaries
+        # overlap, which scheduling decides (tests/test_forward.py bounds that case)
+        monkeypatch.setattr(forward, "_frame_workers", lambda: 1)
+
         def traced_peak(m):
             scenario = self.gi_scenario(tmp_path, "gi", m)
             tracemalloc.start()
@@ -301,7 +326,7 @@ class TestSolveCapWarning:
 class TestTrend:
     def test_rows_sorted_descending_with_verdicts(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        csv_text, verdicts = harness.trend_experiment(scenario, [60e-6, 120e-6, 90e-6])
+        csv_text, verdicts = harness.trend_experiment(scenario, [60e-6, 120e-6, 90e-6], tmp_path)
         lines = csv_text.splitlines()
         assert lines[0] == harness.TREND_HEADER
         lcs = [float(line.split(",")[0]) for line in lines[1:7]]
@@ -312,8 +337,8 @@ class TestTrend:
 
     def test_shuffled_lc_list_gives_identical_csv(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        a, _ = harness.trend_experiment(scenario, [120e-6, 60e-6])
-        b, _ = harness.trend_experiment(scenario, [60e-6, 120e-6])
+        a, _ = harness.trend_experiment(scenario, [120e-6, 60e-6], tmp_path)
+        b, _ = harness.trend_experiment(scenario, [60e-6, 120e-6], tmp_path)
         assert a == b
 
     def test_writes_trend_csv(self, tmp_path):
@@ -322,14 +347,40 @@ class TestTrend:
         csv_text, _ = harness.trend_experiment(scenario, [60e-6, 120e-6], out_dir=out)
         assert (out / "smoke" / "trend.csv").read_text() == csv_text
 
+    def test_job_at_the_scenarios_own_lc_writes_the_files_of_run(self, tmp_path):
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        harness.run_scenario(scenario, tmp_path / "run")
+        harness.trend_experiment(scenario, [60e-6, 100e-6], tmp_path / "trend")
+        trend_dir = tmp_path / "trend" / "smoke"
+        assert sorted(p.name for p in trend_dir.iterdir()) == ["lc_0.0001", "lc_6e-05",
+                                                                "trend.csv"]
+        assert tree_bytes(trend_dir / "lc_0.0001") == tree_bytes(tmp_path / "run" / "smoke")
+
+    def test_table_is_mean_and_std_of_the_jobs_metrics(self, tmp_path):
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        csv_text, _ = harness.trend_experiment(scenario, [60e-6, 120e-6], tmp_path)
+        header = harness.METRICS_HEADER.split(",")
+        table = [line.split(",") for line in csv_text.splitlines()[1:-2]]
+        assert len(table) == 4
+        for lc, method, *stats in table:
+            rows = [dict(zip(header, line.split(","))) for seed in scenario.seeds
+                    for line in (tmp_path / "smoke" / f"lc_{lc}" / str(seed) /
+                                 "metrics.csv").read_text().splitlines()[1:]]
+            values = {key: np.array([float(row[key]) for row in rows if row["method"] == method])
+                      for key in ("snr", "mse")}
+            assert len(values["snr"]) == len(scenario.seeds)
+            assert [float(v) for v in stats] == [values["snr"].mean(), values["snr"].std(),
+                                                 values["mse"].mean(), values["mse"].std()]
+
     def test_requires_two_of_each(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         with pytest.raises(ConfigError):
-            harness.trend_experiment(scenario, [100e-6])
+            harness.trend_experiment(scenario, [100e-6], tmp_path)
         one_seed = harness.parse_scenario_text(
             SMALL_SCENARIO.replace("scenario.seeds = 3,4", "scenario.seeds = 3"), tmp_path)
         with pytest.raises(ConfigError, match="at least 2 seeds"):
-            harness.trend_experiment(one_seed, [60e-6, 120e-6])
+            harness.trend_experiment(one_seed, [60e-6, 120e-6], tmp_path)
+        assert not (tmp_path / "smoke").exists()
 
     def test_repeated_lc_verdicts_trivially_true(self, tmp_path):
         # a repeated l_c would run its jobs twice, write its rows twice and make the
@@ -345,7 +396,8 @@ class TestTrend:
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         for lc_list in ([float("nan"), 100e-6], [float("inf"), 100e-6], [0.0, 100e-6]):
             with pytest.raises(ConfigError, match="coherence lengths"):
-                harness.trend_experiment(scenario, lc_list)
+                harness.trend_experiment(scenario, lc_list, tmp_path)
+        assert not (tmp_path / "smoke").exists()
         # seeds are checked where every scenario is built, for run and trend alike
         for seeds in ((3, 3), (-1, 2), (2**64, 2), ()):
             with pytest.raises(ConfigError, match="seed"):
@@ -400,6 +452,10 @@ class TestCli:
         captured = capsys.readouterr()
         assert "monotone_gi_snr=" in captured.out
         assert (out / "smoke" / "trend.csv").is_file()
+        jobs = sorted(p.relative_to(out / "smoke").as_posix() for p in out.glob("smoke/lc_*/*"))
+        assert jobs == ["lc_0.00012/3", "lc_0.00012/4", "lc_6e-05/3", "lc_6e-05/4"]
+        for job in jobs:
+            assert (out / "smoke" / job / "metrics.csv").is_file()
 
     def test_trend_needs_two_lcs(self, tmp_path):
         path = self.write_scenario(tmp_path)
