@@ -37,14 +37,12 @@ def main() -> int:
         mask_path = Path(args.mask)
 
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    lc_list = (272.2e-6, 193.5e-6, 109.6e-6)
     for method, m in (("gi", 2000), ("gics", 1000)):
-        text = harness.aperture_sweep_scenarios(str(mask_path.resolve()), method, m,
-                                                lc_list=lc_list[:1], seeds=seeds)[0]
+        text = harness.aperture_sweep_scenarios(str(mask_path.resolve()), method, m, seeds=seeds)[0]
         base = dataclasses.replace(harness.parse_scenario_text(text),
                                    name=f"aperture_{method}_sweep")
         print(f"running {base.name} (m={base.m}, {len(seeds)} seeds per coherence length)")
-        csv_text, verdicts = harness.trend_experiment(base, lc_list, out)
+        csv_text, verdicts = harness.trend_experiment(base, harness.APERTURE_SWEEP_LCS, out)
         print(csv_text)
         print("verdicts:", verdicts)
     return 0

@@ -21,12 +21,11 @@ def main() -> int:
     args = parser.parse_args()
 
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    lc_list = (276.7e-6, 135.5e-6, 68.8e-6)
     base = harness.parse_scenario_text(
-        harness.double_slit_sweep_scenarios(lc_list=lc_list[:1], m=args.m, seeds=seeds)[0])
+        harness.double_slit_sweep_scenarios(m=args.m, seeds=seeds)[0])
     base = dataclasses.replace(base, name="slit_sweep")
     print(f"running {base.name} (m={base.m}, {len(seeds)} seeds per coherence length)")
-    csv_text, verdicts = harness.trend_experiment(base, lc_list, args.out)
+    csv_text, verdicts = harness.trend_experiment(base, harness.SLIT_SWEEP_LCS, args.out)
     print(csv_text)
     print("verdicts:", verdicts)
     return 0

@@ -12,17 +12,17 @@ when ``scenario.mask = pgm``.  A source aperture spanning fewer than
 seed list that ``Scenario`` rejects (empty, outside [0, 2**64) or repeated);
 ``run`` and ``trend`` both use ``scenario.seeds``.
 
-``run`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and each
-requested method's files (gi.pgm, gi_raw.csv; gics.pgm, gics_raw.csv,
-solve.csv), deleting there those of a method it does not request.  ``trend``
-runs the same per-seed code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and
-writes <out>/<name>/trend.csv.  All files are written atomically and are a pure
-function of the scenario file bytes and of the BLAS thread count the process
-inherits.  That count matters for gics_raw.csv, solve.csv and metrics.csv,
-not for the GI files or truth.pgm: the dense branch of
-``recon_gics.SensingSystem.matvec`` sums in the order of OpenBLAS's threads,
-and OpenBLAS threads every dot product longer than 10 000 elements (the
-solve's length-grid_n**2 dots, for any grid_n > 100).
+``run`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and each requested
+method's files (gi.pgm, gi_raw.csv; gics.pgm, gics_raw.csv, solve.csv),
+deleting there those of a method it does not request.  ``trend`` runs the same
+per-seed code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and writes
+<out>/<name>/trend.csv; lc_* directories of an earlier --lc list stay.  All
+files are written atomically and are a pure function of the scenario file
+bytes and of the BLAS thread count the process inherits.  That count matters
+for gics_raw.csv, solve.csv and metrics.csv, not for the GI files or
+truth.pgm: the dense branch of ``recon_gics.SensingSystem.matvec`` sums in the
+order of OpenBLAS's threads, and OpenBLAS threads every dot product longer
+than 10 000 elements (the solve's length-grid_n**2 dots, any grid_n > 100).
 
 Seeds (and a trend's (l_c, seed) jobs) run one at a time, in order, so no
 other thread uses BLAS while a campaign holds it to one thread (see
@@ -243,7 +243,7 @@ def _write_image_pgm(values: np.ndarray, path: Path) -> None:
     ioutil.write_pgm(path, np.rint(normalized * 65535).astype(np.int64), 65535)
 
 
-# Each method's files in a seed directory, beside truth.pgm and metrics.csv.
+# Each method's files in a seed directory: the names a run writes and a rerun deletes.
 _METHOD_FILES = {"gi": ("gi.pgm", "gi_raw.csv"), "gics": ("gics.pgm", "gics_raw.csv", "solve.csv")}
 
 
@@ -259,7 +259,7 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
     """
     lc = scenario.config.coherence_length
     campaign = (scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
-    ms = gi = report = None
+    ms = gi = None
     if "gics" not in scenario.methods:
         gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign))
     elif "gi" in scenario.methods:
@@ -305,16 +305,17 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
 
     seed_dir = scenario_dir / str(seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
-    for method, names in _METHOD_FILES.items():
-        if method not in images:  # an earlier run's; no other file is touched
-            for name in names:
-                (seed_dir / name).unlink(missing_ok=True)
     optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm", maxval=65535)
-    for method, raw in images.items():
-        _write_image_pgm(raw, seed_dir / f"{method}.pgm")
-        recon_gi.write_image_csv(raw, seed_dir / f"{method}_raw.csv")
-    if report is not None:
-        recon_gics.write_solve_csv(report, seed_dir / "solve.csv")
+    for method, names in _METHOD_FILES.items():
+        paths = [seed_dir / name for name in names]
+        if method in images:
+            _write_image_pgm(images[method], paths[0])
+            recon_gi.write_image_csv(images[method], paths[1])
+            if method == "gics":
+                recon_gics.write_solve_csv(report, paths[2])
+        else:  # an earlier run's files; no other file is touched
+            for path in paths:
+                path.unlink(missing_ok=True)
     lines = [METRICS_HEADER]
     for row in rows:
         lines.append(",".join(_format_cell(row[k]) for k in METRICS_HEADER.split(",")))
@@ -395,8 +396,11 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path):
     return csv_text, verdicts
 
 
-# Bench geometry shared by the built-in recipes.
+# Bench geometry shared by the built-in recipes, and the coherence lengths of
+# their sweeps (the defaults of scripts/*_coherence_sweep.py).
 _BENCH_GEOMETRY = {"optics.grid_n": 100, "optics.pixel_pitch_m": 15e-6}
+SLIT_SWEEP_LCS = (276.7e-6, 135.5e-6, 68.8e-6)
+APERTURE_SWEEP_LCS = (272.2e-6, 193.5e-6, 109.6e-6)
 
 
 def _recipe_text(values: dict[str, object]) -> str:
@@ -405,7 +409,7 @@ def _recipe_text(values: dict[str, object]) -> str:
                                   if value != SCHEMA[key].default})
 
 
-def double_slit_sweep_scenarios(lc_list=(276.7e-6, 135.5e-6, 68.8e-6), m: int = 500,
+def double_slit_sweep_scenarios(lc_list=SLIT_SWEEP_LCS, m: int = 500,
                                 seeds=(1, 2, 3, 4, 5), tau: float = 1e-3) -> list[str]:
     """Built-in recipe: the standard double slit at several coherence lengths."""
     return [_recipe_text({"scenario.name": f"slit_lc{round(lc * 1e6)}um", "scenario.m": m,
@@ -414,8 +418,7 @@ def double_slit_sweep_scenarios(lc_list=(276.7e-6, 135.5e-6, 68.8e-6), m: int = 
             for lc in lc_list]
 
 
-def aperture_sweep_scenarios(mask_pgm: str, method: str, m: int,
-                             lc_list=(272.2e-6, 193.5e-6, 109.6e-6),
+def aperture_sweep_scenarios(mask_pgm: str, method: str, m: int, lc_list=APERTURE_SWEEP_LCS,
                              seeds=(1, 2, 3, 4, 5), tau: float = 1e-3) -> list[str]:
     """Built-in recipe: a graymap aperture at several coherence lengths.
 

@@ -248,23 +248,25 @@ class TestStreamedGi:
         assert not (tmp_path / "gi" / "smoke" / "3" / "gics_raw.csv").exists()
 
     def test_gi_only_peak_memory_does_not_grow_with_m(self, tmp_path, monkeypatch):
-        # at 2 frame threads the peak depends on how far their synthesis temporaries
-        # overlap, which scheduling decides (tests/test_forward.py bounds that case)
-        monkeypatch.setattr(forward, "_frame_workers", lambda: 1)
-
         def traced_peak(m):
             scenario = self.gi_scenario(tmp_path, "gi", m)
             tracemalloc.start()
             try:
-                harness.run_scenario(scenario, tmp_path / str(m))
+                harness.run_scenario(scenario, tmp_path / f"{workers}_{m}")
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         harness.run_scenario(self.gi_scenario(tmp_path, "gi", 2), tmp_path / "warm")
-        small, large = traced_peak(200), traced_peak(800)
-        # a 48 x 48 stack of 800 frames alone is 14.7 MB; a block is 0.15 MB
-        assert large < 1.2 * small
+        frame_bytes = 48 * 48 * 8  # a stack of 800 frames alone is 800 frames, 14.7 MB
+        for workers in sorted({1, forward._frame_workers()}):
+            monkeypatch.setattr(forward, "_frame_workers", lambda: workers)
+            small, large = traced_peak(200), traced_peak(800)
+            if workers == 1:  # how far 2 threads' temporaries overlap depends on scheduling
+                assert large < 1.2 * small
+            # the campaign's bound in tests/test_forward.py (one block, the three GI sums,
+            # 5 frames per frame thread), plus 3 frames for the harness's own arrays
+            assert max(small, large) < (forward._BLOCK_FRAMES + 3 + 5 * workers + 3) * frame_bytes
 
 
 class TestSolveCapWarning:
