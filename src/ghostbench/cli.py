@@ -64,7 +64,7 @@ def _cmd_trend(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
-    return EXIT_OK if harness.selftest(verbose=True) else EXIT_RUNTIME
+    return EXIT_OK if harness.selftest() else EXIT_RUNTIME
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,12 +14,13 @@ frames are made on the usable CPUs with the process's OpenBLAS held to one
 thread (see ``campaign_blocks``); frames are pure in (seed, index), so the
 bytes do not depend on the thread count.  A consumer that needs only running
 sums (GI) folds the blocks and never holds more than one.
-``run_campaign`` stores them into one read-only pixel-major stack, which GICS
-needs whole: row p of the (grid_n**2, m) array holds pixel p's m values, so
-the sensing operator reads the pixels it needs as contiguous m-vectors.  The
-frames are seen as the stack's (m, grid_n, grid_n) view, whose frames are
-strided, so every elementwise pass over a frame (checks, bucket, GI fold)
-runs on the contiguous block that is stored, never on the stack.
+``run_campaign`` alone stores them, into one read-only pixel-major stack,
+which GICS needs whole: row p of the (grid_n**2, m) array holds pixel p's m
+values, so the sensing operator reads the pixels it needs as contiguous
+m-vectors.  The frames are seen as the stack's (m, grid_n, grid_n) view,
+whose frames are strided, so every elementwise pass over a frame (checks,
+bucket, GI fold) runs on the contiguous block that is stored, never on the
+stack.
 """
 from __future__ import annotations
 
@@ -254,7 +255,7 @@ def bucket_measure(intensity: np.ndarray, mask: ObjectMask) -> float:
 
 
 def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                    noise_sigma: float = 0.0, out: np.ndarray | None = None):
+                    noise_sigma: float = 0.0):
     """Yield the campaign's m frames and buckets as read-only ``(frames, buckets)`` blocks.
 
     Blocks hold ``_BLOCK_FRAMES`` frames (the last one may hold fewer), arrive
@@ -263,10 +264,9 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
     place into its row of the block, and its bucket is ``bucket_measure`` of
     it, plus additive Gaussian noise of std ``noise_sigma``; frame and noise
     draw depend on (master_seed, i) alone.  Each block passes
-    ``_check_measurements`` before it is yielded.  With ``out``, a pixel-major
-    (grid_n**2, m) array, each checked block is also stored into its columns
-    of ``out`` before it is yielded.  ``m`` and ``master_seed`` must be
-    integers.
+    ``_check_measurements`` before it is yielded.  ``m`` and ``master_seed``
+    must be integers.  The blocks are not stored: ``run_campaign`` stores
+    them.
 
     A block's frames are made on ``min(_frame_workers(), m)`` threads, the
     calling thread among them (see ``_make_frames``).  With more than one, the
@@ -276,9 +276,8 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
     while a block's frames are made, BLAS calls from other threads also run
     at one thread.  The inherited count is restored before anything else
     runs, so the generator never suspends while BLAS is held.  Buckets,
-    noise, checks and ``out`` are done in the calling thread, in frame order,
-    at the inherited count; no output bit depends on how the frames were
-    made.
+    noise and checks are done in the calling thread, in frame order, at the
+    inherited count; no output bit depends on how the frames were made.
     """
     _check_campaign(config, mask, m, master_seed, noise_sigma)
     workers = min(_frame_workers(), m)
@@ -294,8 +293,6 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
                     rng = np.random.default_rng([int(master_seed), i, _NOISE_STREAM])
                     buckets[j] += noise_sigma * rng.standard_normal()
             _check_measurements(frames, buckets, noise_sigma)
-            if out is not None:
-                out[:, start:stop] = frames.reshape(stop - start, -1).T
             frames.flags.writeable = False
             buckets.flags.writeable = False
             yield frames, buckets
@@ -306,20 +303,24 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
                  noise_sigma: float = 0.0, fold=None):
     """The whole campaign of ``campaign_blocks`` as one ``MeasurementSet``.
 
-    The frames are stored straight into the set's pixel-major stack, which is
-    handed over uncopied.  ``fold``, a consumer of the block iterator such as
-    ``recon_gi.gi_from_blocks``, sees each block while it is still
-    contiguous; with it, the result is ``(ms, fold(blocks))``.
+    The only writer of a campaign's stack: each checked block is stored
+    straight into its columns of the set's pixel-major stack, which is handed
+    over uncopied.  ``fold``, a consumer of the block iterator such as
+    ``recon_gi.gi_from_blocks``, sees each block after it is stored, while it
+    is still contiguous; with it, the result is ``(ms, fold(blocks))``.
     """
     _check_campaign(config, mask, m, master_seed, noise_sigma)
     stack = np.empty((config.grid_n ** 2, m))
     bucket_blocks = []
 
     def stored_blocks():
-        for block in campaign_blocks(config, mask, m, master_seed, noise_sigma, out=stack):
-            bucket_blocks.append(block[1])
-            yield block
-            del block  # the next block is made without this one
+        start = 0
+        for frames, buckets in campaign_blocks(config, mask, m, master_seed, noise_sigma):
+            stack[:, start:start + len(frames)] = frames.reshape(len(frames), -1).T
+            start += len(frames)
+            bucket_blocks.append(buckets)
+            yield frames, buckets
+            del frames, buckets  # the next block is made without this one
 
     blocks = stored_blocks()
     folded = None if fold is None else fold(blocks)

@@ -238,11 +238,6 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_image_pgm(values: np.ndarray, path: Path) -> None:
-    normalized = metrics.minmax_normalize(values)
-    ioutil.write_pgm(path, np.rint(normalized * 65535).astype(np.int64), 65535)
-
-
 # Each method's files in a seed directory: the names a run writes and a rerun deletes.
 _METHOD_FILES = {"gi": ("gi.pgm", "gi_raw.csv"), "gics": ("gics.pgm", "gics_raw.csv", "solve.csv")}
 
@@ -280,7 +275,6 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
                 _log.warning("%s l_c %.4g m seed %d: GICS solve stopped %s "
                              "(KKT residual %.3g x ||A'b||inf)", scenario.name, lc, seed, stop,
                              report.kkt_residual / report.atb_inf)
-        images[method] = raw
         dip_ratio = resolved = None
         if scenario.slit_geometry is not None:
             try:
@@ -289,6 +283,7 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
             except metrics.PeaksNotLocatable:  # e.g. the zero GICS image of a large tau
                 resolved = False
         normalized = metrics.minmax_normalize(raw)
+        images[method] = raw, normalized
         rows.append({
             "scenario": scenario.name,
             "lc_m": lc,
@@ -305,12 +300,13 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
 
     seed_dir = scenario_dir / str(seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
-    optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm", maxval=65535)
+    optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm")
     for method, names in _METHOD_FILES.items():
         paths = [seed_dir / name for name in names]
         if method in images:
-            _write_image_pgm(images[method], paths[0])
-            recon_gi.write_image_csv(images[method], paths[1])
+            raw, normalized = images[method]
+            ioutil.write_pgm(paths[0], np.rint(normalized * 65535).astype(np.int64), 65535)
+            recon_gi.write_image_csv(raw, paths[1])
             if method == "gics":
                 recon_gics.write_solve_csv(report, paths[2])
         else:  # an earlier run's files; no other file is touched
@@ -435,14 +431,13 @@ def aperture_sweep_scenarios(mask_pgm: str, method: str, m: int, lc_list=APERTUR
             for lc in lc_list]
 
 
-def selftest(verbose: bool = True) -> bool:
-    """Quick oracle checks of the core numerics; returns True when all pass."""
+def selftest() -> bool:
+    """Quick oracle checks of the core numerics, one printed line each; True when all pass."""
     checks = []
 
     def record(name, ok):
         checks.append(ok)
-        if verbose:
-            print(f"selftest {name}: {'ok' if ok else 'FAIL'}")
+        print(f"selftest {name}: {'ok' if ok else 'FAIL'}")
 
     config = OpticalConfig(276.7e-6, 100, 15e-6)
     mask = optics.make_double_slit(config, SlitGeometry(1e-4, 1e-3, 2e-4))

@@ -145,8 +145,8 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     return samples, maxval
 
 
-def write_pgm(path: str | Path, samples: np.ndarray, maxval: int, binary: bool = True) -> None:
-    """Write integer samples as a P5 (binary) or P2 (ascii) graymap, atomically."""
+def write_pgm(path: str | Path, samples: np.ndarray, maxval: int) -> None:
+    """Write integer samples as a P5 (binary) graymap, atomically."""
     samples = np.asarray(samples)
     if samples.ndim != 2:
         raise ConfigError("graymap samples must be 2-D")
@@ -157,12 +157,6 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int, binary: bool =
     if samples.min() < 0 or samples.max() > maxval:
         raise ConfigError("graymap: sample outside [0, maxval]")
     height, width = samples.shape
-    magic = "P5" if binary else "P2"
-    header = f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")
-    if binary:
-        dtype = ">u2" if maxval > 255 else np.uint8
-        raster = samples.astype(dtype).tobytes()
-    else:
-        lines = [" ".join(str(v) for v in row) for row in samples.tolist()]
-        raster = ("\n".join(lines) + "\n").encode("ascii")
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    raster = samples.astype(">u2" if maxval > 255 else np.uint8).tobytes()
     atomic_write_bytes(path, header + raster)

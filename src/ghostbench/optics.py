@@ -176,8 +176,7 @@ def load_mask_pgm(path: str | Path, config: OpticalConfig) -> ObjectMask:
     return ObjectMask(samples / float(maxval))
 
 
-def save_mask_pgm(mask: ObjectMask, path: str | Path, maxval: int = 255,
-                  binary: bool = True) -> None:
-    """Quantize transmittance to ``round(value * maxval)`` and write a graymap."""
-    samples = np.rint(mask.values * maxval).astype(np.int64)
-    ioutil.write_pgm(path, samples, maxval, binary=binary)
+def save_mask_pgm(mask: ObjectMask, path: str | Path) -> None:
+    """Quantize transmittance to ``round(value * 65535)`` and write a 16-bit P5 graymap."""
+    samples = np.rint(mask.values * 65535).astype(np.int64)
+    ioutil.write_pgm(path, samples, 65535)

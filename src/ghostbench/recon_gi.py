@@ -1,8 +1,11 @@
 """Ghost-image reconstruction by bucket/reference intensity-fluctuation correlation.
 
-The estimator needs only three running sums over the frames, so it folds a
-campaign frame by frame: a streamed campaign is imaged in O(grid_n**2)
-memory plus one block, whatever m is.
+The estimator needs only three running sums over the frames, so its one
+entry point, ``gi_from_blocks``, folds a campaign frame by frame: a streamed
+campaign is imaged in O(grid_n**2) memory plus one block, whatever m is.  A
+stored campaign is imaged while it is made, by
+``run_campaign(..., fold=gi_from_blocks)``; a caller-built ``MeasurementSet``
+ms by ``gi_from_blocks([(ms.intensities, ms.buckets)])``.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .forward import MeasurementSet
 from . import ioutil
 
 
@@ -45,17 +47,6 @@ def gi_from_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarra
     values = weighted / count - (bucket_sum / count) * (frame_sum / count)
     values.flags.writeable = False
     return values
-
-
-def gi_reconstruct(ms: MeasurementSet) -> np.ndarray:
-    """``gi_from_blocks`` over the set's whole stack.
-
-    The image is bit-identical to the streamed one of the same campaign.  The
-    frames of a stack are strided views of its pixel-major array, so folding
-    them is slower than folding a campaign's contiguous blocks as
-    ``run_campaign(..., fold=gi_from_blocks)`` does.
-    """
-    return gi_from_blocks([(ms.intensities, ms.buckets)])
 
 
 def write_image_csv(image: np.ndarray, path: str | Path) -> None:

@@ -79,10 +79,6 @@ class SolveReport:
         return self.history[-1][0]
 
     @property
-    def final_objective(self) -> float:
-        return self.history[-1][1]
-
-    @property
     def kkt_residual(self) -> float:
         return self.history[-1][2]
 
@@ -222,9 +218,11 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
     the exact minimizer clipped to [0, 1] (monotone descent; the final
     objective never exceeds the objective at x = 0).  Stops as soon as the
     KKT residual is at most _KKT_REL_TOL * ||A.T rhs||_inf, after max_iters
-    iterations, or when no step can descend (a zero projected step, or no
-    descent direction along it).  The report is converged exactly when the
-    last iterate meets the KKT rule, whichever way the loop stopped.
+    iterations, or when no step can descend: no descent direction along the
+    projected step, which includes a zero step (a projected-gradient fixed
+    point, where curvature and slope are both zero).  The report is
+    converged exactly when the last iterate meets the KKT rule, whichever way
+    the loop stopped.
     """
     tau = float(params.tau)
     n = system.n_pix
@@ -248,8 +246,6 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
         du = np.maximum(u - alpha * grad_u, 0.0) - u
         dv = np.maximum(v - alpha * grad_v, 0.0) - v
         dd = float(du @ du + dv @ dv)
-        if dd == 0.0:
-            break  # projected-gradient fixed point
 
         step_image = system.matvec(du - dv)
         curvature = float(step_image @ step_image)

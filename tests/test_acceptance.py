@@ -77,8 +77,7 @@ def fig_slit_runs():
         cfg = config_at(lc)
         start = time.perf_counter()
         for seed in SEEDS:
-            ms = run_campaign(cfg, mask, 500, seed)
-            gi_raw = recon_gi.gi_reconstruct(ms)
+            ms, gi_raw = run_campaign(cfg, mask, 500, seed, fold=recon_gi.gi_from_blocks)
             gics_img, _ = recon_gics.gics_reconstruct(ms, GicsParams(tau=1e-3))
             runs[(lc, seed)] = {
                 "gi": gi_raw,
@@ -127,8 +126,7 @@ def test_criterion_3_gi_point_spread_function():
     delta = ObjectMask(values)
     accumulated = None
     for seed in SEEDS:
-        ms = run_campaign(cfg, delta, 2000, seed)
-        image = recon_gi.gi_reconstruct(ms)
+        _, image = run_campaign(cfg, delta, 2000, seed, fold=recon_gi.gi_from_blocks)
         accumulated = image if accumulated is None else accumulated + image
     profile = metrics.minmax_normalize(accumulated)[50, :]
     lag = np.arange(100) - 50

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghostbench import cli, forward, harness, recon_gics
+from ghostbench import cli, forward, harness, optics, recon_gics
 from ghostbench.errors import ConfigError
 
 SMALL_SCENARIO = """\
@@ -228,6 +228,11 @@ class TestRunScenario:
         gi_row = lines[1].split(",")
         assert gi_row[8] == ""  # no slit geometry: dip_ratio empty
         assert gi_row[9] == ""
+        # truth.pgm is 16-bit, and 65535 = 255 * 257: an 8-bit mask reloads exactly
+        truth = out / "smoke" / "3" / "truth.pgm"
+        assert truth.read_bytes().startswith(b"P5\n48 48\n65535\n")
+        reloaded = optics.load_mask_pgm(truth, scenario.config)
+        assert np.array_equal(reloaded.values, samples / 255.0)
 
 
 class TestStreamedGi:

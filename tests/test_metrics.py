@@ -8,7 +8,7 @@ from ghostbench.errors import ConfigError
 from ghostbench.forward import run_campaign
 from ghostbench.metrics import minmax_normalize, mse, psnr, recon_snr, slit_dip
 from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry, make_double_slit
-from ghostbench.recon_gi import gi_reconstruct
+from ghostbench.recon_gi import gi_from_blocks
 from ghostbench.recon_gics import GicsParams, gics_reconstruct
 
 PITCH = 15e-6
@@ -131,8 +131,8 @@ class TestSlitDip:
 class TestReconstructions:
     def test_both_methods_return_read_only_arrays(self):
         cfg = OpticalConfig(90e-6, 16, 15e-6)
-        ms = run_campaign(cfg, make_double_slit(cfg, SlitGeometry(6e-5, 1.5e-4, 1.2e-4)), 12, 3)
-        gi = gi_reconstruct(ms)
+        mask = make_double_slit(cfg, SlitGeometry(6e-5, 1.5e-4, 1.2e-4))
+        ms, gi = run_campaign(cfg, mask, 12, 3, fold=gi_from_blocks)
         gics, _ = gics_reconstruct(ms, GicsParams(max_iters=20))
         for image in (gi, gics):
             assert type(image) is np.ndarray

@@ -125,18 +125,19 @@ class TestPgm:
         rng = np.random.default_rng(0)
         mask = ObjectMask(rng.uniform(0, 1, (16, 16)))
         path = tmp_path / "m.pgm"
-        optics.save_mask_pgm(mask, path, maxval=65535)
+        optics.save_mask_pgm(mask, path)
         back = optics.load_mask_pgm(path, cfg)
         assert np.max(np.abs(back.values - mask.values)) <= 0.5 / 65535
 
     def test_roundtrip_ascii_8bit(self, tmp_path):
         cfg = make_config(grid_n=12)
         rng = np.random.default_rng(1)
-        mask = ObjectMask(rng.uniform(0, 1, (12, 12)))
+        samples = rng.integers(0, 256, (12, 12))
         path = tmp_path / "m.pgm"
-        optics.save_mask_pgm(mask, path, maxval=255, binary=False)
+        rows = "\n".join(" ".join(map(str, row)) for row in samples.tolist())
+        path.write_bytes(f"P2\n12 12\n255\n{rows}\n".encode("ascii"))
         back = optics.load_mask_pgm(path, cfg)
-        assert np.max(np.abs(back.values - mask.values)) <= 0.5 / 255
+        assert np.array_equal(back.values, samples / 255.0)
 
     def test_full_grid_binary_load(self, tmp_path):
         cfg = make_config(grid_n=100)

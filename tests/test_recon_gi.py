@@ -8,7 +8,7 @@ from ghostbench.errors import ConfigError
 from ghostbench.forward import _BLOCK_FRAMES, MeasurementSet, campaign_blocks, run_campaign
 from ghostbench.metrics import minmax_normalize, recon_snr
 from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
-from ghostbench.recon_gi import gi_from_blocks, gi_reconstruct
+from ghostbench.recon_gi import gi_from_blocks
 from ghostbench.speckle import synthesize_frame
 
 CFG = OpticalConfig(120e-6, 64, 15e-6)
@@ -22,14 +22,14 @@ class TestGiReconstruct:
     def test_identical_frames_give_zero_image(self):
         frame = synthesize_frame(CFG, 1, 0)
         ms = measurement_set_from([frame] * 5, [3.0] * 5)
-        image = gi_reconstruct(ms)
+        image = gi_from_blocks([(ms.intensities, ms.buckets)])
         assert np.max(np.abs(image)) <= 1e-12 * frame.max() ** 2
 
     def test_needs_two_records(self):
         frame = synthesize_frame(CFG, 1, 0)
         ms = measurement_set_from([frame], [1.0])
         with pytest.raises(ConfigError):
-            gi_reconstruct(ms)
+            gi_from_blocks([(ms.intensities, ms.buckets)])
 
     def test_needs_two_streamed_frames(self):
         mask = ObjectMask(np.ones((64, 64)))
@@ -41,7 +41,7 @@ class TestGiReconstruct:
         m = 2 * _BLOCK_FRAMES + 22
         streamed = gi_from_blocks(campaign_blocks(CFG, mask, m, 9))
         ms = run_campaign(CFG, mask, m, 9)
-        assert np.array_equal(streamed, gi_reconstruct(ms))
+        assert np.array_equal(streamed, gi_from_blocks([(ms.intensities, ms.buckets)]))
         assert not streamed.flags.writeable
         # the closed-form estimator over the whole stack, to rounding
         oracle = np.tensordot(ms.buckets, ms.intensities, axes=(0, 0)) / m \
@@ -54,7 +54,7 @@ class TestGiReconstruct:
         ms, folded = run_campaign(CFG, mask, m, 5, noise_sigma=0.3, fold=gi_from_blocks)
         streamed = gi_from_blocks(campaign_blocks(CFG, mask, m, 5, noise_sigma=0.3))
         assert np.array_equal(folded, streamed)
-        assert np.array_equal(folded, gi_reconstruct(ms))
+        assert np.array_equal(folded, gi_from_blocks([(ms.intensities, ms.buckets)]))
 
     def test_bits_do_not_depend_on_block_size(self):
         rng = np.random.default_rng(8)
@@ -75,22 +75,21 @@ class TestGiReconstruct:
         buckets_b = [float(np.sum(f * mask_b.values)) for f in frames]
         alpha, beta = 0.6, 0.3
         combo = [alpha * a + beta * b for a, b in zip(buckets_a, buckets_b)]
-        img_a = gi_reconstruct(measurement_set_from(frames, buckets_a))
-        img_b = gi_reconstruct(measurement_set_from(frames, buckets_b))
-        img_c = gi_reconstruct(measurement_set_from(frames, combo))
+        sets = [measurement_set_from(frames, b) for b in (buckets_a, buckets_b, combo)]
+        img_a, img_b, img_c = (gi_from_blocks([(ms.intensities, ms.buckets)]) for ms in sets)
         assert np.allclose(img_c, alpha * img_a + beta * img_b, rtol=1e-10, atol=1e-12)
 
     def test_background_mean_vanishes_at_large_m(self):
         mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
         ms = run_campaign(CFG, mask, 2000, 4)
-        image = gi_reconstruct(ms)
+        image = gi_from_blocks([(ms.intensities, ms.buckets)])
         background = image[mask.values <= 0.5]
         assert abs(background.mean()) <= 3 * background.std()
 
     def test_normalize_flag(self):
         mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
         ms = run_campaign(CFG, mask, 50, 4)
-        image = gi_reconstruct(ms)
+        image = gi_from_blocks([(ms.intensities, ms.buckets)])
         normalized = minmax_normalize(image)
         assert normalized.min() == 0.0
         assert normalized.max() == 1.0
@@ -103,7 +102,7 @@ class TestGiReconstruct:
         avg = None
         for seed in (1, 2):
             ms = run_campaign(CFG, mask, 800, seed)
-            img = gi_reconstruct(ms)
+            img = gi_from_blocks([(ms.intensities, ms.buckets)])
             avg = img if avg is None else avg + img
         profile = avg[32, :] / avg.max()
         x = np.arange(64)

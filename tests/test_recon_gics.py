@@ -286,7 +286,7 @@ class TestGpsr:
             tau = tau_rel * float(np.abs(system.rmatvec(system.rhs)).max())
             _, report = gpsr_solve(system, GicsParams(tau=tau))
             origin = 0.5 * float(system.rhs @ system.rhs)
-            assert report.final_objective <= origin * (1 + 1e-12)
+            assert report.history[-1][1] <= origin * (1 + 1e-12)
 
     @pytest.mark.parametrize("c", [2.0, 3.7, 0.25])
     def test_scaling_equivariance(self, c):
@@ -491,7 +491,7 @@ class TestGicsReconstruct:
         ms = run_campaign(CFG, mask, 40, 2)
         image, report = gics_reconstruct(ms, GicsParams(tau=1e-3, max_iters=200))
         assert image.min() >= 0.0
-        assert report.final_objective >= 0.0
+        assert report.history[-1][1] >= 0.0
 
     def test_solve_csv_format(self, tmp_path):
         system, _ = sparse_instance(31)
