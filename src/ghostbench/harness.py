@@ -107,12 +107,6 @@ def _seeds(text: str) -> tuple[int, ...]:
     return tuple(int(token) for token in _comma_list(text))
 
 
-_PARSER_BY_TYPE = {int: int, float: float}
-_GICS_DOCS = {
-    "tau": "l1 weight of the convex program",
-    "max_iters": "iteration cap of the GPSR-BB solve",
-}
-
 SCHEMA: dict[str, Key] = {
     "scenario.name": Key(_name, REQUIRED, "run name and output directory, [A-Za-z0-9._-]+"),
     "scenario.m": Key(int, REQUIRED, "measurements per seed (>= 2 when gi is requested)"),
@@ -131,9 +125,8 @@ SCHEMA: dict[str, Key] = {
     "optics.pixel_pitch_m": Key(_length, REQUIRED, "pixel pitch on both grids"),
     "optics.source_oversample": Key(int, OpticalConfig.source_oversample,
                                     "source-plane samples per grid pixel"),
-    **{f"gics.{field.name}": Key(_PARSER_BY_TYPE[type(field.default)], field.default,
-                                 _GICS_DOCS[field.name])
-       for field in dataclasses.fields(GicsParams)},
+    "gics.tau": Key(float, GicsParams.tau, "l1 weight of the convex program"),
+    "gics.max_iters": Key(int, GicsParams.max_iters, "iteration cap of the GPSR-BB solve"),
 }
 
 
@@ -209,8 +202,7 @@ def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
     if noise_sigma < 0 or not math.isfinite(noise_sigma):
         raise ConfigError("scenario.noise_sigma must be finite and non-negative")
 
-    gics = GicsParams(**{field.name: values[f"gics.{field.name}"]
-                         for field in dataclasses.fields(GicsParams)})
+    gics = GicsParams(tau=values["gics.tau"], max_iters=values["gics.max_iters"])
     return Scenario(name=values["scenario.name"], config=config, mask=mask,
                     slit_geometry=slit_geometry, m=values["scenario.m"],
                     methods=values["scenario.methods"], gics=gics,
@@ -392,11 +384,8 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path):
     return csv_text, verdicts
 
 
-# Bench geometry shared by the built-in recipes, and the coherence lengths of
-# their sweeps (the defaults of scripts/*_coherence_sweep.py).
+# Bench geometry shared by the built-in recipes (experiments/*.scn spell it out).
 _BENCH_GEOMETRY = {"optics.grid_n": 100, "optics.pixel_pitch_m": 15e-6}
-SLIT_SWEEP_LCS = (276.7e-6, 135.5e-6, 68.8e-6)
-APERTURE_SWEEP_LCS = (272.2e-6, 193.5e-6, 109.6e-6)
 
 
 def _recipe_text(values: dict[str, object]) -> str:
@@ -405,7 +394,7 @@ def _recipe_text(values: dict[str, object]) -> str:
                                   if value != SCHEMA[key].default})
 
 
-def double_slit_sweep_scenarios(lc_list=SLIT_SWEEP_LCS, m: int = 500,
+def double_slit_sweep_scenarios(lc_list, m: int = 500,
                                 seeds=(1, 2, 3, 4, 5), tau: float = 1e-3) -> list[str]:
     """Built-in recipe: the standard double slit at several coherence lengths."""
     return [_recipe_text({"scenario.name": f"slit_lc{round(lc * 1e6)}um", "scenario.m": m,
@@ -414,7 +403,7 @@ def double_slit_sweep_scenarios(lc_list=SLIT_SWEEP_LCS, m: int = 500,
             for lc in lc_list]
 
 
-def aperture_sweep_scenarios(mask_pgm: str, method: str, m: int, lc_list=APERTURE_SWEEP_LCS,
+def aperture_sweep_scenarios(mask_pgm: str, method: str, m: int, lc_list,
                              seeds=(1, 2, 3, 4, 5), tau: float = 1e-3) -> list[str]:
     """Built-in recipe: a graymap aperture at several coherence lengths.
 

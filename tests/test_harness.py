@@ -523,7 +523,7 @@ class TestCli:
 
 class TestRecipes:
     def test_double_slit_sweep_parses(self, tmp_path):
-        texts = harness.double_slit_sweep_scenarios()
+        texts = harness.double_slit_sweep_scenarios((276.7e-6, 135.5e-6, 68.8e-6))
         assert len(texts) == 3
         names = set()
         for text in texts:
@@ -544,7 +544,8 @@ class TestRecipes:
         rng = np.random.default_rng(0)
         ioutil.write_pgm(tmp_path / "aperture.pgm", rng.integers(0, 2, (100, 100)) * 255, 255)
         for method, m in (("gi", 2000), ("gics", 1000)):
-            texts = harness.aperture_sweep_scenarios("aperture.pgm", method, m)
+            texts = harness.aperture_sweep_scenarios("aperture.pgm", method, m,
+                                                     (272.2e-6, 193.5e-6, 109.6e-6))
             assert len(texts) == 3
             for text in texts:
                 scenario = harness.parse_scenario_text(text, tmp_path)
