@@ -109,22 +109,20 @@ def _check_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """One campaign: row i of ``intensities`` is reference frame i, ``buckets[i]`` its bucket.
+    """One record: row i of ``intensities`` is reference frame i, ``buckets[i]`` its bucket.
 
-    ``intensities`` is a read-only (m, grid_n, grid_n) stack and ``buckets`` a
-    read-only length-m vector of finite values; ``seed`` is the campaign's
-    master seed.  The stack is always the frame view of a pixel-major
-    (grid_n**2, m) array (see ``_frames_of``).  A caller's stack is checked
-    whole and copied into that layout, and the buckets are copied too.  Only
-    the stack that ``run_campaign`` allocates is handed over uncopied; its
-    blocks passed the same checks as they were made, so it is not checked
-    again.
+    ``intensities`` is a read-only (m, grid_n, grid_n) stack, the record's only
+    grid, and ``buckets`` a read-only length-m vector of finite values, which
+    may be negative only when ``noise_sigma`` is positive.  The stack is always
+    the frame view of a pixel-major (grid_n**2, m) array (see ``_frames_of``).
+    A caller's stack is checked whole and copied into that layout, and the
+    buckets are copied too.  Only the stack that ``run_campaign`` allocates is
+    handed over uncopied; its blocks passed the same checks as they were made,
+    so it is not checked again.
     """
 
     intensities: np.ndarray
     buckets: np.ndarray
-    config: OpticalConfig
-    seed: int
     noise_sigma: float = 0.0
 
     def __post_init__(self):
@@ -139,11 +137,6 @@ class MeasurementSet:
             raise ConfigError(
                 f"need one bucket per frame: {buckets.shape} buckets for "
                 f"{given.shape[0]} frames")
-        if given.shape[1] != self.config.grid_n:
-            raise ConfigError(
-                f"frame grid {given.shape[1]} does not match config grid "
-                f"{self.config.grid_n}")
-        object.__setattr__(self, "seed", _checked_seed(self.seed))
         _check_noise_sigma(self.noise_sigma)
         if owned:
             intensities = _frozen(self.intensities)
@@ -327,5 +320,5 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
     deque(blocks, maxlen=0)  # store whatever the fold left unread
     stack.flags.writeable = False
     ms = MeasurementSet(_Owned(_frames_of(stack, config.grid_n)), np.concatenate(bucket_blocks),
-                        config, master_seed, noise_sigma)
+                        noise_sigma)
     return ms if fold is None else (ms, folded)

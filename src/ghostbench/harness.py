@@ -48,10 +48,11 @@ import numpy as np
 
 from . import ioutil, metrics, optics, recon_gi, recon_gics
 from .errors import ConfigError
-from .forward import _make_frames, bucket_measure, campaign_blocks, run_campaign
+from .forward import (_check_noise_sigma, _make_frames, bucket_measure, campaign_blocks,
+                      run_campaign)
 from .optics import ObjectMask, OpticalConfig, SlitGeometry
 from .recon_gics import GicsParams
-from .speckle import SEED_LIMIT, checked_aperture_samples, synthesize_frame
+from .speckle import _checked_seed, _integer, checked_aperture_samples, synthesize_frame
 
 METRICS_HEADER = "scenario,lc_m,m,method,seed,snr,mse,psnr,dip_ratio,resolved"
 TREND_HEADER = "lc_m,method,snr_mean,snr_std,mse_mean,mse_std"
@@ -132,6 +133,8 @@ SCHEMA: dict[str, Key] = {
 
 @dataclass(frozen=True)
 class Scenario:
+    """A run's inputs, checked when built (from a file or in code) by the rules its run applies."""
+
     name: str
     config: OpticalConfig
     mask: ObjectMask
@@ -143,18 +146,20 @@ class Scenario:
     noise_sigma: float
 
     def __post_init__(self):
-        if self.m < 1:
+        if _integer(self.m, "scenario m") < 1:
             raise ConfigError("scenario m must be >= 1")
+        methods = set(self.methods)
+        if not methods or len(methods) != len(self.methods) or not methods <= {"gi", "gics"}:
+            raise ConfigError(f"methods {self.methods!r} are not distinct members of gi, gics")
         if "gi" in self.methods and self.m < 2:
             raise ConfigError("gi reconstruction needs m >= 2")
-        if not self.seeds:
+        seeds = tuple(_checked_seed(seed) for seed in self.seeds)
+        if not seeds:
             raise ConfigError("scenario needs at least one seed")
-        if not all(0 <= seed < SEED_LIMIT for seed in self.seeds):
-            raise ConfigError("scenario seeds must lie in [0, 2**64)")
-        if len(set(self.seeds)) != len(self.seeds):
+        if len(set(seeds)) != len(seeds):
             raise ConfigError("scenario seed list contains duplicates")
-        if not self.methods:
-            raise ConfigError("scenario needs at least one method")
+        _check_noise_sigma(self.noise_sigma)
+        object.__setattr__(self, "seeds", seeds)
 
 
 def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
@@ -198,15 +203,11 @@ def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
     else:
         raise ConfigError(f"scenario.mask must be double_slit or pgm, got {mask_kind!r}")
 
-    noise_sigma = values["scenario.noise_sigma"]
-    if noise_sigma < 0 or not math.isfinite(noise_sigma):
-        raise ConfigError("scenario.noise_sigma must be finite and non-negative")
-
     gics = GicsParams(tau=values["gics.tau"], max_iters=values["gics.max_iters"])
     return Scenario(name=values["scenario.name"], config=config, mask=mask,
                     slit_geometry=slit_geometry, m=values["scenario.m"],
                     methods=values["scenario.methods"], gics=gics,
-                    seeds=values["scenario.seeds"], noise_sigma=noise_sigma)
+                    seeds=values["scenario.seeds"], noise_sigma=values["scenario.noise_sigma"])
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -60,6 +60,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="duplicates"):
             harness.parse_scenario_text(bad, tmp_path)
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_noise_sigma_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            harness.parse_scenario_text(SMALL_SCENARIO + f"scenario.noise_sigma = {value}\n",
+                                        tmp_path)
+
     def test_gi_needs_two_measurements(self, tmp_path):
         bad = SMALL_SCENARIO.replace("scenario.m = 16", "scenario.m = 1")
         with pytest.raises(ConfigError, match="m >= 2"):
@@ -406,9 +412,26 @@ class TestTrend:
                 harness.trend_experiment(scenario, lc_list, tmp_path)
         assert not (tmp_path / "smoke").exists()
         # seeds are checked where every scenario is built, for run and trend alike
-        for seeds in ((3, 3), (-1, 2), (2**64, 2), ()):
+        for seeds in ((3, 3), (-1, 2), (2**64, 2), (), (True, 2), (1.5, 2), ("1", 2)):
             with pytest.raises(ConfigError, match="seed"):
                 dataclasses.replace(scenario, seeds=seeds)
+
+    @pytest.mark.parametrize("change", [
+        {"seeds": (True, 2)}, {"seeds": (1.5, 2)}, {"m": 2.5}, {"m": True},
+        {"noise_sigma": -1.0}, {"noise_sigma": float("nan")}, {"noise_sigma": float("inf")},
+        {"methods": ("gi", "bogus")}, {"methods": ("gics", "gics")}, {"methods": ()}],
+        ids=["bool_seed", "float_seed", "float_m", "bool_m", "negative_noise", "nan_noise",
+             "inf_noise", "unknown_method", "repeated_method", "no_method"])
+    def test_code_built_scenario_is_checked_before_anything_is_written(self, tmp_path, change):
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        with pytest.raises(ConfigError):
+            harness.run_scenario(dataclasses.replace(scenario, **change), tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_numpy_seeds_are_stored_as_ints(self, tmp_path):
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        seeds = dataclasses.replace(scenario, seeds=(np.uint64(3), np.int32(4))).seeds
+        assert seeds == (3, 4) and all(type(seed) is int for seed in seeds)
 
 
 class TestCli:

@@ -15,7 +15,7 @@ CFG = OpticalConfig(120e-6, 64, 15e-6)
 
 
 def measurement_set_from(frames, buckets):
-    return MeasurementSet(np.stack(frames), buckets, CFG, 1)
+    return MeasurementSet(np.stack(frames), buckets)
 
 
 class TestGiReconstruct:

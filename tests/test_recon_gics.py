@@ -11,6 +11,7 @@ from ghostbench import optics, recon_gics
 from ghostbench.errors import ConfigError
 from ghostbench.forward import MeasurementSet, run_campaign
 from ghostbench.optics import OpticalConfig, SlitGeometry
+from ghostbench.recon_gi import gi_from_blocks
 from ghostbench.recon_gics import (GicsParams, SensingSystem, build_sensing,
                                    gics_reconstruct, gpsr_solve, ista_reference,
                                    kkt_residual, lasso_objective, write_solve_csv)
@@ -33,8 +34,7 @@ def sparse_instance(seed, m=50, n=200, k=10):
 def synthetic_measurements(rng, m, grid_n, truth):
     intensities = rng.uniform(0.5, 1.5, size=(m, grid_n, grid_n))
     buckets = [float(np.sum(intensity * truth)) for intensity in intensities]
-    cfg = OpticalConfig(260e-6, grid_n, 15e-6)
-    return MeasurementSet(intensities, buckets, cfg, 1)
+    return MeasurementSet(intensities, buckets)
 
 
 def dense_operator(system):
@@ -116,7 +116,7 @@ class TestBuildSensing:
         rng = np.random.default_rng(0)
         intensities = rng.uniform(0.5, 1.5, (6, 16, 16))
         intensities[:, 3, 4] = 0.5  # constant column (binary-exact): zero variance after centering
-        ms = MeasurementSet(intensities, [float(v.sum()) for v in intensities], CFG, 0)
+        ms = MeasurementSet(intensities, [float(v.sum()) for v in intensities])
         with pytest.warns(UserWarning, match="zero-variance"):
             system = build_sensing(ms)
         dead_col = 3 * 16 + 4
@@ -463,8 +463,7 @@ class TestGicsReconstruct:
         intensities = rng.uniform(0.5, 1.5, (2 * grid_n**2, grid_n, grid_n))
         intensities[:, 4, 4] = 0.75  # binary-exact constant: zero variance after centering
         buckets = [float(np.sum(intensity * truth)) for intensity in intensities]
-        ms = MeasurementSet(intensities, buckets, OpticalConfig(260e-6, grid_n,
-                                                                15e-6), 1)
+        ms = MeasurementSet(intensities, buckets)
         with pytest.warns(UserWarning, match="zero-variance"):
             image, _ = gics_reconstruct(ms, GicsParams(tau=1e-3))
         assert image[4, 4] == 0.0
@@ -480,9 +479,18 @@ class TestGicsReconstruct:
             tracemalloc.stop()
         assert peak < ms.intensities.nbytes
 
+    def test_record_without_optics_is_imaged_at_its_frame_grid(self):
+        # a recorded experiment's frames and buckets, with no OpticalConfig anywhere
+        truth = np.zeros((12, 12))
+        truth[3:9, 4] = truth[3:9, 7] = 1.0
+        ms = synthetic_measurements(np.random.default_rng(80), 60, 12, truth)
+        gi = gi_from_blocks([(ms.intensities, ms.buckets)])
+        gics, _ = gics_reconstruct(ms, GicsParams())
+        assert gi.shape == gics.shape == (12, 12)
+
     def test_all_zero_buckets_give_zero_image(self):
         rng = np.random.default_rng(30)
-        ms = MeasurementSet(rng.uniform(0.5, 1.5, (10, 16, 16)), np.zeros(10), CFG, 0)
+        ms = MeasurementSet(rng.uniform(0.5, 1.5, (10, 16, 16)), np.zeros(10))
         image, _ = gics_reconstruct(ms, GicsParams(tau=1e-3))
         assert not image.any()
 
@@ -505,3 +513,13 @@ class TestGicsReconstruct:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == report.history[0][1]
+
+    def test_solve_csv_objective_bounds_the_lasso_objective(self, tmp_path):
+        # the column is the split objective 0.5 ||r||^2 + tau (sum u + sum v), which
+        # exceeds that of x = u - v while some pixel has both u and v positive
+        system, _ = sparse_instance(0)
+        x, report = gpsr_solve(system, GicsParams(tau=1e-3, max_iters=100))
+        path = tmp_path / "solve.csv"
+        write_solve_csv(report, path)
+        last = float(path.read_text().splitlines()[-1].split(",")[1])
+        assert last > 1.05 * lasso_objective(system, x, 1e-3)
