@@ -11,7 +11,6 @@ from .recon_gics import (GicsParams, SensingSystem, SolveReport, build_sensing,
                          kkt_residual, lasso_objective, soft_threshold,
                          write_solve_csv)
 from .metrics import minmax_normalize, mse, psnr, recon_snr, slit_dip
-from .harness import (Scenario, load_scenario, parse_scenario_text, run_scenario,
-                      selftest, trend_experiment)
+from .harness import Scenario, load_scenario, parse_scenario_text, run_scenario, selftest
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
 """Command-line front end.
 
   ghostbench run <scenario.file> [--out DIR]
-  ghostbench trend <scenario.file> --lc <comma list, meters> [--out DIR]
   ghostbench selftest
 
-``trend`` runs the scenario's own seeds (at least 2) at each coherence length;
-each (l_c, seed) job writes the files ``run`` writes (layout in ``harness``).
+``run`` runs the file's scenario; when its ``optics.lc_target_m`` lists two
+or more coherence lengths it writes the sweep layout and trend table (see
+``harness``) and prints one ``<verdict>=true|false`` line per verdict row.
 GHOSTBENCH_OUT sets the default output directory.  Exit codes: 0 ok,
 1 runtime failure, 2 usage or parse error.
 """
@@ -38,28 +38,14 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         return _fail(f"parse error: {exc}", EXIT_USAGE)
     try:
-        harness.run_scenario(scenario, _default_out(args.out))
+        scenario_dir = harness.run_scenario(scenario, _default_out(args.out))
     except Exception as exc:  # noqa: BLE001 - surface one line, signal via exit code
         return _fail(f"runtime error: {exc}", EXIT_RUNTIME)
-    return EXIT_OK
-
-
-def _cmd_trend(args) -> int:
-    try:
-        scenario = harness.load_scenario(args.scenario)
-        lc_list = [float(t) for t in args.lc.split(",") if t.strip()]
-    except ConfigError as exc:
-        return _fail(f"parse error: {exc}", EXIT_USAGE)
-    except ValueError as exc:
-        return _fail(f"bad --lc: {exc}", EXIT_USAGE)
-    try:
-        _, verdicts = harness.trend_experiment(scenario, lc_list, out_dir=_default_out(args.out))
-    except ConfigError as exc:  # trend_experiment checks its inputs before any work
-        return _fail(f"bad trend input: {exc}", EXIT_USAGE)
-    except Exception as exc:  # noqa: BLE001
-        return _fail(f"runtime error: {exc}", EXIT_RUNTIME)
-    for key, value in sorted(verdicts.items()):
-        print(f"{key}={'true' if value else 'false'}")
+    if len(scenario.configs) > 1:
+        for line in (scenario_dir / "trend.csv").read_text(encoding="utf-8").splitlines():
+            if line.startswith("verdict,"):
+                key, value = line.split(",")[1:3]
+                print(f"{key}={value}")
     return EXIT_OK
 
 
@@ -72,16 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="pseudo-thermal ghost imaging bench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one scenario file")
+    run = sub.add_parser("run", help="run one scenario file (a sweep when it lists 2+ l_c)")
     run.add_argument("scenario")
     run.add_argument("--out", default=None, help="output directory (default $GHOSTBENCH_OUT or ./out)")
     run.set_defaults(func=_cmd_run)
-
-    trend = sub.add_parser("trend", help="coherence-length trend table from a base scenario")
-    trend.add_argument("scenario")
-    trend.add_argument("--lc", required=True, help="comma list of coherence lengths in meters")
-    trend.add_argument("--out", default=None)
-    trend.set_defaults(func=_cmd_trend)
 
     selftest = sub.add_parser("selftest", help="run the built-in oracle checks")
     selftest.set_defaults(func=_cmd_selftest)

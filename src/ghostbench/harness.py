@@ -7,16 +7,18 @@ any other key is rejected.  Of the GICS solver a scenario sets only
 ``gics.tau`` and ``gics.max_iters``.  The source is given by its coherence
 length on the object plane, ``optics.lc_target_m``; a physical setup converts
 with l_c = lambda * z / D.  Give ``scenario.mask_pgm`` (relative to the file)
-when ``scenario.mask = pgm``.  A source aperture spanning fewer than
-``speckle.MIN_APERTURE_SAMPLES`` source samples is a parse error, and so is a
-seed list that ``Scenario`` rejects (empty, outside [0, 2**64) or repeated);
-``run`` and ``trend`` both use ``scenario.seeds``.
+when ``scenario.mask = pgm``.  Whatever ``Scenario`` rejects is a parse error:
+a seed list that is empty, outside [0, 2**64) or repeated, a repeated method,
+a repeated coherence length, one whose source aperture spans fewer than
+``speckle.MIN_APERTURE_SAMPLES`` source samples, and a sweep with one seed.
 
-``run`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and each requested
-method's files (gi.pgm, gi_raw.csv; gics.pgm, gics_raw.csv, solve.csv),
-deleting there those of a method it does not request.  ``trend`` runs the same
-per-seed code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and writes
-<out>/<name>/trend.csv; lc_* directories of an earlier --lc list stay.  All
+``optics.lc_target_m`` is a comma list of distinct coherence lengths.  With
+one, ``run_scenario`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and
+each requested method's files (gi.pgm, gi_raw.csv; gics.pgm, gics_raw.csv,
+solve.csv), deleting there those of a method it does not request.  With two
+or more (a sweep, which needs at least 2 seeds) it runs the same per-seed
+code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and writes
+<out>/<name>/trend.csv; lc_* directories of an earlier list stay.  All
 files are written atomically and are a pure function of the scenario file
 bytes and of the BLAS thread count the process inherits.  That count matters
 for gics_raw.csv, solve.csv and metrics.csv, not for the GI files or
@@ -24,7 +26,7 @@ truth.pgm: the dense branch of ``recon_gics.SensingSystem.matvec`` sums in the
 order of OpenBLAS's threads, and OpenBLAS threads every dot product longer
 than 10 000 elements (the solve's length-grid_n**2 dots, any grid_n > 100).
 
-Seeds (and a trend's (l_c, seed) jobs) run one at a time, in order, so no
+The (l_c, seed) jobs run one at a time, in order, so no
 other thread uses BLAS while a campaign holds it to one thread (see
 ``forward.campaign_blocks``).  Each campaign is made in blocks of
 ``forward._BLOCK_FRAMES`` (8) frames, each on the usable CPUs, with one set
@@ -35,7 +37,6 @@ by block and holds O(grid_n**2) plus one block, whatever m is.
 """
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import re
@@ -83,11 +84,8 @@ def _comma_list(text: str) -> list[str]:
 
 
 def _methods(text: str) -> tuple[str, ...]:
-    tokens = {token.lower() for token in _comma_list(text)}
-    unknown = tokens - {"gi", "gics"}
-    if unknown:
-        raise ValueError(f"unknown method(s) {', '.join(sorted(unknown))} (want gi or gics)")
-    return tuple(method for method in ("gi", "gics") if method in tokens)
+    # sorted is the canonical gi,gics order; Scenario rejects unknown and repeated ones
+    return tuple(sorted(token.lower() for token in _comma_list(text)))
 
 
 def _length(text: str) -> float:
@@ -95,6 +93,10 @@ def _length(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ValueError("must be a positive finite length")
     return value
+
+
+def _lengths(text: str) -> tuple[float, ...]:
+    return tuple(_length(token) for token in text.split(","))
 
 
 def _finite(text: str) -> float:
@@ -121,7 +123,8 @@ SCHEMA: dict[str, Key] = {
     "scenario.slit_separation_m": Key(_length, 2e-4, "distance between the slit centers"),
     "scenario.slit_center_x_m": Key(_finite, 0.0, "x of the midpoint between the slits"),
     "scenario.slit_center_y_m": Key(_finite, 0.0, "y of the slit centers"),
-    "optics.lc_target_m": Key(_length, REQUIRED, "coherence length l_c on the object plane"),
+    "optics.lc_target_m": Key(_lengths, REQUIRED,
+                              "comma list of distinct coherence lengths l_c; 2+ make a sweep"),
     "optics.grid_n": Key(int, REQUIRED, "pixels per side of the object and reference grids"),
     "optics.pixel_pitch_m": Key(_length, REQUIRED, "pixel pitch on both grids"),
     "optics.source_oversample": Key(int, OpticalConfig.source_oversample,
@@ -133,10 +136,14 @@ SCHEMA: dict[str, Key] = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """A run's inputs, checked when built (from a file or in code) by the rules its run applies."""
+    """A run's inputs, checked when built (from a file or in code) by the rules its run applies.
+
+    ``configs`` holds one ``OpticalConfig`` per coherence length, on one grid,
+    stored in descending l_c order; two or more make a sweep.
+    """
 
     name: str
-    config: OpticalConfig
+    configs: tuple[OpticalConfig, ...]
     mask: ObjectMask
     slit_geometry: SlitGeometry | None
     m: int
@@ -159,7 +166,21 @@ class Scenario:
         if len(set(seeds)) != len(seeds):
             raise ConfigError("scenario seed list contains duplicates")
         _check_noise_sigma(self.noise_sigma)
+        configs = tuple(sorted(self.configs, key=lambda c: c.coherence_length, reverse=True))
+        if len({(c.grid_n, c.pixel_pitch, c.source_oversample) for c in configs}) != 1:
+            raise ConfigError("scenario needs at least one coherence length, all on one grid")
+        lcs = [config.coherence_length for config in configs]
+        if len(set(lcs)) != len(lcs):
+            raise ConfigError(f"coherence lengths {lcs!r} must be distinct")
+        for lc, config in zip(lcs, configs):
+            try:
+                checked_aperture_samples(config)
+            except ConfigError as exc:
+                raise ConfigError(f"coherence length {lc!r}: {exc}") from None
+        if len(configs) > 1 and len(seeds) < 2:
+            raise ConfigError("a sweep of coherence lengths needs at least 2 seeds")
         object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "configs", configs)
 
 
 def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
@@ -179,9 +200,10 @@ def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
         except ValueError as exc:
             raise ConfigError(f"{key} = {pairs[key]!r}: {exc}") from None
 
-    config = OpticalConfig(values["optics.lc_target_m"], values["optics.grid_n"],
-                           values["optics.pixel_pitch_m"], values["optics.source_oversample"])
-    checked_aperture_samples(config)
+    configs = tuple(OpticalConfig(lc, values["optics.grid_n"], values["optics.pixel_pitch_m"],
+                                  values["optics.source_oversample"])
+                    for lc in values["optics.lc_target_m"])
+    config = configs[0]  # the mask depends only on the grid the configs share
 
     mask_kind = values["scenario.mask"]
     slit_geometry = None
@@ -204,7 +226,7 @@ def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
         raise ConfigError(f"scenario.mask must be double_slit or pgm, got {mask_kind!r}")
 
     gics = GicsParams(tau=values["gics.tau"], max_iters=values["gics.max_iters"])
-    return Scenario(name=values["scenario.name"], config=config, mask=mask,
+    return Scenario(name=values["scenario.name"], configs=configs, mask=mask,
                     slit_geometry=slit_geometry, m=values["scenario.m"],
                     methods=values["scenario.methods"], gics=gics,
                     seeds=values["scenario.seeds"], noise_sigma=values["scenario.noise_sigma"])
@@ -235,9 +257,10 @@ def _format_cell(value) -> str:
 _METHOD_FILES = {"gi": ("gi.pgm", "gi_raw.csv"), "gics": ("gics.pgm", "gics_raw.csv", "solve.csv")}
 
 
-def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
-    """Run the seed's campaign, reconstruct with the requested methods, write
-    the seed's files to <scenario_dir>/<seed>/ and return its metric rows.
+def _run_seed(scenario: Scenario, config: OpticalConfig, seed: int,
+              job_dir: Path) -> list[dict]:
+    """Run the seed's campaign at ``config``, reconstruct with the requested
+    methods, write the seed's files to <job_dir>/<seed>/ and return its metric rows.
 
     GICS needs the whole stack, so with "gics" requested the campaign is one
     ``MeasurementSet``, and GI folds its blocks while they are stored.  GI
@@ -245,8 +268,8 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
     allocated.  Both give the same GI image.  The seed's directory is made
     once all of its work has succeeded.
     """
-    lc = scenario.config.coherence_length
-    campaign = (scenario.config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
+    lc = config.coherence_length
+    campaign = (config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
     ms = gi = None
     if "gics" not in scenario.methods:
         gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign))
@@ -272,7 +295,7 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
         if scenario.slit_geometry is not None:
             try:
                 dip_ratio, resolved = metrics.slit_dip(raw, scenario.slit_geometry,
-                                                       scenario.config.pixel_pitch)
+                                                       config.pixel_pitch)
             except metrics.PeaksNotLocatable:  # e.g. the zero GICS image of a large tau
                 resolved = False
         normalized = metrics.minmax_normalize(raw)
@@ -291,7 +314,7 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
         })
     del ms  # free the campaign stack before the files are written
 
-    seed_dir = scenario_dir / str(seed)
+    seed_dir = job_dir / str(seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
     optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm")
     for method, names in _METHOD_FILES.items():
@@ -313,7 +336,15 @@ def _run_seed(scenario: Scenario, seed: int, scenario_dir: Path) -> list[dict]:
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> Path:
-    """Run every seed, one at a time; returns the scenario output directory.
+    """Run every (l_c, seed) job, one at a time; returns the scenario output directory.
+
+    A single coherence length writes <out>/<name>/<seed>/.  A sweep writes
+    each job to <out>/<name>/lc_<repr(l_c)>/<seed>/ and then trend.csv: the
+    mean/std of SNR and MSE per (coherence length, method) over the seeds,
+    built from the rows the jobs return, in descending l_c order.  It ends
+    with one machine-checkable verdict row per method: monotone_gi_snr true
+    iff the mean GI SNR is non-increasing as l_c decreases, monotone_gics_mse
+    likewise for the mean GICS MSE.
 
     ``threads`` is kept because existing callers (the benchmark among them)
     pass ``threads=1``; any other value is a ``ConfigError``.
@@ -322,49 +353,16 @@ def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> P
         raise ConfigError(f"threads must be 1 (seeds run one at a time), got {threads!r}")
     scenario_dir = Path(out_dir) / scenario.name
     scenario_dir.mkdir(parents=True, exist_ok=True)
-    for seed in scenario.seeds:
-        _run_seed(scenario, seed, scenario_dir)
-    return scenario_dir
-
-
-def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path):
-    """Mean/std of SNR and MSE per (coherence length, method) over ``scenario.seeds``.
-
-    Coherence lengths are canonicalized to descending order; they must be
-    distinct, and each must give a source aperture of at least
-    MIN_APERTURE_SAMPLES source samples.  The scenario needs at least 2 seeds.
-    All of this is checked before any campaign runs, so a rejected trend
-    writes nothing.  Each (l_c, seed) job runs once, through ``run``'s
-    per-seed code, into <out>/<name>/lc_<repr(l_c)>/<seed>/, and the table is
-    built from the rows the jobs return.  It ends with one machine-checkable
-    verdict row per method: monotone_gi_snr true iff the mean GI SNR is
-    non-increasing as l_c decreases, monotone_gics_mse likewise for the mean
-    GICS MSE.  Writes <out>/<name>/trend.csv; returns (csv_text, verdicts dict).
-    """
-    lc_values = sorted((float(v) for v in lc_list), reverse=True)
-    if len(lc_values) < 2:
-        raise ConfigError("trend experiment needs at least 2 coherence lengths")
-    if len(scenario.seeds) < 2:
-        raise ConfigError("trend experiment needs at least 2 seeds")
-    if not all(v > 0 and math.isfinite(v) for v in lc_values):
-        raise ConfigError("coherence lengths must be positive and finite")
-    if len(set(lc_values)) != len(lc_values):
-        raise ConfigError("coherence lengths must be distinct")
-    configs = {lc: dataclasses.replace(scenario.config, coherence_length=lc)
-               for lc in lc_values}
-    for lc, cfg in configs.items():
-        try:
-            checked_aperture_samples(cfg)
-        except ConfigError as exc:
-            raise ConfigError(f"coherence length {lc!r}: {exc}") from None
-
-    scenario_dir = Path(out_dir) / scenario.name
+    sweep = len(scenario.configs) > 1
     rows_of = {}  # (l_c, method) -> one metric row per seed
-    for lc, cfg in configs.items():  # distinct l_c values have distinct reprs
-        job = dataclasses.replace(scenario, config=cfg)
+    for config in scenario.configs:
+        lc = config.coherence_length  # distinct l_c values have distinct reprs
+        job_dir = scenario_dir / f"lc_{lc!r}" if sweep else scenario_dir
         for seed in scenario.seeds:
-            for row in _run_seed(job, seed, scenario_dir / f"lc_{lc!r}"):
+            for row in _run_seed(scenario, config, seed, job_dir):
                 rows_of.setdefault((lc, row["method"]), []).append(row)
+    if not sweep:
+        return scenario_dir
 
     lines = [TREND_HEADER]
     means = {method: [] for method in scenario.methods}  # per l_c, of the verdict's metric
@@ -380,9 +378,8 @@ def trend_experiment(scenario: Scenario, lc_list, out_dir: str | Path):
                 for method, series in means.items()}
     for key in sorted(verdicts):
         lines.append(f"verdict,{key},{_format_cell(verdicts[key])},,,")
-    csv_text = "\n".join(lines) + "\n"
-    ioutil.atomic_write_text(scenario_dir / "trend.csv", csv_text)
-    return csv_text, verdicts
+    ioutil.atomic_write_text(scenario_dir / "trend.csv", "\n".join(lines) + "\n")
+    return scenario_dir
 
 
 # Bench geometry shared by the built-in recipes (experiments/*.scn spell it out).

@@ -36,7 +36,7 @@ scenario.mask = double_slit
 scenario.slit_width_m = 1e-4
 scenario.slit_height_m = 0.5e-3
 scenario.slit_separation_m = 2e-4
-optics.lc_target_m = 135.5e-6
+optics.lc_target_m = 276.7e-6,135.5e-6,68.8e-6
 optics.grid_n = 100
 optics.pixel_pitch_m = 30e-6
 gics.tau = 6.0
@@ -165,12 +165,15 @@ def test_criterion_4_double_slit_reproduction(fig_slit_runs):
 
 def test_criterion_5_trend_verdicts(tmp_path):
     scenario = harness.parse_scenario_text(TREND_SCENARIO_TEXT, tmp_path)
-    csv_text, verdicts = harness.trend_experiment(scenario, LC_LIST, out_dir=tmp_path)
+    assert tuple(config.coherence_length for config in scenario.configs) == LC_LIST
+    csv_text = (harness.run_scenario(scenario, tmp_path) / "trend.csv").read_text()
+    verdicts = {}
     gi_snr_means = []
     gics_mse_means = []
     for line in csv_text.splitlines()[1:]:
         cells = line.split(",")
         if cells[0] == "verdict":
+            verdicts[cells[1]] = cells[2] == "true"
             continue
         if cells[1] == "gi":
             gi_snr_means.append(float(cells[2]))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghostbench import cli, harness
+from ghostbench import cli, harness, ioutil
 from ghostbench.optics import SlitGeometry
 from ghostbench.recon_gics import GicsParams
 
@@ -22,8 +22,9 @@ def command_of(path: Path) -> str:
 
 
 def lc_list_of(path: Path) -> list[float]:
-    args = cli.build_parser().parse_args(shlex.split(command_of(path))[1:])
-    return [float(token) for token in args.lc.split(",")]
+    """The coherence lengths the file's ``optics.lc_target_m`` lists, in file order."""
+    pairs = ioutil.parse_kv_text(path.read_text(encoding="utf-8"))
+    return [float(token) for token in pairs["optics.lc_target_m"].split(",")]
 
 
 def test_the_three_sweeps_are_committed():
@@ -35,8 +36,8 @@ def test_the_three_sweeps_are_committed():
 def test_first_line_runs_the_file_and_is_in_the_readme(path):
     command = command_of(path)
     argv = shlex.split(command)
-    assert argv[:3] == ["ghostbench", "trend", path.relative_to(ROOT).as_posix()]
-    assert cli.build_parser().parse_args(argv[1:]).command == "trend"
+    assert argv[:3] == ["ghostbench", "run", path.relative_to(ROOT).as_posix()]
+    assert cli.build_parser().parse_args(argv[1:]).command == "run"
     assert command in README
 
 
@@ -44,13 +45,16 @@ def test_first_line_runs_the_file_and_is_in_the_readme(path):
 def test_parses_from_its_own_directory(path):
     scenario = harness.load_scenario(path)
     assert scenario.name == path.stem
-    assert scenario.config.coherence_length == max(lc_list_of(path))
+    # the file's own list is its sweep: three coherence lengths, widest first
+    lc_list = lc_list_of(path)
+    assert len(lc_list) == 3 and lc_list == sorted(lc_list, reverse=True)
+    assert [config.coherence_length for config in scenario.configs] == lc_list
 
 
 def test_slit_sweep_is_the_fig3_bench():
     scenario = harness.load_scenario(ROOT / "experiments" / "slit_sweep.scn")
-    assert scenario.config.grid_n == 100
-    assert scenario.config.pixel_pitch == 15e-6
+    assert {config.grid_n for config in scenario.configs} == {100}
+    assert {config.pixel_pitch for config in scenario.configs} == {15e-6}
     assert scenario.slit_geometry == SlitGeometry(1e-4, 1e-3, 2e-4)
     assert scenario.methods == ("gi", "gics")
     assert scenario.m == 500
@@ -74,7 +78,7 @@ def test_aperture_pgm_is_a_binary_100px_mask():
 def test_small_trend_writes_every_job(path, tmp_path):
     scenario = dataclasses.replace(harness.load_scenario(path), m=10, seeds=(1, 2))
     lc_list = lc_list_of(path)
-    harness.trend_experiment(scenario, lc_list, tmp_path)
+    harness.run_scenario(scenario, tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == [path.stem]
     sweep = tmp_path / path.stem
     assert (sweep / "trend.csv").is_file()

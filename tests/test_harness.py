@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ghostbench
 from ghostbench import cli, forward, harness, optics, recon_gics
 from ghostbench.errors import ConfigError
 
@@ -39,6 +40,23 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def sweep_text(lcs: str, text: str = SMALL_SCENARIO) -> str:
+    """``text`` with ``optics.lc_target_m`` set to the comma list ``lcs``."""
+    assert "optics.lc_target_m = 100e-6\n" in text
+    return text.replace("optics.lc_target_m = 100e-6\n", f"optics.lc_target_m = {lcs}\n")
+
+
+def at_lcs(scenario, lcs):
+    """``scenario``, built in code, at the coherence lengths ``lcs``."""
+    return dataclasses.replace(scenario, configs=tuple(
+        dataclasses.replace(scenario.configs[0], coherence_length=lc) for lc in lcs))
+
+
+def verdict_rows(csv_text: str) -> dict:
+    return {cells[1]: cells[2] for cells in (line.split(",") for line in csv_text.splitlines())
+            if cells[0] == "verdict"}
 
 
 class TestParsing:
@@ -72,7 +90,7 @@ class TestParsing:
             harness.parse_scenario_text(bad, tmp_path)
 
     def test_single_method_scenario(self, tmp_path):
-        for methods in ("gics", "gics,", " GICS , gics"):
+        for methods in ("gics", "gics,", " GICS "):
             text = SMALL_SCENARIO.replace("scenario.methods = gi,gics",
                                           f"scenario.methods = {methods}")
             scenario = harness.parse_scenario_text(text, tmp_path)
@@ -166,14 +184,12 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("command", ["run", "trend"])
     def test_rerun_deletes_only_the_files_of_methods_it_drops(self, tmp_path, command):
+        """``command`` "trend" is a sweep file, "run" a single-l_c one."""
         def run(methods, out):
-            scenario = dataclasses.replace(both, methods=methods)
-            if command == "run":
-                harness.run_scenario(scenario, out)
-            else:
-                harness.trend_experiment(scenario, [60e-6, 100e-6], out)
+            harness.run_scenario(dataclasses.replace(both, methods=methods), out)
 
-        both = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        lcs = "100e-6" if command == "run" else "60e-6,100e-6"
+        both = harness.parse_scenario_text(sweep_text(lcs), tmp_path)
         out = tmp_path / "out"
         run(("gi", "gics"), out)
         notes = next((out / "smoke").rglob("metrics.csv")).with_name("notes.txt")
@@ -194,7 +210,8 @@ class TestRunScenario:
             synthesize(config, seed, i, out=out))[1])
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         harness.run_scenario(scenario, tmp_path / "out")
-        harness.trend_experiment(scenario, [60e-6, 120e-6], tmp_path)
+        harness.run_scenario(harness.parse_scenario_text(sweep_text("60e-6,120e-6"), tmp_path),
+                             tmp_path)
         jobs = [(lc, seed) for lc in (100e-6, 120e-6, 60e-6) for seed in scenario.seeds]
         # one (l_c, seed) job at a time, in order, each on two frame threads
         assert [(lc, seed) for lc, seed, _ in made] == [job for job in jobs
@@ -237,7 +254,7 @@ class TestRunScenario:
         # truth.pgm is 16-bit, and 65535 = 255 * 257: an 8-bit mask reloads exactly
         truth = out / "smoke" / "3" / "truth.pgm"
         assert truth.read_bytes().startswith(b"P5\n48 48\n65535\n")
-        reloaded = optics.load_mask_pgm(truth, scenario.config)
+        reloaded = optics.load_mask_pgm(truth, scenario.configs[0])
         assert np.array_equal(reloaded.values, samples / 255.0)
 
 
@@ -295,9 +312,9 @@ class TestSolveCapWarning:
 
     def test_capped_trend_warns_once_per_lc_and_seed(self, tmp_path, caplog):
         text = SMALL_SCENARIO.replace("gics.max_iters = 150\n", "gics.max_iters = 5\n")
-        scenario = harness.parse_scenario_text(text, tmp_path)
+        scenario = harness.parse_scenario_text(sweep_text("60e-6,120e-6", text), tmp_path)
         with caplog.at_level(logging.WARNING, logger="ghostbench"):
-            harness.trend_experiment(scenario, [60e-6, 120e-6], out_dir=tmp_path / "out")
+            harness.run_scenario(scenario, out_dir=tmp_path / "out")
         messages = [r.getMessage() for r in caplog.records if r.name == "ghostbench"]
         assert len(messages) == 4
         for (lc, seed), message in zip([(lc, s) for lc in ("0.00012", "6e-05") for s in (3, 4)],
@@ -337,41 +354,51 @@ class TestSolveCapWarning:
 
 
 class TestTrend:
+    """Sweeps: scenario files whose optics.lc_target_m lists two or more coherence lengths."""
+
+    def run_sweep(self, tmp_path, lcs, out, text=SMALL_SCENARIO):
+        scenario = harness.parse_scenario_text(sweep_text(lcs, text), tmp_path)
+        csv_text = (harness.run_scenario(scenario, out) / "trend.csv").read_text()
+        return scenario, csv_text
+
     def test_rows_sorted_descending_with_verdicts(self, tmp_path):
-        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        csv_text, verdicts = harness.trend_experiment(scenario, [60e-6, 120e-6, 90e-6], tmp_path)
+        _, csv_text = self.run_sweep(tmp_path, "60e-6,120e-6,90e-6", tmp_path)
         lines = csv_text.splitlines()
         assert lines[0] == harness.TREND_HEADER
         lcs = [float(line.split(",")[0]) for line in lines[1:7]]
         assert lcs == sorted(lcs, reverse=True)
-        assert set(verdicts) == {"monotone_gi_snr", "monotone_gics_mse"}
+        assert set(verdict_rows(csv_text)) == {"monotone_gi_snr", "monotone_gics_mse"}
         assert lines[-2].startswith("verdict,monotone_gi_snr,")
         assert lines[-1].startswith("verdict,monotone_gics_mse,")
 
     def test_shuffled_lc_list_gives_identical_csv(self, tmp_path):
-        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        a, _ = harness.trend_experiment(scenario, [120e-6, 60e-6], tmp_path)
-        b, _ = harness.trend_experiment(scenario, [60e-6, 120e-6], tmp_path)
+        _, a = self.run_sweep(tmp_path, "120e-6,60e-6", tmp_path)
+        _, b = self.run_sweep(tmp_path, "60e-6,120e-6", tmp_path)
         assert a == b
 
-    def test_writes_trend_csv(self, tmp_path):
-        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+    def test_writes_trend_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
-        csv_text, _ = harness.trend_experiment(scenario, [60e-6, 120e-6], out_dir=out)
+        _, csv_text = self.run_sweep(tmp_path, "60e-6,120e-6", out)
         assert (out / "smoke" / "trend.csv").read_text() == csv_text
+        # the CLI writes the same table and prints its verdict rows
+        path = tmp_path / "sweep.txt"
+        path.write_text(sweep_text("60e-6,120e-6"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 0
+        assert (tmp_path / "cli" / "smoke" / "trend.csv").read_text() == csv_text
+        assert capsys.readouterr().out.splitlines() == [
+            f"{key}={value}" for key, value in sorted(verdict_rows(csv_text).items())]
 
     def test_job_at_the_scenarios_own_lc_writes_the_files_of_run(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         harness.run_scenario(scenario, tmp_path / "run")
-        harness.trend_experiment(scenario, [60e-6, 100e-6], tmp_path / "trend")
+        self.run_sweep(tmp_path, "60e-6,100e-6", tmp_path / "trend")
         trend_dir = tmp_path / "trend" / "smoke"
         assert sorted(p.name for p in trend_dir.iterdir()) == ["lc_0.0001", "lc_6e-05",
                                                                 "trend.csv"]
         assert tree_bytes(trend_dir / "lc_0.0001") == tree_bytes(tmp_path / "run" / "smoke")
 
     def test_table_is_mean_and_std_of_the_jobs_metrics(self, tmp_path):
-        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        csv_text, _ = harness.trend_experiment(scenario, [60e-6, 120e-6], tmp_path)
+        scenario, csv_text = self.run_sweep(tmp_path, "60e-6,120e-6", tmp_path)
         header = harness.METRICS_HEADER.split(",")
         table = [line.split(",") for line in csv_text.splitlines()[1:-2]]
         assert len(table) == 4
@@ -386,32 +413,36 @@ class TestTrend:
                                                  values["mse"].mean(), values["mse"].std()]
 
     def test_requires_two_of_each(self, tmp_path):
+        # one coherence length is a run, not a sweep: no table, no lc_* directory
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        with pytest.raises(ConfigError):
-            harness.trend_experiment(scenario, [100e-6], tmp_path)
-        one_seed = harness.parse_scenario_text(
-            SMALL_SCENARIO.replace("scenario.seeds = 3,4", "scenario.seeds = 3"), tmp_path)
+        harness.run_scenario(scenario, tmp_path / "run")
+        assert sorted(p.name for p in (tmp_path / "run" / "smoke").iterdir()) == ["3", "4"]
+        one_seed_text = SMALL_SCENARIO.replace("scenario.seeds = 3,4", "scenario.seeds = 3")
         with pytest.raises(ConfigError, match="at least 2 seeds"):
-            harness.trend_experiment(one_seed, [60e-6, 120e-6], tmp_path)
+            harness.parse_scenario_text(sweep_text("60e-6,120e-6", one_seed_text), tmp_path)
+        one_seed = harness.parse_scenario_text(one_seed_text, tmp_path)
+        with pytest.raises(ConfigError, match="at least 2 seeds"):
+            at_lcs(one_seed, (60e-6, 120e-6))
         assert not (tmp_path / "smoke").exists()
 
     def test_repeated_lc_verdicts_trivially_true(self, tmp_path):
         # a repeated l_c would run its jobs twice, write its rows twice and make the
         # monotonicity verdicts trivially true, so it is rejected before any job runs
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        out = tmp_path / "out"
-        for lc_list in ([100e-6, 100e-6], [60e-6, 1e-4, 120e-6, 100e-6]):
+        for lcs in ("100e-6,100e-6", "60e-6,1e-4,120e-6,100e-6"):
             with pytest.raises(ConfigError, match="coherence lengths"):
-                harness.trend_experiment(scenario, lc_list, out_dir=out)
-        assert not out.exists()
+                harness.parse_scenario_text(sweep_text(lcs), tmp_path)
+            with pytest.raises(ConfigError, match="coherence lengths"):
+                at_lcs(scenario, [float(lc) for lc in lcs.split(",")])
 
     def test_rejects_bad_lc_and_seeds(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
-        for lc_list in ([float("nan"), 100e-6], [float("inf"), 100e-6], [0.0, 100e-6]):
-            with pytest.raises(ConfigError, match="coherence lengths"):
-                harness.trend_experiment(scenario, lc_list, tmp_path)
-        assert not (tmp_path / "smoke").exists()
-        # seeds are checked where every scenario is built, for run and trend alike
+        for lcs in ("nan,100e-6", "inf,100e-6", "0.0,100e-6"):
+            with pytest.raises(ConfigError, match="optics.lc_target_m"):
+                harness.parse_scenario_text(sweep_text(lcs), tmp_path)
+            with pytest.raises(ConfigError, match="coherence_length"):
+                at_lcs(scenario, [float(lc) for lc in lcs.split(",")])
+        # seeds are checked where every scenario is built, for runs and sweeps alike
         for seeds in ((3, 3), (-1, 2), (2**64, 2), (), (True, 2), (1.5, 2), ("1", 2)):
             with pytest.raises(ConfigError, match="seed"):
                 dataclasses.replace(scenario, seeds=seeds)
@@ -419,14 +450,37 @@ class TestTrend:
     @pytest.mark.parametrize("change", [
         {"seeds": (True, 2)}, {"seeds": (1.5, 2)}, {"m": 2.5}, {"m": True},
         {"noise_sigma": -1.0}, {"noise_sigma": float("nan")}, {"noise_sigma": float("inf")},
-        {"methods": ("gi", "bogus")}, {"methods": ("gics", "gics")}, {"methods": ()}],
+        {"methods": ("gi", "bogus")}, {"methods": ("gics", "gics")}, {"methods": ()},
+        {"lcs": (1e-4, 1e-4)}, {"lcs": (-1e-4,)}, {"lcs": (1e-4, 1e-3)}, {"lcs": ()},
+        {"lcs": (1e-4, 6e-5), "seeds": (3,)}],
         ids=["bool_seed", "float_seed", "float_m", "bool_m", "negative_noise", "nan_noise",
-             "inf_noise", "unknown_method", "repeated_method", "no_method"])
+             "inf_noise", "unknown_method", "repeated_method", "no_method", "repeated_lc",
+             "negative_lc", "undersampled_lc", "no_lc", "one_seed_sweep"])
     def test_code_built_scenario_is_checked_before_anything_is_written(self, tmp_path, change):
+        """``lcs`` sets the coherence lengths (see ``at_lcs``); the rest are fields."""
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        change = dict(change)
+        lcs = change.pop("lcs", None)
         with pytest.raises(ConfigError):
-            harness.run_scenario(dataclasses.replace(scenario, **change), tmp_path)
+            scenario = dataclasses.replace(scenario, **change)
+            if lcs is not None:
+                scenario = at_lcs(scenario, lcs)
+            harness.run_scenario(scenario, tmp_path)
         assert not any(tmp_path.iterdir())
+
+    def test_file_with_a_repeated_method_is_refused_before_anything_is_written(
+            self, tmp_path):
+        # a repeat is refused, not dropped, as it is for a Scenario built in code
+        for methods in ("gics,gics", " GICS , gics", "gi,gics,gi"):
+            bad = SMALL_SCENARIO.replace("scenario.methods = gi,gics",
+                                         f"scenario.methods = {methods}")
+            with pytest.raises(ConfigError, match="distinct"):
+                harness.parse_scenario_text(bad, tmp_path)
+            path = tmp_path / "scenario.txt"
+            path.write_text(bad)
+            out = tmp_path / "out"
+            assert cli.main(["run", str(path), "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_numpy_seeds_are_stored_as_ints(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
@@ -475,9 +529,9 @@ class TestCli:
         assert (tmp_path / "envout" / "smoke").is_dir()
 
     def test_trend_cli(self, tmp_path, capsys):
-        path = self.write_scenario(tmp_path)
+        path = self.write_scenario(tmp_path, sweep_text("60e-6,120e-6"))
         out = tmp_path / "out"
-        code = cli.main(["trend", str(path), "--lc", "60e-6,120e-6", "--out", str(out)])
+        code = cli.main(["run", str(path), "--out", str(out)])
         assert code == 0
         captured = capsys.readouterr()
         assert "monotone_gi_snr=" in captured.out
@@ -487,30 +541,48 @@ class TestCli:
         for job in jobs:
             assert (out / "smoke" / job / "metrics.csv").is_file()
 
-    def test_trend_needs_two_lcs(self, tmp_path):
+    def test_trend_needs_two_lcs(self, tmp_path, capsys):
+        # one coherence length is a run: the run layout, no table and no verdict
+        path = self.write_scenario(tmp_path, sweep_text("60e-6"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "smoke").iterdir()) == ["3", "4"]
+        assert capsys.readouterr().out == ""
+
+    def test_trend_command_and_lc_option_are_gone(self, tmp_path):
         path = self.write_scenario(tmp_path)
-        assert cli.main(["trend", str(path), "--lc", "60e-6"]) == 2
+        out = tmp_path / "out"
+        for argv in (["trend", str(path), "--lc", "60e-6,120e-6", "--out", str(out)],
+                     ["run", str(path), "--lc", "60e-6,120e-6", "--out", str(out)]):
+            with pytest.raises(SystemExit) as exited:
+                cli.main(argv)
+            assert exited.value.code == 2
+        assert not out.exists()
+        assert not hasattr(ghostbench, "trend_experiment")
 
     @pytest.mark.parametrize("lc,seeds", [("60e-6,120e-6", "-1,2"), ("60e-6,120e-6", "3,3"),
                                           ("60e-6,120e-6", "3"), ("nan,1e-4", "3,4"),
                                           ("1e-4,1e-3", "3,4"), ("1e-4,1e-4", "3,4")])
     def test_trend_bad_lc_or_seeds_exits_2(self, tmp_path, lc, seeds):
-        """``lc`` is the --lc list, ``seeds`` the scenario file's seed list."""
-        path = self.write_scenario(tmp_path, SMALL_SCENARIO.replace(
-            "scenario.seeds = 3,4", f"scenario.seeds = {seeds}"))
+        """``lc`` is the file's optics.lc_target_m list, ``seeds`` its seed list."""
+        path = self.write_scenario(tmp_path, sweep_text(lc, SMALL_SCENARIO.replace(
+            "scenario.seeds = 3,4", f"scenario.seeds = {seeds}")))
         out = tmp_path / "out"
-        argv = ["trend", str(path), f"--lc={lc}", "--out", str(out)]
+        argv = ["run", str(path), "--out", str(out)]
         assert cli.main(argv) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1", "2"])
     @pytest.mark.parametrize("command", ["run", "trend"])
     def test_threads_below_one_exits_2(self, tmp_path, command, threads):
-        """--threads is gone: argparse rejects it with exit 2 for any value."""
-        path = self.write_scenario(tmp_path)
+        """--threads is gone: argparse rejects it with exit 2 for any value.
+
+        ``command`` "trend" runs a sweep file, "run" a single-l_c one.
+        """
+        path = self.write_scenario(tmp_path, sweep_text(
+            "100e-6" if command == "run" else "60e-6,120e-6"))
         out = tmp_path / "out"
-        extra = ["--lc", "60e-6,120e-6"] if command == "trend" else []
-        argv = [command, str(path), "--out", str(out), "--threads", threads, *extra]
+        argv = ["run", str(path), "--out", str(out), "--threads", threads]
         with pytest.raises(SystemExit) as exited:
             cli.main(argv)
         assert exited.value.code == 2
@@ -523,7 +595,9 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(out)]) == 0
         for seed in ("3", "4"):
             assert len(list((out / "smoke" / seed).iterdir())) == 7
-        assert cli.main(["trend", str(path), "--lc", "60e-6,120e-6", "--out", str(out)]) == 0
+        path = self.write_scenario(tmp_path, sweep_text("60e-6,120e-6", SMALL_SCENARIO.replace(
+            "gics.tau = 1e-3", "gics.tau = 1e9")))
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
         assert "monotone_gics_mse=true" in capsys.readouterr().out
         assert (out / "smoke" / "trend.csv").is_file()
 
@@ -560,7 +634,7 @@ class TestRecipes:
         from_array = harness.double_slit_sweep_scenarios(lc_list=np.array([68.8e-6]))[0]
         assert from_array == from_tuple
         scenario = harness.parse_scenario_text(from_array, tmp_path)
-        assert scenario.config == harness.parse_scenario_text(from_tuple, tmp_path).config
+        assert scenario.configs == harness.parse_scenario_text(from_tuple, tmp_path).configs
 
     def test_aperture_sweep_parses(self, tmp_path):
         from ghostbench import ioutil
@@ -613,6 +687,12 @@ class TestSchema:
     def test_length_rows_roundtrip(self, key, value):
         assert harness.SCHEMA[key].parse(repr(value)) == value
 
+    @given(lengths=st.lists(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+                            min_size=1, max_size=4))
+    def test_length_lists_roundtrip(self, lengths):
+        text = ",".join(map(repr, lengths))
+        assert harness.SCHEMA["optics.lc_target_m"].parse(text) == tuple(lengths)
+
     @given(key=rows_parsed_by(int), value=st.integers())
     def test_int_rows_roundtrip(self, key, value):
         assert harness.SCHEMA[key].parse(str(value)) == value
@@ -625,7 +705,7 @@ class TestSchema:
         parsed = harness.parse_scenario_text(text, tmp_path)
         recipe = harness.parse_scenario_text(
             harness.double_slit_sweep_scenarios(lc_list=(68.8e-6,))[0], tmp_path)
-        for field in ("name", "config", "slit_geometry", "m", "methods", "gics", "seeds",
+        for field in ("name", "configs", "slit_geometry", "m", "methods", "gics", "seeds",
                       "noise_sigma"):
             assert getattr(recipe, field) == getattr(parsed, field), field
         assert np.array_equal(recipe.mask.values, parsed.mask.values)
