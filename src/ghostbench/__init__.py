@@ -2,7 +2,7 @@
 
 from .errors import ConfigError, GhostbenchError, SolverError
 from .optics import (ObjectMask, OpticalConfig, SlitGeometry, grid_coords, load_mask_pgm,
-                     make_double_slit, save_mask_pgm)
+                     make_double_slit)
 from .speckle import SpeckleStats, aperture_sample_count, intensity_stats, synthesize_frame
 from .forward import MeasurementSet, bucket_measure, campaign_blocks, run_campaign
 from .recon_gi import gi_from_blocks, write_image_csv

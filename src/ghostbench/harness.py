@@ -10,7 +10,8 @@ with l_c = lambda * z / D.  Give ``scenario.mask_pgm`` (relative to the file)
 when ``scenario.mask = pgm``.  Whatever ``Scenario`` rejects is a parse error:
 a seed list that is empty, outside [0, 2**64) or repeated, a repeated method,
 a repeated coherence length, one whose source aperture spans fewer than
-``speckle.MIN_APERTURE_SAMPLES`` source samples, and a sweep with one seed.
+``speckle.MIN_APERTURE_SAMPLES`` source samples, a sweep with one seed, the
+name ``.`` or ``..``, and a mask that ``metrics.truth_support`` refuses.
 
 ``optics.lc_target_m`` is a comma list of distinct coherence lengths.  With
 one, ``run_scenario`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and
@@ -18,9 +19,11 @@ each requested method's files (gi.pgm, gi_raw.csv; gics.pgm, gics_raw.csv,
 solve.csv), deleting there those of a method it does not request.  With two
 or more (a sweep, which needs at least 2 seeds) it runs the same per-seed
 code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and writes
-<out>/<name>/trend.csv; lc_* directories of an earlier list stay.  All
-files are written atomically and are a pure function of the scenario file
-bytes and of the BLAS thread count the process inherits.  That count matters
+<out>/<name>/trend.csv; lc_* directories of an earlier list stay.  A
+seed's directory is made once its work has succeeded.  The PGMs are
+``ioutil.write_pgm`` graymaps.  All files are written atomically and are a
+pure function of the scenario file bytes and of the BLAS thread count the
+process inherits.  That count matters
 for gics_raw.csv, solve.csv and metrics.csv, not for the GI files or
 truth.pgm: the dense branch of ``recon_gics.SensingSystem.matvec`` sums in the
 order of OpenBLAS's threads, and OpenBLAS threads every dot product longer
@@ -53,7 +56,7 @@ from .forward import (_check_noise_sigma, _make_frames, bucket_measure, campaign
                       run_campaign)
 from .optics import ObjectMask, OpticalConfig, SlitGeometry
 from .recon_gics import GicsParams
-from .speckle import _checked_seed, _integer, checked_aperture_samples, synthesize_frame
+from .speckle import _checked_seed, _integer, aperture_sample_count, synthesize_frame
 
 METRICS_HEADER = "scenario,lc_m,m,method,seed,snr,mse,psnr,dip_ratio,resolved"
 TREND_HEADER = "lc_m,method,snr_mean,snr_std,mse_mean,mse_std"
@@ -74,8 +77,8 @@ class Key:
 
 
 def _name(text: str) -> str:
-    if not _NAME_RE.match(text):
-        raise ValueError("must match [A-Za-z0-9._-]+")
+    if not _NAME_RE.match(text) or text in (".", ".."):
+        raise ValueError("must match [A-Za-z0-9._-]+ and not be . or ..")
     return text
 
 
@@ -111,7 +114,8 @@ def _seeds(text: str) -> tuple[int, ...]:
 
 
 SCHEMA: dict[str, Key] = {
-    "scenario.name": Key(_name, REQUIRED, "run name and output directory, [A-Za-z0-9._-]+"),
+    "scenario.name": Key(_name, REQUIRED,
+                         "run name and output directory, [A-Za-z0-9._-]+ but not . or .."),
     "scenario.m": Key(int, REQUIRED, "measurements per seed (>= 2 when gi is requested)"),
     "scenario.seeds": Key(_seeds, REQUIRED, "comma list of distinct master seeds in [0, 2**64)"),
     "scenario.methods": Key(_methods, ("gi", "gics"), "comma list, subset of gi,gics"),
@@ -174,11 +178,12 @@ class Scenario:
             raise ConfigError(f"coherence lengths {lcs!r} must be distinct")
         for lc, config in zip(lcs, configs):
             try:
-                checked_aperture_samples(config)
+                aperture_sample_count(config)
             except ConfigError as exc:
                 raise ConfigError(f"coherence length {lc!r}: {exc}") from None
         if len(configs) > 1 and len(seeds) < 2:
             raise ConfigError("a sweep of coherence lengths needs at least 2 seeds")
+        metrics.truth_support(self.mask)
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "configs", configs)
 
@@ -293,11 +298,8 @@ def _run_seed(scenario: Scenario, config: OpticalConfig, seed: int,
                              report.kkt_residual / report.atb_inf)
         dip_ratio = resolved = None
         if scenario.slit_geometry is not None:
-            try:
-                dip_ratio, resolved = metrics.slit_dip(raw, scenario.slit_geometry,
-                                                       config.pixel_pitch)
-            except metrics.PeaksNotLocatable:  # e.g. the zero GICS image of a large tau
-                resolved = False
+            dip_ratio, resolved = metrics.slit_dip(raw, scenario.slit_geometry,
+                                                   config.pixel_pitch)
         normalized = metrics.minmax_normalize(raw)
         images[method] = raw, normalized
         rows.append({
@@ -316,12 +318,12 @@ def _run_seed(scenario: Scenario, config: OpticalConfig, seed: int,
 
     seed_dir = job_dir / str(seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
-    optics.save_mask_pgm(scenario.mask, seed_dir / "truth.pgm")
+    ioutil.write_pgm(seed_dir / "truth.pgm", scenario.mask.values)
     for method, names in _METHOD_FILES.items():
         paths = [seed_dir / name for name in names]
         if method in images:
             raw, normalized = images[method]
-            ioutil.write_pgm(paths[0], np.rint(normalized * 65535).astype(np.int64), 65535)
+            ioutil.write_pgm(paths[0], normalized)
             recon_gi.write_image_csv(raw, paths[1])
             if method == "gics":
                 recon_gics.write_solve_csv(report, paths[2])
@@ -352,7 +354,6 @@ def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> P
     if threads != 1:
         raise ConfigError(f"threads must be 1 (seeds run one at a time), got {threads!r}")
     scenario_dir = Path(out_dir) / scenario.name
-    scenario_dir.mkdir(parents=True, exist_ok=True)
     sweep = len(scenario.configs) > 1
     rows_of = {}  # (l_c, method) -> one metric row per seed
     for config in scenario.configs:

@@ -1,4 +1,9 @@
-"""Small file-format helpers: key=value text, portable graymaps, atomic writes."""
+"""Small file-format helpers: key=value text, portable graymaps, atomic writes.
+
+``read_pgm`` reads 8- and 16-bit graymaps, ascii (P2) or binary (P5).
+``write_pgm`` is the package's one graymap writer: every image and truth mask
+it is given is a [0, 1] array, written as round(value * 65535) in 16-bit P5.
+"""
 from __future__ import annotations
 
 import os
@@ -145,18 +150,13 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     return samples, maxval
 
 
-def write_pgm(path: str | Path, samples: np.ndarray, maxval: int) -> None:
-    """Write integer samples as a P5 (binary) graymap, atomically."""
-    samples = np.asarray(samples)
-    if samples.ndim != 2:
-        raise ConfigError("graymap samples must be 2-D")
-    if not (0 < maxval <= PGM_MAXVAL_LIMIT):
-        raise ConfigError(f"graymap maxval {maxval} outside 1..{PGM_MAXVAL_LIMIT}")
-    if not np.issubdtype(samples.dtype, np.integer):
-        raise ConfigError("graymap samples must be integers")
-    if samples.min() < 0 or samples.max() > maxval:
-        raise ConfigError("graymap: sample outside [0, maxval]")
-    height, width = samples.shape
-    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    raster = samples.astype(">u2" if maxval > 255 else np.uint8).tobytes()
-    atomic_write_bytes(path, header + raster)
+def write_pgm(path: str | Path, values: np.ndarray) -> None:
+    """Atomically write a finite 2-D [0, 1] array as 16-bit P5 samples round(value * 65535)."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ConfigError("graymap values must be 2-D")
+    if not np.isfinite(values).all() or values.min() < 0.0 or values.max() > 1.0:
+        raise ConfigError("graymap values must be finite and lie in [0, 1]")
+    height, width = values.shape
+    header = f"P5\n{width} {height}\n{PGM_MAXVAL_LIMIT}\n".encode("ascii")
+    atomic_write_bytes(path, header + np.rint(values * PGM_MAXVAL_LIMIT).astype(">u2").tobytes())

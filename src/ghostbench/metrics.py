@@ -1,4 +1,10 @@
-"""Reconstruction quality metrics: SNR, MSE/PSNR, double-slit resolvability."""
+"""Reconstruction quality metrics: SNR, MSE/PSNR, double-slit resolvability.
+
+Any image on the truth's grid gets a score.  A flat image has SNR 0, and a
+slit image whose peaks cannot be located has no dip ratio and is unresolved.
+Only a truth or slit geometry that no image could be scored against is a
+``ConfigError`` (see ``truth_support``; slits off the grid).
+"""
 from __future__ import annotations
 
 import math
@@ -13,10 +19,6 @@ from .optics import ObjectMask, SlitGeometry, grid_coords
 RESOLVED_THRESHOLD = 0.8
 
 
-class PeaksNotLocatable(ConfigError):
-    """The image has no slit peaks to compare: a flat profile or non-positive peaks."""
-
-
 def minmax_normalize(image: np.ndarray) -> np.ndarray:
     """Rescale to [0, 1]; a constant image maps to all zeros."""
     lo = image.min()
@@ -26,6 +28,16 @@ def minmax_normalize(image: np.ndarray) -> np.ndarray:
     return (image - lo) / span
 
 
+def truth_support(truth: ObjectMask) -> np.ndarray:
+    """The support truth > 0.5; ConfigError unless both it and its complement are non-empty."""
+    support = truth.values > 0.5
+    if not support.any():
+        raise ConfigError("truth mask has empty support above 0.5")
+    if support.all():
+        raise ConfigError("truth mask has no background at or below 0.5")
+    return support
+
+
 def recon_snr(image: np.ndarray, truth: ObjectMask) -> float:
     """Background-normalized contrast: (mean on support - mean off) / std off.
 
@@ -33,15 +45,10 @@ def recon_snr(image: np.ndarray, truth: ObjectMask) -> float:
     zero-variance background a contrast of either sign yields the signed inf
     sentinel, and a flat image (no contrast) yields 0.
     """
-    t = truth.values
-    if image.shape != t.shape:
+    if image.shape != truth.values.shape:
         raise ConfigError("image and truth grids differ")
-    support = t > 0.5
+    support = truth_support(truth)
     background = ~support
-    if not support.any():
-        raise ConfigError("truth mask has empty support above 0.5")
-    if not background.any():
-        raise ConfigError("truth mask has no background at or below 0.5")
     bg = image[background]
     bg_std = float(bg.std())
     signal = float(image[support].mean() - bg.mean())
@@ -64,14 +71,15 @@ def psnr(image: np.ndarray, truth: ObjectMask) -> float:
     return -10.0 * math.log10(err)
 
 
-def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float) -> tuple[float, bool]:
+def slit_dip(image: np.ndarray, geometry: SlitGeometry,
+             pitch: float) -> tuple[float | None, bool]:
     """Valley-to-peak ratio of the row-averaged profile across the slit band.
 
     dip_ratio = profile at the midpoint between the slit centers divided by
     the mean of the two per-slit peaks (each searched within half a separation
     of its slit center); resolved iff dip_ratio < RESOLVED_THRESHOLD.  An
-    image whose profile is flat or whose peaks are not positive raises
-    ``PeaksNotLocatable``.
+    image whose profile is flat or whose peaks are not positive (the zero
+    GICS image of a large tau, say) has no peaks to compare: (None, False).
     """
     if image.ndim != 2:
         raise ConfigError("slit_dip expects a 2-D image")
@@ -87,7 +95,7 @@ def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float) -> tuple[f
 
     span = profile.max() - profile.min()
     if span <= 1e-12 * max(1.0, abs(profile.max())):
-        raise PeaksNotLocatable("flat profile: peaks not locatable")
+        return None, False
 
     half = geometry.separation / 2.0
     peaks = []
@@ -98,7 +106,7 @@ def slit_dip(image: np.ndarray, geometry: SlitGeometry, pitch: float) -> tuple[f
         peaks.append(float(profile[window].max()))
     peak = 0.5 * (peaks[0] + peaks[1])
     if peak <= 0:
-        raise PeaksNotLocatable("non-positive peaks: peaks not locatable")
+        return None, False
 
     mid_index = int(np.argmin(np.abs(coords - cx)))
     dip_ratio = float(profile[mid_index]) / peak

@@ -9,6 +9,9 @@ and pixel ``i`` (0-based) has its center at ``(i - grid_n//2) * pixel_pitch``
 meters, i.e. physical 0 sits on a pixel center.  Analytic shapes are
 rasterized by the pixel-center rule: a pixel is lit iff its center falls
 inside the shape (boundary inclusive, with a tiny float guard).
+
+A mask is rasterized (``make_double_slit``) or read from an 8- or 16-bit
+graymap (``load_mask_pgm``); a run writes it back with ``ioutil.write_pgm``.
 """
 from __future__ import annotations
 
@@ -175,8 +178,3 @@ def load_mask_pgm(path: str | Path, config: OpticalConfig) -> ObjectMask:
         raise ConfigError("mask graymap is all zero")
     return ObjectMask(samples / float(maxval))
 
-
-def save_mask_pgm(mask: ObjectMask, path: str | Path) -> None:
-    """Quantize transmittance to ``round(value * 65535)`` and write a 16-bit P5 graymap."""
-    samples = np.rint(mask.values * 65535).astype(np.int64)
-    ioutil.write_pgm(path, samples, 65535)

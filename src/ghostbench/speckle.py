@@ -9,7 +9,9 @@ the object plane is then separable, ``sinc(K dx / n_src) * sinc(K dy / n_src)``
 with dx, dy in pixels, and its first zero sits at the coherence length
 l_c = n_src * pixel_pitch / K.  So K = round(n_src * pixel_pitch / l_c), and a
 frame depends on the bench only through (grid_n, n_src, K).  Intensity is
-|field|^2 scaled to unit ensemble mean.
+|field|^2 scaled to unit ensemble mean.  ``aperture_sample_count`` is the one
+place K is computed; it refuses a K below ``MIN_APERTURE_SAMPLES``, so a
+scenario and a frame reject the same undersampled sources.
 
 Only the K x K block of source samples is nonzero, so the transform is
 evaluated as an explicit (grid_n x K) DFT-matrix product instead of a full
@@ -59,14 +61,10 @@ def aperture_sample_count(config: OpticalConfig) -> int:
     """Source samples K spanned by the aperture, round(n_src * pixel_pitch / l_c).
 
     Rounding quantizes the realized coherence length to n_src * pixel_pitch / K.
+    A K below MIN_APERTURE_SAMPLES is a ConfigError.
     """
     n_src = config.source_oversample * config.grid_n
-    return int(round(n_src * config.pixel_pitch / config.coherence_length))
-
-
-def checked_aperture_samples(config: OpticalConfig) -> int:
-    """aperture_sample_count, raising ConfigError below MIN_APERTURE_SAMPLES."""
-    k = aperture_sample_count(config)
+    k = int(round(n_src * config.pixel_pitch / config.coherence_length))
     if k < MIN_APERTURE_SAMPLES:
         raise ConfigError(
             f"source aperture spans only {k} source samples (need >= "
@@ -121,7 +119,7 @@ def synthesize_frame(config: OpticalConfig, master_seed: int, frame_index: int,
               and out.flags.c_contiguous and out.flags.writeable):
         raise ConfigError(
             f"out must be a writeable C-contiguous float64 {shape} array")
-    k = checked_aperture_samples(config)
+    k = aperture_sample_count(config)
     n_src = config.source_oversample * config.grid_n
     w = _dft_factor(config.grid_n, n_src, k)
     rng = np.random.default_rng([seed, index])

@@ -54,6 +54,14 @@ def at_lcs(scenario, lcs):
         dataclasses.replace(scenario.configs[0], coherence_length=lc) for lc in lcs))
 
 
+def gray_mask_text(tmp_path: Path, sample: int) -> str:
+    """SMALL_SCENARIO on a uniform 8-bit P5 mask of ``sample``, written into tmp_path."""
+    name = f"gray{sample}.pgm"
+    (tmp_path / name).write_bytes(b"P5\n48 48\n255\n" + bytes([sample]) * (48 * 48))
+    return SMALL_SCENARIO.replace("scenario.mask = double_slit",
+                                  f"scenario.mask = pgm\nscenario.mask_pgm = {name}")
+
+
 def verdict_rows(csv_text: str) -> dict:
     return {cells[1]: cells[2] for cells in (line.split(",") for line in csv_text.splitlines())
             if cells[0] == "verdict"}
@@ -112,6 +120,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="name"):
             harness.parse_scenario_text(bad, tmp_path)
 
+    # 128/255 lies above 0.5 everywhere (no background), 127/255 nowhere (no support)
+    @pytest.mark.parametrize("sample,rule", [(128, "no background"), (127, "empty support")])
+    def test_mask_without_support_or_background_rejected(self, tmp_path, sample, rule):
+        with pytest.raises(ConfigError, match=rule):
+            harness.parse_scenario_text(gray_mask_text(tmp_path, sample), tmp_path)
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        with pytest.raises(ConfigError, match=rule):
+            dataclasses.replace(scenario, mask=optics.ObjectMask(np.full((48, 48), sample / 255)))
+
     @pytest.mark.parametrize("key", [k for k, row in harness.SCHEMA.items()
                                      if row.default is harness.REQUIRED])
     def test_missing_required_key_rejected(self, tmp_path, key):
@@ -128,7 +145,8 @@ class TestParsing:
                                       "scenario.slit_width_m = inf",
                                       "scenario.slit_height_m = 0",
                                       "scenario.slit_center_x_m = nan",
-                                      "scenario.slit_center_y_m = -inf"])
+                                      "scenario.slit_center_y_m = -inf",
+                                      "scenario.name = .", "scenario.name = .."])
     def test_bad_value_names_key_and_value(self, tmp_path, line):
         key, value = (part.strip() for part in line.split("="))
         text = "".join(kv + "\n" for kv in SMALL_SCENARIO.splitlines()
@@ -181,6 +199,18 @@ class TestRunScenario:
         assert not out.exists()
         harness.run_scenario(scenario, out, threads=1)  # the benchmark's call still runs
         assert (out / "smoke" / "4" / "metrics.csv").is_file()
+
+    @pytest.mark.parametrize("lcs", ["100e-6", "60e-6,100e-6"])
+    def test_failed_first_job_leaves_no_output_directory(self, tmp_path, monkeypatch, lcs):
+        def fail(*args, **kwargs):
+            raise RuntimeError("campaign failed")
+
+        monkeypatch.setattr(harness, "run_campaign", fail)
+        scenario = harness.parse_scenario_text(sweep_text(lcs), tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="campaign failed"):
+            harness.run_scenario(scenario, out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "trend"])
     def test_rerun_deletes_only_the_files_of_methods_it_drops(self, tmp_path, command):
@@ -239,8 +269,8 @@ class TestRunScenario:
     def test_pgm_mask_scenario(self, tmp_path):
         rng = np.random.default_rng(5)
         samples = rng.integers(1, 255, size=(48, 48))
-        from ghostbench import ioutil
-        ioutil.write_pgm(tmp_path / "mask.pgm", samples, 255)
+        (tmp_path / "mask.pgm").write_bytes(b"P5\n48 48\n255\n"
+                                            + samples.astype(np.uint8).tobytes())
         text = SMALL_SCENARIO.replace(
             "scenario.mask = double_slit",
             "scenario.mask = pgm\nscenario.mask_pgm = mask.pgm")
@@ -512,11 +542,17 @@ class TestCli:
                      SMALL_SCENARIO + "optics.z_m = 0.4\n",
                      SMALL_SCENARIO + "optics.source_width_m = 1e-3\n",
                      SMALL_SCENARIO + "gics.debias = true\n",
-                     SMALL_SCENARIO + "gics.tol_rel_obj = 1e-8\n"):
+                     SMALL_SCENARIO + "gics.tol_rel_obj = 1e-8\n",
+                     # ".." would put the seed directories beside out/, not under it
+                     SMALL_SCENARIO.replace("name = smoke", "name = ."),
+                     SMALL_SCENARIO.replace("name = smoke", "name = .."),
+                     # all pixels above 0.5, then none: no background, no support
+                     gray_mask_text(tmp_path, 128), gray_mask_text(tmp_path, 127)):
             path = self.write_scenario(tmp_path, text)
             out = tmp_path / "out"
             assert cli.main(["run", str(path), "--out", str(out)]) == 2
-            assert not out.exists()
+            assert {p.name for p in tmp_path.iterdir()} == {"scenario.txt", "gray128.pgm",
+                                                           "gray127.pgm"}
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.txt")]) == 2
@@ -637,9 +673,9 @@ class TestRecipes:
         assert scenario.configs == harness.parse_scenario_text(from_tuple, tmp_path).configs
 
     def test_aperture_sweep_parses(self, tmp_path):
-        from ghostbench import ioutil
         rng = np.random.default_rng(0)
-        ioutil.write_pgm(tmp_path / "aperture.pgm", rng.integers(0, 2, (100, 100)) * 255, 255)
+        raster = (rng.integers(0, 2, (100, 100)) * 255).astype(np.uint8).tobytes()
+        (tmp_path / "aperture.pgm").write_bytes(b"P5\n100 100\n255\n" + raster)
         for method, m in (("gi", 2000), ("gics", 1000)):
             texts = harness.aperture_sweep_scenarios("aperture.pgm", method, m,
                                                      (272.2e-6, 193.5e-6, 109.6e-6))

@@ -125,7 +125,8 @@ class TestPgm:
         rng = np.random.default_rng(0)
         mask = ObjectMask(rng.uniform(0, 1, (16, 16)))
         path = tmp_path / "m.pgm"
-        optics.save_mask_pgm(mask, path)
+        ioutil.write_pgm(path, mask.values)
+        assert path.read_bytes().startswith(b"P5\n16 16\n65535\n")
         back = optics.load_mask_pgm(path, cfg)
         assert np.max(np.abs(back.values - mask.values)) <= 0.5 / 65535
 
@@ -144,7 +145,7 @@ class TestPgm:
         rng = np.random.default_rng(2)
         samples = rng.integers(0, 65536, size=(100, 100))
         path = tmp_path / "full.pgm"
-        ioutil.write_pgm(path, samples, 65535)
+        path.write_bytes(b"P5\n100 100\n65535\n" + samples.astype(">u2").tobytes())
         mask = optics.load_mask_pgm(path, cfg)
         assert mask.grid_n == 100
         assert mask.values.max() <= 1.0
@@ -180,6 +181,14 @@ class TestPgm:
         path.write_bytes(b"P2\n8 4\n255\n" + (b"7 " * 32))
         with pytest.raises(ConfigError, match="square"):
             optics.load_mask_pgm(path, make_config(grid_n=8))
+
+    @pytest.mark.parametrize("values", [np.full((4, 4), 1.5), np.full((4, 4), -0.1),
+                                        np.full((4, 4), np.nan), np.full(4, 0.5)],
+                             ids=["above_one", "negative", "nan", "one_d"])
+    def test_writer_takes_only_a_2d_unit_range_array(self, tmp_path, values):
+        with pytest.raises(ConfigError, match="graymap values"):
+            ioutil.write_pgm(tmp_path / "w.pgm", values)
+        assert not any(tmp_path.iterdir())
 
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "p.pgm"

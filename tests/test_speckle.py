@@ -28,6 +28,12 @@ class TestApertureSampleCount:
     def test_bench_geometries(self, grid_n, pitch, lc, k):
         assert aperture_sample_count(OpticalConfig(lc, grid_n, pitch)) == k
 
+    def test_below_minimum_raises(self):
+        # K = 8 is the floor; K = 7 is refused by the count itself
+        assert aperture_sample_count(config_for(16 * 15e-6 / 8, grid_n=16, oversample=1)) == 8
+        with pytest.raises(ConfigError, match="7 source samples"):
+            aperture_sample_count(config_for(16 * 15e-6 / 7, grid_n=16, oversample=1))
+
 
 class TestSynthesis:
     def test_deterministic_for_fixed_seed_and_index(self):
