@@ -11,17 +11,18 @@ when ``scenario.mask = pgm``.  Whatever ``Scenario`` rejects is a parse error:
 a seed list that is empty, outside [0, 2**64) or repeated, a repeated method,
 a repeated coherence length, one whose source aperture spans fewer than
 ``speckle.MIN_APERTURE_SAMPLES`` source samples, a sweep with one seed, the
-name ``.`` or ``..``, and a mask that ``metrics.truth_support`` refuses.
+name ``.`` or ``..``, a mask that ``metrics.truth_support`` refuses, and (in
+code) a mask on another grid than the configs.
 
 ``optics.lc_target_m`` is a comma list of distinct coherence lengths.  With
 one, ``run_scenario`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and
 each requested method's files (gi.pgm, gi_raw.csv; gics.pgm, gics_raw.csv,
-solve.csv), deleting there those of a method it does not request.  With two
-or more (a sweep, which needs at least 2 seeds) it runs the same per-seed
-code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and writes
-<out>/<name>/trend.csv; lc_* directories of an earlier list stay.  A
-seed's directory is made once its work has succeeded.  The PGMs are
-``ioutil.write_pgm`` graymaps.  All files are written atomically and are a
+solve.csv).  With two or more (a sweep, which needs at least 2 seeds) it
+runs the same per-seed code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and
+writes <out>/<name>/trend.csv.  <out>/<name>/ is exactly what the last
+successful run wrote, and a failed run changes nothing: the run is built in
+a staging directory that replaces <out>/<name>/ whole once every job has
+succeeded.  The PGMs are ``ioutil.write_pgm`` graymaps.  All files are a
 pure function of the scenario file bytes and of the BLAS thread count the
 process inherits.  That count matters
 for gics_raw.csv, solve.csv and metrics.csv, not for the GI files or
@@ -42,7 +43,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import re
+import shutil
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -173,6 +176,9 @@ class Scenario:
         configs = tuple(sorted(self.configs, key=lambda c: c.coherence_length, reverse=True))
         if len({(c.grid_n, c.pixel_pitch, c.source_oversample) for c in configs}) != 1:
             raise ConfigError("scenario needs at least one coherence length, all on one grid")
+        if self.mask.grid_n != configs[0].grid_n:
+            raise ConfigError(f"mask grid {self.mask.grid_n} does not match the configs' grid "
+                              f"{configs[0].grid_n}")
         lcs = [config.coherence_length for config in configs]
         if len(set(lcs)) != len(lcs):
             raise ConfigError(f"coherence lengths {lcs!r} must be distinct")
@@ -258,7 +264,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-# Each method's files in a seed directory: the names a run writes and a rerun deletes.
+# Each method's files in a seed directory: its graymap, its raw CSV and gics's solve.csv.
 _METHOD_FILES = {"gi": ("gi.pgm", "gi_raw.csv"), "gics": ("gics.pgm", "gics_raw.csv", "solve.csv")}
 
 
@@ -271,7 +277,7 @@ def _run_seed(scenario: Scenario, config: OpticalConfig, seed: int,
     ``MeasurementSet``, and GI folds its blocks while they are stored.  GI
     alone folds the campaign's blocks as they are made and no stack is
     allocated.  Both give the same GI image.  The seed's directory is made
-    once all of its work has succeeded.
+    once all of its work has succeeded; it must not exist yet.
     """
     lc = config.coherence_length
     campaign = (config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
@@ -317,19 +323,14 @@ def _run_seed(scenario: Scenario, config: OpticalConfig, seed: int,
     del ms  # free the campaign stack before the files are written
 
     seed_dir = job_dir / str(seed)
-    seed_dir.mkdir(parents=True, exist_ok=True)
+    seed_dir.mkdir(parents=True)
     ioutil.write_pgm(seed_dir / "truth.pgm", scenario.mask.values)
-    for method, names in _METHOD_FILES.items():
-        paths = [seed_dir / name for name in names]
-        if method in images:
-            raw, normalized = images[method]
-            ioutil.write_pgm(paths[0], normalized)
-            recon_gi.write_image_csv(raw, paths[1])
-            if method == "gics":
-                recon_gics.write_solve_csv(report, paths[2])
-        else:  # an earlier run's files; no other file is touched
-            for path in paths:
-                path.unlink(missing_ok=True)
+    for method, (raw, normalized) in images.items():
+        paths = [seed_dir / name for name in _METHOD_FILES[method]]
+        ioutil.write_pgm(paths[0], normalized)
+        recon_gi.write_image_csv(raw, paths[1])
+        if method == "gics":
+            recon_gics.write_solve_csv(report, paths[2])
     lines = [METRICS_HEADER]
     for row in rows:
         lines.append(",".join(_format_cell(row[k]) for k in METRICS_HEADER.split(",")))
@@ -348,12 +349,46 @@ def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> P
     iff the mean GI SNR is non-increasing as l_c decreases, monotone_gics_mse
     likewise for the mean GICS MSE.
 
+    Every file is written into the staging directory <out>/.<name>.<hex>,
+    which replaces <out>/<name> once every job has succeeded.  A failure
+    removes it, and the <out> directories this run made while they are empty.
+
     ``threads`` is kept because existing callers (the benchmark among them)
     pass ``threads=1``; any other value is a ``ConfigError``.
     """
     if threads != 1:
         raise ConfigError(f"threads must be 1 (seeds run one at a time), got {threads!r}")
-    scenario_dir = Path(out_dir) / scenario.name
+    out = Path(out_dir)
+    made = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
+    out.mkdir(parents=True, exist_ok=True)
+    staging = out / f".{scenario.name}.{os.urandom(8).hex()}"
+    scenario_dir = out / scenario.name
+    aside = staging.with_name(staging.name + ".old")  # the last run's directory, once swapped
+    try:
+        os.mkdir(staging, 0o777)  # mkdir's mode under the umask, unlike tempfile.mkdtemp's 0700
+        _write_jobs(scenario, staging)
+        if os.path.lexists(scenario_dir):
+            os.rename(scenario_dir, aside)
+        os.rename(staging, scenario_dir)
+    except BaseException:
+        if os.path.lexists(aside) and not os.path.lexists(scenario_dir):
+            os.rename(aside, scenario_dir)
+        shutil.rmtree(staging, ignore_errors=True)
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:
+                break
+        raise
+    if aside.is_dir() and not aside.is_symlink():
+        shutil.rmtree(aside)
+    elif os.path.lexists(aside):  # <out>/<name> was a file or a symlink
+        aside.unlink()
+    return scenario_dir
+
+
+def _write_jobs(scenario: Scenario, scenario_dir: Path) -> None:
+    """Run every job of ``scenario`` into ``scenario_dir``, then a sweep's trend.csv."""
     sweep = len(scenario.configs) > 1
     rows_of = {}  # (l_c, method) -> one metric row per seed
     for config in scenario.configs:
@@ -363,7 +398,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> P
             for row in _run_seed(scenario, config, seed, job_dir):
                 rows_of.setdefault((lc, row["method"]), []).append(row)
     if not sweep:
-        return scenario_dir
+        return
 
     lines = [TREND_HEADER]
     means = {method: [] for method in scenario.methods}  # per l_c, of the verdict's metric
@@ -380,7 +415,6 @@ def run_scenario(scenario: Scenario, out_dir: str | Path, threads: int = 1) -> P
     for key in sorted(verdicts):
         lines.append(f"verdict,{key},{_format_cell(verdicts[key])},,,")
     ioutil.atomic_write_text(scenario_dir / "trend.csv", "\n".join(lines) + "\n")
-    return scenario_dir
 
 
 # Bench geometry shared by the built-in recipes (experiments/*.scn spell it out).

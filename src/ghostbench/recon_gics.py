@@ -145,17 +145,17 @@ class SensingSystem:
         non-zero, at most _BLOCK_BYTES of them at a time; otherwise it is the
         dense product.
         """
-        y = x / self.col_scale
-        support = np.flatnonzero(x)
+        support = np.flatnonzero(x != 0)
         if support.size > _GATHER_SHARE * self.n_pix:
+            y = x / self.col_scale
             return self.rows @ y - self.col_mean @ y
+        y = x[support] / self.col_scale[support]
         columns = self.rows.T
         step = max(1, _BLOCK_BYTES // columns[0].nbytes)
         image = np.zeros(self.m)
         for start in range(0, support.size, step):
-            picked = support[start:start + step]
-            image += y[picked] @ columns[picked]
-        return image - self.col_mean[support] @ y[support]
+            image += y[start:start + step] @ columns[support[start:start + step]]
+        return image - self.col_mean[support] @ y
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         """A.T @ r."""

@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -38,8 +39,9 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def tree_bytes(root: Path) -> dict:
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
+    """Every entry under ``root``, hidden ones included: a file's bytes, None for a directory."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
 
 
 def sweep_text(lcs: str, text: str = SMALL_SCENARIO) -> str:
@@ -212,24 +214,49 @@ class TestRunScenario:
             harness.run_scenario(scenario, out)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "trend"])
-    def test_rerun_deletes_only_the_files_of_methods_it_drops(self, tmp_path, command):
-        """``command`` "trend" is a sweep file, "run" a single-l_c one."""
-        def run(methods, out):
-            harness.run_scenario(dataclasses.replace(both, methods=methods), out)
+    @pytest.mark.parametrize("first, second", [
+        (SMALL_SCENARIO, SMALL_SCENARIO.replace("methods = gi,gics", "methods = gi")),
+        (sweep_text("100e-6,60e-6"), sweep_text("100e-6,80e-6")),
+        (SMALL_SCENARIO.replace("seeds = 3,4", "seeds = 3,4,5"), SMALL_SCENARIO),
+        (sweep_text("100e-6,60e-6"), SMALL_SCENARIO)],
+        ids=["drops_a_method", "other_lc_list", "fewer_seeds", "run_after_sweep"])
+    def test_rerun_leaves_exactly_the_tree_of_a_fresh_run(self, tmp_path, first, second):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for text, into in ((first, out), (second, out), (second, fresh)):
+            harness.run_scenario(harness.parse_scenario_text(text, tmp_path), into)
+        assert tree_bytes(out) == tree_bytes(fresh)
+        assert [p.name for p in out.iterdir()] == ["smoke"]
 
-        lcs = "100e-6" if command == "run" else "60e-6,100e-6"
-        both = harness.parse_scenario_text(sweep_text(lcs), tmp_path)
+    def test_failed_rerun_changes_nothing(self, tmp_path, monkeypatch):
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         out = tmp_path / "out"
-        run(("gi", "gics"), out)
-        notes = next((out / "smoke").rglob("metrics.csv")).with_name("notes.txt")
-        notes.write_text("not a file of the run")
-        for methods in (("gi",), ("gics",)):
-            run(methods, out)
-            run(methods, tmp_path / methods[0])
-            assert notes.read_text() == "not a file of the run"
-            assert tree_bytes(out) == {**tree_bytes(tmp_path / methods[0]),
-                                       notes.relative_to(out).as_posix(): notes.read_bytes()}
+        harness.run_scenario(scenario, out)
+        before = tree_bytes(out)
+        jobs = []
+
+        def fail_second(*args, **kwargs):
+            jobs.append(args)
+            if len(jobs) == 2:
+                raise RuntimeError("second job failed")
+            return forward.run_campaign(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_campaign", fail_second)
+        with pytest.raises(RuntimeError, match="second job failed"):
+            harness.run_scenario(dataclasses.replace(scenario, methods=("gics",)), out)
+        assert len(jobs) == 2
+        assert tree_bytes(out) == before  # no .smoke.* staging or old directory either
+
+    def test_scenario_directory_has_the_mode_of_a_plain_mkdir(self, tmp_path):
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        umask = os.umask(0o027)
+        try:
+            (tmp_path / "plain").mkdir()
+            scenario_dir = harness.run_scenario(scenario, tmp_path / "out")
+        finally:
+            os.umask(umask)
+        modes = {stat.S_IMODE(path.stat().st_mode)
+                 for path in (tmp_path / "plain", scenario_dir, scenario_dir / "3")}
+        assert modes == {0o750}
 
     def test_one_seed_at_a_time_makes_its_frames_in_parallel(self, tmp_path, monkeypatch):
         made = []
@@ -337,7 +364,7 @@ class TestSolveCapWarning:
         for seed, message in zip((3, 4), messages):
             assert f"seed {seed}:" in message
             assert "150-iteration cap" in message and "||A'b||inf" in message
-        written = b"".join(tree_bytes(tmp_path / "out").values())
+        written = b"".join(filter(None, tree_bytes(tmp_path / "out").values()))
         assert b"iteration cap" not in written
 
     def test_capped_trend_warns_once_per_lc_and_seed(self, tmp_path, caplog):
@@ -482,13 +509,16 @@ class TestTrend:
         {"noise_sigma": -1.0}, {"noise_sigma": float("nan")}, {"noise_sigma": float("inf")},
         {"methods": ("gi", "bogus")}, {"methods": ("gics", "gics")}, {"methods": ()},
         {"lcs": (1e-4, 1e-4)}, {"lcs": (-1e-4,)}, {"lcs": (1e-4, 1e-3)}, {"lcs": ()},
-        {"lcs": (1e-4, 6e-5), "seeds": (3,)}],
+        {"lcs": (1e-4, 6e-5), "seeds": (3,)},
+        {"mask": optics.ObjectMask(np.kron(np.eye(2), np.ones((8, 8))))}],
         ids=["bool_seed", "float_seed", "float_m", "bool_m", "negative_noise", "nan_noise",
              "inf_noise", "unknown_method", "repeated_method", "no_method", "repeated_lc",
-             "negative_lc", "undersampled_lc", "no_lc", "one_seed_sweep"])
-    def test_code_built_scenario_is_checked_before_anything_is_written(self, tmp_path, change):
+             "negative_lc", "undersampled_lc", "no_lc", "one_seed_sweep", "mask_on_other_grid"])
+    def test_code_built_scenario_is_checked_before_anything_is_written(self, tmp_path, change,
+                                                                        monkeypatch):
         """``lcs`` sets the coherence lengths (see ``at_lcs``); the rest are fields."""
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        monkeypatch.setattr(harness, "_run_seed", lambda *args: pytest.fail("a job ran"))
         change = dict(change)
         lcs = change.pop("lcs", None)
         with pytest.raises(ConfigError):
