@@ -11,6 +11,6 @@ from .recon_gics import (GicsParams, SensingSystem, SolveReport, build_sensing,
                          kkt_residual, lasso_objective, soft_threshold,
                          write_solve_csv)
 from .metrics import minmax_normalize, mse, psnr, recon_snr, slit_dip
-from .harness import Scenario, load_scenario, parse_scenario_text, run_scenario, selftest
+from .harness import Scenario, load_scenario, parse_scenario_text, run_scenario
 
 __version__ = "0.1.0"

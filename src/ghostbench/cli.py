@@ -1,7 +1,6 @@
 """Command-line front end.
 
   ghostbench run <scenario.file> [--out DIR]
-  ghostbench selftest
 
 ``run`` runs the file's scenario; when its ``optics.lc_target_m`` lists two
 or more coherence lengths it writes the sweep layout and trend table (see
@@ -49,10 +48,6 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(_args) -> int:
-    return EXIT_OK if harness.selftest() else EXIT_RUNTIME
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ghostbench",
                                      description="pseudo-thermal ghost imaging bench")
@@ -62,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario")
     run.add_argument("--out", default=None, help="output directory (default $GHOSTBENCH_OUT or ./out)")
     run.set_defaults(func=_cmd_run)
-
-    selftest = sub.add_parser("selftest", help="run the built-in oracle checks")
-    selftest.set_defaults(func=_cmd_selftest)
     return parser
 
 

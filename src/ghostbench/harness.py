@@ -47,7 +47,6 @@ import os
 import re
 import shutil
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,11 +54,10 @@ import numpy as np
 
 from . import ioutil, metrics, optics, recon_gi, recon_gics
 from .errors import ConfigError
-from .forward import (_check_noise_sigma, _make_frames, bucket_measure, campaign_blocks,
-                      run_campaign)
+from .forward import _check_noise_sigma, campaign_blocks, run_campaign
 from .optics import ObjectMask, OpticalConfig, SlitGeometry
 from .recon_gics import GicsParams
-from .speckle import _checked_seed, _integer, aperture_sample_count, synthesize_frame
+from .speckle import _checked_seed, _integer, aperture_sample_count
 
 METRICS_HEADER = "scenario,lc_m,m,method,seed,snr,mse,psnr,dip_ratio,resolved"
 TREND_HEADER = "lc_m,method,snr_mean,snr_std,mse_mean,mse_std"
@@ -417,7 +415,9 @@ def _write_jobs(scenario: Scenario, scenario_dir: Path) -> None:
     ioutil.atomic_write_text(scenario_dir / "trend.csv", "\n".join(lines) + "\n")
 
 
-# Bench geometry shared by the built-in recipes (experiments/*.scn spell it out).
+# Grid of the two recipes below.  They stay because their only callers outside
+# their tests are the benchmark's workloads; all three go once bench/ reads the
+# committed experiments/*.scn files instead.
 _BENCH_GEOMETRY = {"optics.grid_n": 100, "optics.pixel_pitch_m": 15e-6}
 
 
@@ -452,58 +452,3 @@ def aperture_sweep_scenarios(mask_pgm: str, method: str, m: int, lc_list,
                           "optics.lc_target_m": lc, "gics.tau": tau})
             for lc in lc_list]
 
-
-def selftest() -> bool:
-    """Quick oracle checks of the core numerics, one printed line each; True when all pass."""
-    checks = []
-
-    def record(name, ok):
-        checks.append(ok)
-        print(f"selftest {name}: {'ok' if ok else 'FAIL'}")
-
-    config = OpticalConfig(276.7e-6, 100, 15e-6)
-    mask = optics.make_double_slit(config, SlitGeometry(1e-4, 1e-3, 2e-4))
-    per_slit_cols = 7
-    rows_tall = 67
-    record("double-slit raster counts",
-           int(mask.values.sum()) == 2 * per_slit_cols * rows_tall)
-
-    frame = synthesize_frame(config, 11, 0)
-    brute = 0.0
-    for i in range(config.grid_n):
-        for j in range(config.grid_n):
-            brute += frame[i, j] * mask.values[i, j]
-    record("bucket two-loop oracle",
-           abs(bucket_measure(frame, mask) - brute) <= 1e-9 * max(brute, 1.0))
-
-    again = synthesize_frame(config, 11, 0)
-    record("speckle determinism", np.array_equal(frame, again))
-    buf = np.empty_like(frame)
-    record("in-place frame",
-           synthesize_frame(config, 11, 0, out=buf) is buf and np.array_equal(buf, frame))
-    serial = np.stack([synthesize_frame(config, 11, i) for i in range(16)])
-    parallel = np.empty_like(serial)
-    with ThreadPoolExecutor(max_workers=1) as pool:  # frames on 2 threads, the caller one
-        _make_frames(config, 11, 0, parallel, pool, 2)
-    record("parallel frames", np.array_equal(serial, parallel))
-
-    rng = np.random.default_rng(42)
-    design = rng.standard_normal((30, 80))
-    truth = np.zeros(80)
-    truth[rng.choice(80, 5, replace=False)] = rng.standard_normal(5)
-    sensing = recon_gics.SensingSystem.from_arrays(design, design @ truth)
-    # truth has 5 of 80 non-zeros, so matvec gathers their columns
-    record("gathered matvec", np.allclose(sensing.matvec(truth), design @ truth,
-                                          rtol=0, atol=1e-12 * np.abs(design @ truth).max()))
-    big_tau = float(np.abs(sensing.rmatvec(sensing.rhs)).max())
-    tau = 0.01 * big_tau
-    x_gpsr, report = recon_gics.gpsr_solve(sensing, GicsParams(tau=tau))
-    x_ista = recon_gics.ista_reference(sensing, tau, kkt_tol=1e-9)
-    f_gpsr = recon_gics.lasso_objective(sensing, x_gpsr, tau)
-    f_ista = recon_gics.lasso_objective(sensing, x_ista, tau)
-    record("solver cross-check", abs(f_gpsr - f_ista) <= 1e-6 * max(f_ista, 1e-300))
-
-    x_zero, _ = recon_gics.gpsr_solve(sensing, GicsParams(tau=big_tau))
-    record("l1 zero-solution threshold", not x_zero.any())
-
-    return all(checks)

@@ -6,41 +6,25 @@ through session fixtures; every tolerance is fixed here, not tuned at runtime.
 import dataclasses
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ghostbench import forward, harness, metrics, optics, recon_gi, recon_gics, speckle
 from ghostbench.forward import run_campaign
-from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
+from ghostbench.optics import ObjectMask, SlitGeometry
 from ghostbench.recon_gics import (GicsParams, SensingSystem, gpsr_solve,
                                    ista_reference, lasso_objective)
 
-LC_LIST = (276.7e-6, 135.5e-6, 68.8e-6)
-SEEDS = (1, 2, 3, 4, 5)
+ROOT = Path(__file__).resolve().parents[1]
+
+# Fig.-3 bench (criteria 1-4, 8 and 9): the committed slit sweep, whose
+# coherence lengths, seeds, grid, slit, m and gics.tau the criteria use.
+FIG3 = harness.load_scenario(ROOT / "experiments" / "slit_sweep.scn")
+LC_LIST = tuple(config.coherence_length for config in FIG3.configs)
+SEEDS = FIG3.seeds
 CALIBRATION_SEED = 7
-
-# Fig.3-scale bench: 100 px at 15 um, the canonical 0.1/1.0/0.2 mm double slit.
-FIG_BENCH = OpticalConfig(LC_LIST[0], 100, 15e-6)
-FIG_SLIT = SlitGeometry(1e-4, 1e-3, 2e-4)
-
-# Trend bench: 3 mm field so the background is estimator-noise limited rather
-# than sinc^2-halo limited, and a 0.5 mm slit (136 px support << m = 500) so
-# sparse recovery operates in its compressive regime; tau ~ 1e-3 * ||A'b||inf.
-TREND_SCENARIO_TEXT = """\
-scenario.name = trend_slit
-scenario.m = 500
-scenario.seeds = 1,2,3,4,5
-scenario.methods = gi,gics
-scenario.mask = double_slit
-scenario.slit_width_m = 1e-4
-scenario.slit_height_m = 0.5e-3
-scenario.slit_separation_m = 2e-4
-optics.lc_target_m = 276.7e-6,135.5e-6,68.8e-6
-optics.grid_n = 100
-optics.pixel_pitch_m = 30e-6
-gics.tau = 6.0
-"""
 
 
 def report(num, description, ok):
@@ -49,7 +33,7 @@ def report(num, description, ok):
 
 
 def config_at(lc):
-    return dataclasses.replace(FIG_BENCH, coherence_length=lc)
+    return dataclasses.replace(FIG3.configs[0], coherence_length=lc)
 
 
 @pytest.fixture(scope="session")
@@ -69,16 +53,16 @@ def speckle_calibration():
 
 @pytest.fixture(scope="session")
 def fig_slit_runs():
-    """Per (lc, seed) at the Fig.3 bench endpoints: images + metrics, tau=0.001."""
-    mask = optics.make_double_slit(FIG_BENCH, FIG_SLIT)
+    """Per (lc, seed) at the Fig.3 bench endpoints: images + metrics at its m and tau."""
+    mask = FIG3.mask
     runs = {}
     elapsed = {}
     for lc in (LC_LIST[0], LC_LIST[2]):
         cfg = config_at(lc)
         start = time.perf_counter()
         for seed in SEEDS:
-            ms, gi_raw = run_campaign(cfg, mask, 500, seed, fold=recon_gi.gi_from_blocks)
-            gics_img, _ = recon_gics.gics_reconstruct(ms, GicsParams(tau=1e-3))
+            ms, gi_raw = run_campaign(cfg, mask, FIG3.m, seed, fold=recon_gi.gi_from_blocks)
+            gics_img, _ = recon_gics.gics_reconstruct(ms, FIG3.gics)
             runs[(lc, seed)] = {
                 "gi": gi_raw,
                 "gi_mse": metrics.mse(metrics.minmax_normalize(gi_raw), mask),
@@ -146,9 +130,9 @@ def test_criterion_4_double_slit_reproduction(fig_slit_runs):
 
     mean_gi_wide = sum(runs[(wide, s)]["gi"] for s in SEEDS) / len(SEEDS)
     mean_gi_narrow = sum(runs[(narrow, s)]["gi"] for s in SEEDS) / len(SEEDS)
-    dip_wide, resolved_wide = metrics.slit_dip(mean_gi_wide, FIG_SLIT, FIG_BENCH.pixel_pitch)
-    dip_narrow, resolved_narrow = metrics.slit_dip(mean_gi_narrow, FIG_SLIT,
-                                                   FIG_BENCH.pixel_pitch)
+    pitch = FIG3.configs[0].pixel_pitch
+    dip_wide, resolved_wide = metrics.slit_dip(mean_gi_wide, FIG3.slit_geometry, pitch)
+    dip_narrow, resolved_narrow = metrics.slit_dip(mean_gi_narrow, FIG3.slit_geometry, pitch)
     gics_wide = np.mean([runs[(wide, s)]["gics_mse"] for s in SEEDS])
     gics_narrow = np.mean([runs[(narrow, s)]["gics_mse"] for s in SEEDS])
     total_elapsed = sum(fig_slit_runs["elapsed"].values())
@@ -164,7 +148,7 @@ def test_criterion_4_double_slit_reproduction(fig_slit_runs):
 
 
 def test_criterion_5_trend_verdicts(tmp_path):
-    scenario = harness.parse_scenario_text(TREND_SCENARIO_TEXT, tmp_path)
+    scenario = harness.load_scenario(ROOT / "experiments" / "trend_bench.scn")
     assert tuple(config.coherence_length for config in scenario.configs) == LC_LIST
     csv_text = (harness.run_scenario(scenario, tmp_path) / "trend.csv").read_text()
     verdicts = {}

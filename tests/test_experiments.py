@@ -29,7 +29,7 @@ def lc_list_of(path: Path) -> list[float]:
 
 def test_the_three_sweeps_are_committed():
     assert [path.name for path in EXPERIMENTS] == [
-        "aperture_gi_sweep.scn", "aperture_gics_sweep.scn", "slit_sweep.scn"]
+        "aperture_gi_sweep.scn", "aperture_gics_sweep.scn", "slit_sweep.scn", "trend_bench.scn"]
 
 
 @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda path: path.name)
@@ -61,6 +61,18 @@ def test_slit_sweep_is_the_fig3_bench():
     assert scenario.seeds == (1, 2, 3, 4, 5)
     assert scenario.gics == GicsParams(tau=1e-3)
     assert lc_list_of(ROOT / "experiments" / "slit_sweep.scn") == [276.7e-6, 135.5e-6, 68.8e-6]
+
+
+def test_trend_bench_is_criterion_5s_geometry():
+    scenario = harness.load_scenario(ROOT / "experiments" / "trend_bench.scn")
+    assert {config.grid_n for config in scenario.configs} == {100}
+    assert {config.pixel_pitch for config in scenario.configs} == {30e-6}
+    assert scenario.slit_geometry == SlitGeometry(1e-4, 0.5e-3, 2e-4)
+    assert scenario.methods == ("gi", "gics")
+    assert scenario.m == 500
+    assert scenario.seeds == (1, 2, 3, 4, 5)
+    assert scenario.gics == GicsParams(tau=6.0)
+    assert lc_list_of(ROOT / "experiments" / "trend_bench.scn") == [276.7e-6, 135.5e-6, 68.8e-6]
 
 
 def test_aperture_pgm_is_a_binary_100px_mask():

@@ -667,9 +667,6 @@ class TestCli:
         assert "monotone_gics_mse=true" in capsys.readouterr().out
         assert (out / "smoke" / "trend.csv").is_file()
 
-    def test_selftest_passes(self):
-        assert cli.main(["selftest"]) == 0
-
     def test_python_dash_m_from_checkout(self, tmp_path):
         path = self.write_scenario(tmp_path, SMALL_SCENARIO + "scenario.bogus = 1\n")
         out = tmp_path / "out"
