@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .optics import ObjectMask, OpticalConfig, _Owned, _frozen
-from .speckle import _checked_seed, _integer, synthesize_frame
+from .optics import ObjectMask, OpticalConfig, _Owned, _frozen, _integer
+from .speckle import _checked_seed, synthesize_frame
 
 # Extra entropy word separating the bucket-noise stream from the frame stream.
 _NOISE_STREAM = 0x4255434B
@@ -87,8 +87,9 @@ def _check_measurements(intensities: np.ndarray, buckets: np.ndarray,
 
 
 def _check_noise_sigma(noise_sigma: float) -> None:
-    if not (noise_sigma >= 0 and np.isfinite(noise_sigma)):
-        raise ConfigError("noise_sigma must be finite and non-negative")
+    if (isinstance(noise_sigma, (bool, np.bool_))
+            or not (noise_sigma >= 0 and np.isfinite(noise_sigma))):
+        raise ConfigError(f"noise_sigma must be a finite non-negative number, got {noise_sigma!r}")
 
 
 def _frames_of(stack: np.ndarray, grid_n: int) -> np.ndarray:

@@ -22,7 +22,8 @@ runs the same per-seed code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and
 writes <out>/<name>/trend.csv.  <out>/<name>/ is exactly what the last
 successful run wrote, and a failed run changes nothing: the run is built in
 a staging directory that replaces <out>/<name>/ whole once every job has
-succeeded.  The PGMs are ``ioutil.write_pgm`` graymaps.  All files are a
+succeeded.  The PGMs are ``ioutil.write_pgm`` graymaps and the CSVs
+``ioutil.write_csv`` tables, each row built here.  All files are a
 pure function of the scenario file bytes and of the BLAS thread count the
 process inherits.  That count matters
 for gics_raw.csv, solve.csv and metrics.csv, not for the GI files or
@@ -55,9 +56,9 @@ import numpy as np
 from . import ioutil, metrics, optics, recon_gi, recon_gics
 from .errors import ConfigError
 from .forward import _check_noise_sigma, campaign_blocks, run_campaign
-from .optics import ObjectMask, OpticalConfig, SlitGeometry
+from .optics import ObjectMask, OpticalConfig, SlitGeometry, _integer
 from .recon_gics import GicsParams
-from .speckle import _checked_seed, _integer, aperture_sample_count
+from .speckle import _checked_seed, aperture_sample_count
 
 METRICS_HEADER = "scenario,lc_m,m,method,seed,snr,mse,psnr,dip_ratio,resolved"
 TREND_HEADER = "lc_m,method,snr_mean,snr_std,mse_mean,mse_std"
@@ -250,18 +251,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario_text(text, base_dir=path.parent)
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, tuple):
-        return ",".join(_format_cell(item) for item in value)
-    return str(value)
-
-
 # Each method's files in a seed directory: its graymap, its raw CSV and gics's solve.csv.
 _METHOD_FILES = {"gi": ("gi.pgm", "gi_raw.csv"), "gics": ("gics.pgm", "gics_raw.csv", "solve.csv")}
 
@@ -326,13 +315,12 @@ def _run_seed(scenario: Scenario, config: OpticalConfig, seed: int,
     for method, (raw, normalized) in images.items():
         paths = [seed_dir / name for name in _METHOD_FILES[method]]
         ioutil.write_pgm(paths[0], normalized)
-        recon_gi.write_image_csv(raw, paths[1])
+        ioutil.write_csv(paths[1], raw.tolist())
         if method == "gics":
-            recon_gics.write_solve_csv(report, paths[2])
-    lines = [METRICS_HEADER]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[k]) for k in METRICS_HEADER.split(",")))
-    ioutil.atomic_write_text(seed_dir / "metrics.csv", "\n".join(lines) + "\n")
+            ioutil.write_csv(paths[2], [("iter", "objective", "kkt_residual"), *report.history])
+    columns = METRICS_HEADER.split(",")
+    ioutil.write_csv(seed_dir / "metrics.csv",
+                     [columns, *([row[key] for key in columns] for row in rows)])
     return rows
 
 
@@ -398,7 +386,7 @@ def _write_jobs(scenario: Scenario, scenario_dir: Path) -> None:
     if not sweep:
         return
 
-    lines = [TREND_HEADER]
+    table = [TREND_HEADER.split(",")]
     means = {method: [] for method in scenario.methods}  # per l_c, of the verdict's metric
     for (lc, method), rows in rows_of.items():
         stats = []
@@ -406,13 +394,12 @@ def _write_jobs(scenario: Scenario, scenario_dir: Path) -> None:
             values = np.array([row[key] for row in rows])
             stats += [float(values.mean()), float(values.std())]
         means[method].append(stats[0] if method == "gi" else stats[2])
-        lines.append(",".join([repr(lc), method, *map(repr, stats)]))
+        table.append((lc, method, *stats))
     verdicts = {("monotone_gi_snr" if method == "gi" else "monotone_gics_mse"):
                 all(a >= b for a, b in zip(series, series[1:]))
                 for method, series in means.items()}
-    for key in sorted(verdicts):
-        lines.append(f"verdict,{key},{_format_cell(verdicts[key])},,,")
-    ioutil.atomic_write_text(scenario_dir / "trend.csv", "\n".join(lines) + "\n")
+    table += [("verdict", key, verdicts[key], None, None, None) for key in sorted(verdicts)]
+    ioutil.write_csv(scenario_dir / "trend.csv", table)
 
 
 # Grid of the two recipes below.  They stay because their only callers outside
@@ -423,7 +410,7 @@ _BENCH_GEOMETRY = {"optics.grid_n": 100, "optics.pixel_pitch_m": 15e-6}
 
 def _recipe_text(values: dict[str, object]) -> str:
     """Scenario text for ``values``, leaving out every key that equals its default."""
-    return ioutil.format_kv_text({key: _format_cell(value) for key, value in values.items()
+    return ioutil.format_kv_text({key: ioutil.format_cell(value) for key, value in values.items()
                                   if value != SCHEMA[key].default})
 
 

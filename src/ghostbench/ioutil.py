@@ -1,8 +1,11 @@
-"""Small file-format helpers: key=value text, portable graymaps, atomic writes.
+"""Small file-format helpers: key=value text, CSV, portable graymaps, atomic writes.
 
-``read_pgm`` reads 8- and 16-bit graymaps, ascii (P2) or binary (P5).
-``write_pgm`` is the package's one graymap writer: every image and truth mask
-it is given is a [0, 1] array, written as round(value * 65535) in 16-bit P5.
+``write_csv`` is the package's one CSV writer and ``format_cell`` its one
+cell format: a float is its Python repr, a bool ``true`` or ``false``, no
+value (None) an empty cell.  ``read_pgm`` reads 8- and 16-bit graymaps, ascii
+(P2) or binary (P5).  ``write_pgm`` is the package's one graymap writer: every
+image and truth mask it is given is a [0, 1] array, written as
+round(value * 65535) in 16-bit P5.
 """
 from __future__ import annotations
 
@@ -39,6 +42,24 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 def format_kv_text(pairs: dict[str, object]) -> str:
     return "".join(f"{k}={v}\n" for k, v in pairs.items())
+
+
+def format_cell(value) -> str:
+    """One CSV cell: None empty, a bool true/false, a float its repr, a tuple a comma list."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ",".join(format_cell(item) for item in value)
+    return str(value)
+
+
+def write_csv(path: str | Path, rows) -> None:
+    """Atomically write ``rows`` as CSV, one line per row of comma-joined ``format_cell`` cells."""
+    atomic_write_text(path, "".join(",".join(map(format_cell, row)) + "\n" for row in rows))
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

@@ -50,6 +50,17 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ConfigError unless it is a Python or NumPy integer, not a bool.
+
+    A float, a string or a bool is refused rather than truncated to a
+    different grid, campaign, seed or frame.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OpticalConfig:
     """Source and geometry parameters of the two-arm speckle bench.
@@ -70,11 +81,12 @@ class OpticalConfig:
     def __post_init__(self):
         for name in ("coherence_length", "pixel_pitch"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (math.isfinite(value) and value > 0)):
                 raise ConfigError(f"{name} must be a positive finite length, got {value!r}")
-        if not isinstance(self.grid_n, (int, np.integer)) or self.grid_n < 8:
+        if _integer(self.grid_n, "grid_n") < 8:
             raise ConfigError(f"grid_n must be an integer >= 8, got {self.grid_n!r}")
-        if not isinstance(self.source_oversample, (int, np.integer)) or self.source_oversample < 1:
+        if _integer(self.source_oversample, "source_oversample") < 1:
             raise ConfigError("source_oversample must be an integer >= 1")
         if self.coherence_length < 2.0 * self.pixel_pitch:
             raise ConfigError(
@@ -120,9 +132,10 @@ class SlitGeometry:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.width, self.height, self.separation,
-                                              *self.center)):
-            raise ConfigError("slit geometry must be finite")
+        values = (self.width, self.height, self.separation, *self.center)
+        if (any(isinstance(v, (bool, np.bool_)) for v in values)
+                or not all(map(math.isfinite, values))):
+            raise ConfigError(f"slit geometry must be finite numbers, got {values!r}")
         if not (self.width > 0 and self.height > 0):
             raise ConfigError("slit width and height must be positive")
         if self.separation <= self.width:

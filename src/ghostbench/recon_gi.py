@@ -10,12 +10,10 @@ ms by ``gi_from_blocks([(ms.intensities, ms.buckets)])``.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from . import ioutil
 
 
 def gi_from_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -47,9 +45,3 @@ def gi_from_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarra
     values = weighted / count - (bucket_sum / count) * (frame_sum / count)
     values.flags.writeable = False
     return values
-
-
-def write_image_csv(image: np.ndarray, path: str | Path) -> None:
-    """Raw (unnormalized) image values as CSV, one grid row per line."""
-    lines = [",".join(repr(v) for v in row) for row in image.tolist()]
-    ioutil.atomic_write_text(path, "\n".join(lines) + "\n")

@@ -22,14 +22,12 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, SolverError
 from .forward import MeasurementSet, _finite_min
 from .optics import _Owned, _frozen
-from . import ioutil
 
 # GPSR converges once its KKT residual is at most this times ||A.T rhs||_inf.
 _KKT_REL_TOL = 1e-6
@@ -343,11 +341,3 @@ def gics_reconstruct(ms: MeasurementSet, params: GicsParams) -> tuple[np.ndarray
     image = np.maximum(physical, 0.0)
     image.flags.writeable = False
     return image, report
-
-
-def write_solve_csv(report: SolveReport, path: str | Path) -> None:
-    """Per-iteration solver diagnostics as ``iter,objective,kkt_residual``, where objective
-    is the split objective of ``SolveReport``, an upper bound of the lasso objective."""
-    lines = ["iter,objective,kkt_residual"]
-    lines += [f"{it},{obj!r},{kkt!r}" for it, obj, kkt in report.history]
-    ioutil.atomic_write_text(path, "\n".join(lines) + "\n")

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .optics import OpticalConfig, _frozen
+from .optics import OpticalConfig, _frozen, _integer
 
 # Minimum source samples across the aperture; below this the rasterized
 # aperture is too coarse for the target sinc correlation.  Raise
@@ -79,17 +79,6 @@ def _dft_factor(grid_n: int, n_src: int, k: int) -> np.ndarray:
     w = np.exp((-2j * np.pi / n_src) * (out_idx * src_idx))
     w.flags.writeable = False
     return w
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; ConfigError unless it is a Python or NumPy integer, not a bool.
-
-    A float, a string or a bool is refused rather than truncated to a
-    different campaign's seed or frame.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _checked_seed(seed) -> int:

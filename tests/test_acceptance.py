@@ -110,7 +110,7 @@ def test_criterion_3_gi_point_spread_function():
     delta = ObjectMask(values)
     accumulated = None
     for seed in SEEDS:
-        _, image = run_campaign(cfg, delta, 2000, seed, fold=recon_gi.gi_from_blocks)
+        image = recon_gi.gi_from_blocks(forward.campaign_blocks(cfg, delta, 2000, seed))
         accumulated = image if accumulated is None else accumulated + image
     profile = metrics.minmax_normalize(accumulated)[50, :]
     lag = np.arange(100) - 50

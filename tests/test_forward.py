@@ -129,6 +129,9 @@ class TestCampaign:
             MeasurementSet(np.empty((0, 32, 32)), [])
         with pytest.raises(ConfigError):
             MeasurementSet(stack, [1.0], noise_sigma=-1.0)
+        for flag in (True, np.bool_(False)):
+            with pytest.raises(ConfigError, match="noise_sigma"):
+                MeasurementSet(np.ones((2, 4, 4)), [1.0, 1.0], noise_sigma=flag)
 
     @pytest.mark.parametrize("frame,bucket", [
         (np.full((N, N), -1.0), 1.0), (np.zeros((N, N)), 1.0),

@@ -177,6 +177,16 @@ class TestRunScenario:
             assert gi_row[3] == "gi"
             assert float(gi_row[5]) == float(gi_row[5])  # parses
 
+    def test_solve_csv_is_the_solve_history(self, tmp_path):
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        harness.run_scenario(scenario, tmp_path / "out")
+        ms = forward.run_campaign(scenario.configs[0], scenario.mask, scenario.m, 3)
+        _, report = recon_gics.gics_reconstruct(ms, scenario.gics)
+        lines = (tmp_path / "out" / "smoke" / "3" / "solve.csv").read_text().splitlines()
+        assert lines[0] == "iter,objective,kkt_residual"
+        assert len(lines) == len(report.history) + 1
+        assert lines[1:] == [f"{it},{obj!r},{kkt!r}" for it, obj, kkt in report.history]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -38,6 +38,12 @@ class TestOpticalConfigValidation:
         with pytest.raises(ConfigError):
             make_config(source_oversample=0)
 
+    @pytest.mark.parametrize("args", [(1e-4, 48, 15e-6, True), (True, 48, 15e-6)],
+                             ids=["source_oversample", "coherence_length"])
+    def test_rejects_bools(self, args):
+        with pytest.raises(ConfigError):
+            OpticalConfig(*args)
+
 
 def bruteforce_double_slit(grid_n, pitch, width, height, separation, center):
     """Integer-exact rasterization oracle: all lengths as Fractions of a meter."""
@@ -74,7 +80,8 @@ class TestDoubleSlit:
 
     @pytest.mark.parametrize("bad", [
         {"width": math.nan}, {"height": math.inf}, {"separation": math.nan},
-        {"center": (math.nan, 0.0)}, {"center": (0.0, -math.inf)}])
+        {"center": (math.nan, 0.0)}, {"center": (0.0, -math.inf)},
+        {"width": True, "separation": 2.0}, {"center": (False, 0.0)}])
     def test_non_finite_geometry_rejected(self, bad):
         with pytest.raises(ConfigError, match="finite"):
             SlitGeometry(**{"width": 1e-4, "height": 1e-3, "separation": 2e-4, **bad})
@@ -224,6 +231,20 @@ class TestAtomicWrite:
         assert stat.S_IMODE(path.stat().st_mode) == mode
         assert path.read_text() == "x\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class TestCsv:
+    def test_cell_format_and_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        previous = os.umask(0o077)
+        try:
+            ioutil.write_csv(path, [("a", None, True, np.bool_(False)),
+                                    (0.1, np.float64(1e-5), math.inf, 7, (1, 2.5, None))])
+        finally:
+            os.umask(previous)
+        assert path.read_text() == "a,,true,false\n0.1,1e-05,inf,7,1,2.5,\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert ioutil.format_cell(np.float64(2.0) / 3) == repr(2.0 / 3)
 
 
 class TestConfigFile:
