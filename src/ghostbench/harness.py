@@ -10,9 +10,10 @@ with l_c = lambda * z / D.  Give ``scenario.mask_pgm`` (relative to the file)
 when ``scenario.mask = pgm``.  Whatever ``Scenario`` rejects is a parse error:
 a seed list that is empty, outside [0, 2**64) or repeated, a repeated method,
 a repeated coherence length, one whose source aperture spans fewer than
-``speckle.MIN_APERTURE_SAMPLES`` source samples, a sweep with one seed, the
-name ``.`` or ``..``, a mask that ``metrics.truth_support`` refuses, and (in
-code) a mask on another grid than the configs.
+``speckle.MIN_APERTURE_SAMPLES`` source samples, a sweep with one seed, a
+name outside [A-Za-z0-9._-]+ or . or .., a mask that
+``metrics.truth_support`` refuses, and (in code) a mask on another grid than
+the configs.
 
 ``optics.lc_target_m`` is a comma list of distinct coherence lengths.  With
 one, ``run_scenario`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and
@@ -63,7 +64,7 @@ from .speckle import _checked_seed, aperture_sample_count
 METRICS_HEADER = "scenario,lc_m,m,method,seed,snr,mse,psnr,dip_ratio,resolved"
 TREND_HEADER = "lc_m,method,snr_mean,snr_std,mse_mean,mse_std"
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 _log = logging.getLogger("ghostbench")
 
 REQUIRED = object()  # default of a key the scenario file must give
@@ -79,7 +80,7 @@ class Key:
 
 
 def _name(text: str) -> str:
-    if not _NAME_RE.match(text) or text in (".", ".."):
+    if not isinstance(text, str) or not _NAME_RE.fullmatch(text) or text in (".", ".."):
         raise ValueError("must match [A-Za-z0-9._-]+ and not be . or ..")
     return text
 
@@ -101,7 +102,10 @@ def _length(text: str) -> float:
 
 
 def _lengths(text: str) -> tuple[float, ...]:
-    return tuple(_length(token) for token in text.split(","))
+    lengths = tuple(_length(token) for token in _comma_list(text))
+    if not lengths:
+        raise ValueError("must list at least one length")
+    return lengths
 
 
 def _finite(text: str) -> float:
@@ -159,6 +163,10 @@ class Scenario:
     noise_sigma: float
 
     def __post_init__(self):
+        try:
+            _name(self.name)
+        except ValueError as exc:
+            raise ConfigError(f"scenario name {self.name!r} {exc}") from None
         if _integer(self.m, "scenario m") < 1:
             raise ConfigError("scenario m must be >= 1")
         methods = set(self.methods)

@@ -1,15 +1,17 @@
-"""Small file-format helpers: key=value text, CSV, portable graymaps, atomic writes.
+"""Small file-format helpers: key=value text, CSV and portable graymaps.
 
-``write_csv`` is the package's one CSV writer and ``format_cell`` its one
-cell format: a float is its Python repr, a bool ``true`` or ``false``, no
-value (None) an empty cell.  ``read_pgm`` reads 8- and 16-bit graymaps, ascii
-(P2) or binary (P5).  ``write_pgm`` is the package's one graymap writer: every
-image and truth mask it is given is a [0, 1] array, written as
-round(value * 65535) in 16-bit P5.
+``write_csv`` (the one CSV writer) and ``write_pgm`` (the one graymap writer)
+are the package's only file writers.  Each makes one plain binary write: the
+umask sets the mode and no platform translates a newline.  A run's files need
+no more, since ``harness.run_scenario`` swaps in a staging directory only once
+every job has succeeded.  ``format_cell`` is the one CSV cell format: a float
+is its Python repr, a bool ``true`` or ``false``, no value (None) an empty
+cell.  ``read_pgm`` reads 8- and 16-bit graymaps, ascii (P2) or binary (P5);
+``write_pgm`` writes a [0, 1] array as round(value * 65535) in 16-bit P5.
 """
 from __future__ import annotations
 
-import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -58,33 +60,9 @@ def format_cell(value) -> str:
 
 
 def write_csv(path: str | Path, rows) -> None:
-    """Atomically write ``rows`` as CSV, one line per row of comma-joined ``format_cell`` cells."""
-    atomic_write_text(path, "".join(",".join(map(format_cell, row)) + "\n" for row in rows))
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place.
-
-    The temp file is created with mode 0o666, so the process umask sets the
-    final file mode as it would for a plain open().
-    """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """Write ``rows`` as CSV, one line per row of comma-joined ``format_cell`` cells."""
+    text = "".join(",".join(map(format_cell, row)) + "\n" for row in rows)
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def _skip_header_filler(data: bytes, pos: int) -> int:
@@ -149,17 +127,8 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
         dtype = ">u2" if itemsize == 2 else np.uint8
         samples = np.frombuffer(raster, dtype=dtype).astype(np.int64).reshape(height, width)
     else:
-        body = bytearray()
-        rest = data[pos:]
-        i = 0
-        while i < len(rest):  # strip comments, keep whitespace structure
-            if rest[i : i + 1] == b"#":
-                nl = rest.find(b"\n", i)
-                i = len(rest) if nl < 0 else nl + 1
-            else:
-                body.append(rest[i])
-                i += 1
-        tokens = bytes(body).split()
+        # a comment ends at its newline, which still separates the samples around it
+        tokens = re.sub(rb"#[^\n]*", b"", data[pos:]).split()
         if len(tokens) != count:
             raise ConfigError(f"graymap: expected {count} samples, found {len(tokens)}")
         try:
@@ -172,7 +141,7 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
 
 
 def write_pgm(path: str | Path, values: np.ndarray) -> None:
-    """Atomically write a finite 2-D [0, 1] array as 16-bit P5 samples round(value * 65535)."""
+    """Write a finite 2-D [0, 1] array as 16-bit P5 samples round(value * 65535)."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ConfigError("graymap values must be 2-D")
@@ -180,4 +149,4 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
         raise ConfigError("graymap values must be finite and lie in [0, 1]")
     height, width = values.shape
     header = f"P5\n{width} {height}\n{PGM_MAXVAL_LIMIT}\n".encode("ascii")
-    atomic_write_bytes(path, header + np.rint(values * PGM_MAXVAL_LIMIT).astype(">u2").tobytes())
+    Path(path).write_bytes(header + np.rint(values * PGM_MAXVAL_LIMIT).astype(">u2").tobytes())

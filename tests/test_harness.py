@@ -148,7 +148,8 @@ class TestParsing:
                                       "scenario.slit_height_m = 0",
                                       "scenario.slit_center_x_m = nan",
                                       "scenario.slit_center_y_m = -inf",
-                                      "scenario.name = .", "scenario.name = .."])
+                                      "scenario.name = .", "scenario.name = ..",
+                                      "optics.lc_target_m = ,"])
     def test_bad_value_names_key_and_value(self, tmp_path, line):
         key, value = (part.strip() for part in line.split("="))
         text = "".join(kv + "\n" for kv in SMALL_SCENARIO.splitlines()
@@ -520,10 +521,14 @@ class TestTrend:
         {"methods": ("gi", "bogus")}, {"methods": ("gics", "gics")}, {"methods": ()},
         {"lcs": (1e-4, 1e-4)}, {"lcs": (-1e-4,)}, {"lcs": (1e-4, 1e-3)}, {"lcs": ()},
         {"lcs": (1e-4, 6e-5), "seeds": (3,)},
-        {"mask": optics.ObjectMask(np.kron(np.eye(2), np.ones((8, 8))))}],
+        {"mask": optics.ObjectMask(np.kron(np.eye(2), np.ones((8, 8))))},
+        {"name": ""}, {"name": "."}, {"name": ".."}, {"name": "a b"}, {"name": "x/y"},
+        {"name": "smoke\n"}],
         ids=["bool_seed", "float_seed", "float_m", "bool_m", "negative_noise", "nan_noise",
              "inf_noise", "unknown_method", "repeated_method", "no_method", "repeated_lc",
-             "negative_lc", "undersampled_lc", "no_lc", "one_seed_sweep", "mask_on_other_grid"])
+             "negative_lc", "undersampled_lc", "no_lc", "one_seed_sweep", "mask_on_other_grid",
+             "empty_name", "dot_name", "dotdot_name", "space_name", "slash_name",
+             "newline_name"])
     def test_code_built_scenario_is_checked_before_anything_is_written(self, tmp_path, change,
                                                                         monkeypatch):
         """``lcs`` sets the coherence lengths (see ``at_lcs``); the rest are fields."""
@@ -765,6 +770,12 @@ class TestSchema:
     def test_length_lists_roundtrip(self, lengths):
         text = ",".join(map(repr, lengths))
         assert harness.SCHEMA["optics.lc_target_m"].parse(text) == tuple(lengths)
+
+    def test_comma_lists_skip_empty_items(self):
+        assert harness.SCHEMA["optics.lc_target_m"].parse("1e-4,") == (1e-4,)
+        assert harness.SCHEMA["optics.lc_target_m"].parse("1e-4, ,5e-5") == (1e-4, 5e-5)
+        assert harness.SCHEMA["scenario.seeds"].parse("1,2,") == (1, 2)
+        assert harness.SCHEMA["scenario.methods"].parse("gi,") == ("gi",)
 
     @given(key=rows_parsed_by(int), value=st.integers())
     def test_int_rows_roundtrip(self, key, value):

@@ -203,6 +203,12 @@ class TestPgm:
         samples, maxval = ioutil.read_pgm(path)
         assert samples.shape == (8, 8) and maxval == 255
 
+    def test_comment_in_raster_ends_at_its_newline(self, tmp_path):
+        path = tmp_path / "p.pgm"
+        path.write_bytes(b"P2\n2 1\n255\n12#note\n34\n")
+        samples, _ = ioutil.read_pgm(path)
+        assert samples.tolist() == [[12, 34]]
+
     @pytest.mark.parametrize("payload", [
         b"P3\n8 8\n255\n" + b"1 " * 64,        # wrong magic
         b"P2\n8 8\n",                          # truncated header
@@ -219,31 +225,27 @@ class TestPgm:
             ioutil.read_pgm(path)
 
 
-class TestAtomicWrite:
+class TestFileMode:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
-        path = tmp_path / "out.txt"
+    @pytest.mark.parametrize("write", [
+        lambda path: ioutil.write_pgm(path, np.zeros((2, 2))),
+        lambda path: ioutil.write_csv(path, [("x",)])], ids=["pgm", "csv"])
+    def test_file_mode_follows_umask(self, tmp_path, write, umask, mode):
+        path = tmp_path / "out"
         previous = os.umask(umask)
         try:
-            ioutil.atomic_write_text(path, "x\n")
+            write(path)
         finally:
             os.umask(previous)
         assert stat.S_IMODE(path.stat().st_mode) == mode
-        assert path.read_text() == "x\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestCsv:
     def test_cell_format_and_rows(self, tmp_path):
         path = tmp_path / "t.csv"
-        previous = os.umask(0o077)
-        try:
-            ioutil.write_csv(path, [("a", None, True, np.bool_(False)),
-                                    (0.1, np.float64(1e-5), math.inf, 7, (1, 2.5, None))])
-        finally:
-            os.umask(previous)
-        assert path.read_text() == "a,,true,false\n0.1,1e-05,inf,7,1,2.5,\n"
-        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        ioutil.write_csv(path, [("a", None, True, np.bool_(False)),
+                                (0.1, np.float64(1e-5), math.inf, 7, (1, 2.5, None))])
+        assert path.read_bytes() == b"a,,true,false\n0.1,1e-05,inf,7,1,2.5,\n"
         assert ioutil.format_cell(np.float64(2.0) / 3) == repr(2.0 / 3)
 
 
