@@ -29,7 +29,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,13 +197,11 @@ def _blas_single_threaded():
     get, set_ = control
     with _BLAS_PIN:
         inherited = get()
-        if inherited != 1:
-            set_(1)
+        set_(1)
         try:
             yield
         finally:
-            if inherited != 1:
-                set_(inherited)
+            set_(inherited)
 
 
 def _frame_workers() -> int:
@@ -215,7 +213,7 @@ def _frame_workers() -> int:
 
 
 def _make_frames(config: OpticalConfig, master_seed: int, start: int, frames: np.ndarray,
-                 pool: ThreadPoolExecutor | None, workers: int) -> None:
+                 pool: ThreadPoolExecutor, workers: int) -> None:
     """Synthesize frame start + j into row j of ``frames``, on ``workers`` threads.
 
     Thread w (the caller is thread 0, the others come from ``pool``) makes rows
@@ -227,9 +225,6 @@ def _make_frames(config: OpticalConfig, master_seed: int, start: int, frames: np
         for j in range(first, len(frames), workers):
             synthesize_frame(config, master_seed, start + j, out=frames[j])
 
-    if pool is None:
-        rows(0)
-        return
     with _blas_single_threaded():
         helpers = [pool.submit(rows, w) for w in range(1, workers)]
         try:
@@ -263,19 +258,19 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
     them.
 
     A block's frames are made on ``min(_frame_workers(), m)`` threads, the
-    calling thread among them (see ``_make_frames``).  With more than one, the
-    loaded OpenBLAS is held to one thread while the frames are made, since
-    each frame's two small ``zgemm`` calls would otherwise start BLAS pool
-    threads that compete with the frame threads.  The hold is process-wide:
-    while a block's frames are made, BLAS calls from other threads also run
-    at one thread.  The inherited count is restored before anything else
-    runs, so the generator never suspends while BLAS is held.  Buckets,
-    noise and checks are done in the calling thread, in frame order, at the
-    inherited count; no output bit depends on how the frames were made.
+    calling thread among them (see ``_make_frames``), with the loaded OpenBLAS
+    held to one thread: each frame's two small ``zgemm`` calls would otherwise
+    start BLAS pool threads that compete with the frame threads, and they give
+    the same bits at one thread.  The hold is process-wide: while a block's
+    frames are made, BLAS calls from other threads also run at one thread.
+    The inherited count is restored before anything else runs, so the
+    generator never suspends while BLAS is held.  Buckets, noise and checks
+    are done in the calling thread, in frame order, at the inherited count;
+    no output bit depends on how the frames were made.
     """
     _check_campaign(config, mask, m, master_seed, noise_sigma)
     workers = min(_frame_workers(), m)
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # no thread until a submit
         for start in range(0, m, _BLOCK_FRAMES):
             stop = min(start + _BLOCK_FRAMES, m)
             frames = np.empty((stop - start, config.grid_n, config.grid_n))

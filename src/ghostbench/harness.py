@@ -11,35 +11,34 @@ when ``scenario.mask = pgm``.  Whatever ``Scenario`` rejects is a parse error:
 a seed list that is empty, outside [0, 2**64) or repeated, a repeated method,
 a repeated coherence length, one whose source aperture spans fewer than
 ``speckle.MIN_APERTURE_SAMPLES`` source samples, a sweep with one seed, a
-name outside [A-Za-z0-9._-]+ or . or .., a mask that
-``metrics.truth_support`` refuses, and (in code) a mask on another grid than
-the configs.
+name outside [A-Za-z0-9._-]+ or . or .., a mask that ``metrics.truth_support``
+refuses, and (in code) a mask on another grid than the configs, a slit
+geometry the mask is not the double slit of, and ``gics`` that is not a
+``GicsParams``.
 
 ``optics.lc_target_m`` is a comma list of distinct coherence lengths.  With
 one, ``run_scenario`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and
 each requested method's files (gi.pgm, gi_raw.csv; gics.pgm, gics_raw.csv,
-solve.csv).  With two or more (a sweep, which needs at least 2 seeds) it
-runs the same per-seed code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and
-writes <out>/<name>/trend.csv.  <out>/<name>/ is exactly what the last
-successful run wrote, and a failed run changes nothing: the run is built in
-a staging directory that replaces <out>/<name>/ whole once every job has
-succeeded.  The PGMs are ``ioutil.write_pgm`` graymaps and the CSVs
-``ioutil.write_csv`` tables, each row built here.  All files are a
-pure function of the scenario file bytes and of the BLAS thread count the
-process inherits.  That count matters
-for gics_raw.csv, solve.csv and metrics.csv, not for the GI files or
+solve.csv).  With two or more (a sweep, which needs at least 2 seeds) it runs
+the same per-seed code into <out>/<name>/lc_<repr(l_c)>/<seed>/ and writes
+<out>/<name>/trend.csv.  <out>/<name>/ is exactly what the last successful run
+wrote, and a failed run changes nothing: the run is built in a staging
+directory that replaces <out>/<name>/ whole once every job has succeeded.  The
+PGMs are ``ioutil.write_pgm`` graymaps and the CSVs ``ioutil.write_csv``
+tables, each row built here.  All files are a pure function of the scenario
+file bytes and of the BLAS thread count the process inherits.  That count
+matters for gics_raw.csv, solve.csv and metrics.csv, not for the GI files or
 truth.pgm: the dense branch of ``recon_gics.SensingSystem.matvec`` sums in the
 order of OpenBLAS's threads, and OpenBLAS threads every dot product longer
 than 10 000 elements (the solve's length-grid_n**2 dots, any grid_n > 100).
 
-The (l_c, seed) jobs run one at a time, in order, so no
-other thread uses BLAS while a campaign holds it to one thread (see
-``forward.campaign_blocks``).  Each campaign is made in blocks of
-``forward._BLOCK_FRAMES`` (8) frames, each on the usable CPUs, with one set
-of synthesis temporaries per frame thread.  A run with gics holds its
-campaign as one pixel-major (grid_n**2, m) stack, which GICS solves on, plus
-one block while the stack is filled; a GI-only run folds the campaign block
-by block and holds O(grid_n**2) plus one block, whatever m is.
+The (l_c, seed) jobs run one at a time, in order, so no other thread uses BLAS
+while a campaign holds it to one thread (see ``forward.campaign_blocks``).
+Each campaign is made in blocks of ``forward._BLOCK_FRAMES`` (8) frames, each
+on the usable CPUs, with one set of synthesis temporaries per frame thread.  A
+run with gics holds its campaign as one pixel-major (grid_n**2, m) stack, on
+which GICS solves, plus one block while it is filled; a GI-only run folds the
+campaign block by block and holds O(grid_n**2) plus one block, whatever m is.
 """
 from __future__ import annotations
 
@@ -186,6 +185,8 @@ class Scenario:
         if self.mask.grid_n != configs[0].grid_n:
             raise ConfigError(f"mask grid {self.mask.grid_n} does not match the configs' grid "
                               f"{configs[0].grid_n}")
+        if not isinstance(self.gics, GicsParams):
+            raise ConfigError(f"scenario gics must be GicsParams, got {self.gics!r}")
         lcs = [config.coherence_length for config in configs]
         if len(set(lcs)) != len(lcs):
             raise ConfigError(f"coherence lengths {lcs!r} must be distinct")
@@ -197,6 +198,9 @@ class Scenario:
         if len(configs) > 1 and len(seeds) < 2:
             raise ConfigError("a sweep of coherence lengths needs at least 2 seeds")
         metrics.truth_support(self.mask)
+        if self.slit_geometry is not None and not np.array_equal(
+                self.mask.values, optics.make_double_slit(configs[0], self.slit_geometry).values):
+            raise ConfigError("mask is not the double slit of the scenario's slit geometry")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "configs", configs)
 

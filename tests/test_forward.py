@@ -1,13 +1,14 @@
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostbench import forward, optics, recon_gics
+from ghostbench import forward, harness, optics, recon_gics, speckle
 from ghostbench.errors import ConfigError
 from ghostbench.forward import (_BLOCK_FRAMES, MeasurementSet, bucket_measure, campaign_blocks,
                                 run_campaign)
@@ -378,7 +379,6 @@ class TestFrameWorkers:
 
     def test_blas_is_held_to_one_thread_only_while_frames_are_made(self, monkeypatch,
                                                                     blas_threads):
-        frame_workers(monkeypatch, 2)
         seen = []
         synthesize = forward.synthesize_frame
         monkeypatch.setattr(forward, "synthesize_frame",
@@ -390,10 +390,14 @@ class TestFrameWorkers:
             for _ in blocks:
                 folded.append(blas_threads())
 
-        run_campaign(CFG, self.MASK, 2 * _BLOCK_FRAMES, 1, fold=fold)
-        assert seen == [1] * 2 * _BLOCK_FRAMES
-        assert folded == [2, 2]
-        assert blas_threads() == 2
+        for workers in (1, 2):  # one frame thread makes its frames on the same held path
+            frame_workers(monkeypatch, workers)
+            seen.clear()
+            folded.clear()
+            run_campaign(CFG, self.MASK, 2 * _BLOCK_FRAMES, 1, fold=fold)
+            assert seen == [1] * 2 * _BLOCK_FRAMES, f"{workers} frame threads"
+            assert folded == [2, 2]
+            assert blas_threads() == 2
 
     def test_blas_count_is_restored_when_a_block_check_raises(self, monkeypatch, blas_threads):
         frame_workers(monkeypatch, 2)
@@ -425,3 +429,42 @@ class TestFrameWorkers:
         assert blas_threads() == 2  # suspended at a yield, never while held
         blocks.close()
         assert blas_threads() == 2
+
+
+class TestBlasThreadCount:
+    """What a block's frames and the GICS operator compute at 1 and 2 BLAS threads.
+
+    Each test computes once with OpenBLAS held to one thread and once at the
+    two threads the ``blas_threads`` fixture sets, which it restores after.
+    """
+
+    @pytest.mark.parametrize("lc,pitch,k", [(276.7e-6, 30e-6, 43), (109.6e-6, 15e-6, 55),
+                                            (68.8e-6, 15e-6, 87)])
+    def test_frames_are_the_same_bits_at_one_and_two_threads(self, blas_threads, lc, pitch, k):
+        """K 43, 55 and 87 are the apertures of the three benchmark workloads."""
+        config = OpticalConfig(lc, 100, pitch)
+        assert speckle.aperture_sample_count(config) == k
+        with forward._blas_single_threaded():
+            one = [synthesize_frame(config, 1, i) for i in range(3)]
+        assert blas_threads() == 2
+        for i, frame in enumerate(one):
+            assert np.array_equal(synthesize_frame(config, 1, i), frame)
+
+    def test_rmatvec_and_gathered_matvec_are_the_same_bits_at_one_and_two_threads(
+            self, blas_threads):
+        """On the trend bench's widest-l_c campaign (seed 1, m 500).  The dense
+        matvec sums in the order of OpenBLAS's threads, so it is left out."""
+        scenario = harness.load_scenario(
+            Path(__file__).resolve().parents[1] / "experiments" / "trend_bench.scn")
+        system = recon_gics.build_sensing(
+            run_campaign(scenario.configs[0], scenario.mask, scenario.m, 1))
+        rng = np.random.default_rng(0)
+        r = rng.standard_normal(system.m)
+        x = np.zeros(system.n_pix)
+        x[rng.choice(system.n_pix, 932, replace=False)] = rng.standard_normal(932)
+        assert np.count_nonzero(x) <= recon_gics._GATHER_SHARE * system.n_pix  # gathered
+        with forward._blas_single_threaded():
+            one = system.rmatvec(r), system.matvec(x)
+        assert blas_threads() == 2
+        assert np.array_equal(system.rmatvec(r), one[0])
+        assert np.array_equal(system.matvec(x), one[1])

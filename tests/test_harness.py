@@ -523,12 +523,15 @@ class TestTrend:
         {"lcs": (1e-4, 6e-5), "seeds": (3,)},
         {"mask": optics.ObjectMask(np.kron(np.eye(2), np.ones((8, 8))))},
         {"name": ""}, {"name": "."}, {"name": ".."}, {"name": "a b"}, {"name": "x/y"},
-        {"name": "smoke\n"}],
+        {"name": "smoke\n"},
+        {"slit_geometry": optics.SlitGeometry(30e-6, 120e-6, 90e-6)},
+        {"slit_geometry": optics.SlitGeometry(60e-6, 240e-6, 120e-6, center=(5e-3, 0.0))},
+        {"gics": None}],
         ids=["bool_seed", "float_seed", "float_m", "bool_m", "negative_noise", "nan_noise",
              "inf_noise", "unknown_method", "repeated_method", "no_method", "repeated_lc",
              "negative_lc", "undersampled_lc", "no_lc", "one_seed_sweep", "mask_on_other_grid",
              "empty_name", "dot_name", "dotdot_name", "space_name", "slash_name",
-             "newline_name"])
+             "newline_name", "slits_not_in_mask", "slits_off_grid", "no_gics"])
     def test_code_built_scenario_is_checked_before_anything_is_written(self, tmp_path, change,
                                                                         monkeypatch):
         """``lcs`` sets the coherence lengths (see ``at_lcs``); the rest are fields."""
@@ -682,18 +685,38 @@ class TestCli:
         assert "monotone_gics_mse=true" in capsys.readouterr().out
         assert (out / "smoke" / "trend.csv").is_file()
 
+    @staticmethod
+    def run_from_checkout(path, out, **env):
+        """``python -m ghostbench run path --out out`` from the checkout's src, in a new
+        process whose environment is this one updated by ``env`` (None removes a variable)."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])), **env}
+        return subprocess.run([sys.executable, "-m", "ghostbench", "run", str(path),
+                               "--out", str(out)], capture_output=True, text=True, timeout=120,
+                              env={key: value for key, value in env.items() if value is not None})
+
     def test_python_dash_m_from_checkout(self, tmp_path):
         path = self.write_scenario(tmp_path, SMALL_SCENARIO + "scenario.bogus = 1\n")
         out = tmp_path / "out"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-m", "ghostbench", "run", str(path),
-                               "--out", str(out)], env=env, capture_output=True, text=True,
-                              timeout=120)
+        done = self.run_from_checkout(path, out)
         assert done.returncode == 2
         assert "unknown scenario key" in done.stderr
         assert not out.exists()
+
+    def test_gi_bytes_equal_at_one_and_the_default_blas_thread_count(self, tmp_path):
+        """The GI files and truth.pgm do not depend on the BLAS thread count the
+        process inherits (the GICS files may; see the README's determinism
+        paragraph).  Only separate processes can run at two counts: the frame
+        hold's lock, ``forward._BLAS_PIN``, is not re-entrant."""
+        path = self.write_scenario(tmp_path, sweep_text("100e-6,60e-6"))
+        for name, threads in (("one", "1"), ("default", None)):
+            done = self.run_from_checkout(path, tmp_path / name, OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+        for job in ("lc_0.0001/3", "lc_0.0001/4", "lc_6e-05/3", "lc_6e-05/4"):
+            for name in ("gi.pgm", "gi_raw.csv", "truth.pgm"):
+                one, default = (tmp_path / run / "smoke" / job / name for run in ("one", "default"))
+                assert one.read_bytes() == default.read_bytes(), f"{job}/{name}"
 
 
 class TestRecipes:
