@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .optics import ObjectMask, OpticalConfig, _Owned, _frozen, _integer
+from .optics import ObjectMask, OpticalConfig, _Owned, _frozen, _integer, _real
 from .speckle import _checked_seed, synthesize_frame
 
 # Extra entropy word separating the bucket-noise stream from the frame stream.
@@ -86,10 +86,8 @@ def _check_measurements(intensities: np.ndarray, buckets: np.ndarray,
         raise ConfigError("noiseless buckets cannot be negative")
 
 
-def _check_noise_sigma(noise_sigma: float) -> None:
-    if (isinstance(noise_sigma, (bool, np.bool_))
-            or not (noise_sigma >= 0 and np.isfinite(noise_sigma))):
-        raise ConfigError(f"noise_sigma must be a finite non-negative number, got {noise_sigma!r}")
+def _check_noise_sigma(noise_sigma: float) -> float:
+    return _real(noise_sigma, "noise_sigma", "non-negative")
 
 
 def _frames_of(stack: np.ndarray, grid_n: int) -> np.ndarray:
@@ -138,7 +136,7 @@ class MeasurementSet:
             raise ConfigError(
                 f"need one bucket per frame: {buckets.shape} buckets for "
                 f"{given.shape[0]} frames")
-        _check_noise_sigma(self.noise_sigma)
+        object.__setattr__(self, "noise_sigma", _check_noise_sigma(self.noise_sigma))
         if owned:
             intensities = _frozen(self.intensities)
         else:

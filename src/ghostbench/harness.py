@@ -7,7 +7,8 @@ any other key is rejected.  Of the GICS solver a scenario sets only
 ``gics.tau`` and ``gics.max_iters``.  The source is given by its coherence
 length on the object plane, ``optics.lc_target_m``; a physical setup converts
 with l_c = lambda * z / D.  Give ``scenario.mask_pgm`` (relative to the file)
-when ``scenario.mask = pgm``.  Whatever ``Scenario`` rejects is a parse error:
+when ``scenario.mask = pgm``.  A file that cannot be read or is not UTF-8
+text is a parse error, and so is whatever ``Scenario`` rejects:
 a seed list that is empty, outside [0, 2**64) or repeated, a repeated method,
 a repeated coherence length, one whose source aperture spans fewer than
 ``speckle.MIN_APERTURE_SAMPLES`` source samples, a sweep with one seed, a
@@ -178,7 +179,7 @@ class Scenario:
             raise ConfigError("scenario needs at least one seed")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("scenario seed list contains duplicates")
-        _check_noise_sigma(self.noise_sigma)
+        object.__setattr__(self, "noise_sigma", _check_noise_sigma(self.noise_sigma))
         configs = tuple(sorted(self.configs, key=lambda c: c.coherence_length, reverse=True))
         if len({(c.grid_n, c.pixel_pitch, c.source_oversample) for c in configs}) != 1:
             raise ConfigError("scenario needs at least one coherence length, all on one grid")
@@ -258,7 +259,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     return parse_scenario_text(text, base_dir=path.parent)
 

@@ -16,6 +16,7 @@ graymap (``load_mask_pgm``); a run writes it back with ``ioutil.write_pgm``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,6 +62,26 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str, sign: str = "") -> float:
+    """``value`` as a float; ConfigError unless it is a finite Python or NumPy real.
+
+    ``sign`` is "", "positive" or "non-negative".  A string, None or a bool is
+    refused rather than converted, and a NumPy float comes back as a Python
+    float, so a value written to an output prints as a parsed one does.
+    """
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if (not math.isfinite(number) or (sign == "positive" and number <= 0)
+            or (sign == "non-negative" and number < 0)):
+        kind = f"finite {sign} number" if sign else "finite number"
+        raise ConfigError(f"{what} must be a {kind}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class OpticalConfig:
     """Source and geometry parameters of the two-arm speckle bench.
@@ -80,10 +101,7 @@ class OpticalConfig:
 
     def __post_init__(self):
         for name in ("coherence_length", "pixel_pitch"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not (math.isfinite(value) and value > 0)):
-                raise ConfigError(f"{name} must be a positive finite length, got {value!r}")
+            object.__setattr__(self, name, _real(getattr(self, name), name, "positive"))
         if _integer(self.grid_n, "grid_n") < 8:
             raise ConfigError(f"grid_n must be an integer >= 8, got {self.grid_n!r}")
         if _integer(self.source_oversample, "source_oversample") < 1:
@@ -132,12 +150,10 @@ class SlitGeometry:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        values = (self.width, self.height, self.separation, *self.center)
-        if (any(isinstance(v, (bool, np.bool_)) for v in values)
-                or not all(map(math.isfinite, values))):
-            raise ConfigError(f"slit geometry must be finite numbers, got {values!r}")
-        if not (self.width > 0 and self.height > 0):
-            raise ConfigError("slit width and height must be positive")
+        for name in ("width", "height"):
+            object.__setattr__(self, name, _real(getattr(self, name), f"slit {name}", "positive"))
+        object.__setattr__(self, "separation", _real(self.separation, "slit separation"))
+        object.__setattr__(self, "center", tuple(_real(c, "slit center") for c in self.center))
         if self.separation <= self.width:
             raise ConfigError(
                 f"slit separation {self.separation!r} must exceed slit width {self.width!r} "

@@ -12,14 +12,13 @@ gpsr_solve minimizes 0.5 ||rhs - A x||^2 + tau ||x||_1 by gradient
 projection on the split x = u - v (u, v >= 0) with Barzilai-Borwein step
 lengths.  Its one stopping rule is the optimality (KKT) residual within
 _KKT_REL_TOL of ||A.T rhs||_inf, and a solve is converged exactly when the
-rule is met; ista_reference is an independent proximal-gradient
-oracle on the same operator, used to cross-check it.  A run sets only tau
+rule is met; the tests cross-check it against an independent
+proximal-gradient oracle on the same operator, ``ista_reference`` in
+tests/oracles.py.  A run sets only tau
 and the iteration cap; the other solver constants are fixed here.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .forward import MeasurementSet, _finite_min
-from .optics import _Owned, _frozen
+from .optics import _Owned, _frozen, _real
 
 # GPSR converges once its KKT residual is at most this times ||A.T rhs||_inf.
 _KKT_REL_TOL = 1e-6
@@ -52,9 +51,7 @@ class GicsParams:
     max_iters: int = 2000
 
     def __post_init__(self):
-        if (isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real)
-                or not 0 <= self.tau < math.inf):
-            raise ConfigError(f"tau must be a finite non-negative number, got {self.tau!r}")
+        object.__setattr__(self, "tau", _real(self.tau, "tau", "non-negative"))
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
                 or self.max_iters < 1):
             raise ConfigError(f"max_iters must be a positive integer, got {self.max_iters!r}")
@@ -66,9 +63,10 @@ class SolveReport:
 
     The last history row is the returned iterate; atb_inf is ||A.T rhs||_inf,
     the scale of the KKT stopping rule.  The objective is GPSR's split
-    objective 0.5 ||r||^2 + tau (sum u + sum v), an upper bound of the
-    ``lasso_objective`` of x = u - v, met only once no pixel has both u and v
-    positive (canonical slit, seed 1: 1.76295 against 1.54379).
+    objective 0.5 ||r||^2 + tau (sum u + sum v), an upper bound of the lasso
+    objective 0.5 ||r||^2 + tau ||x||_1 of x = u - v (``lasso_objective`` in
+    tests/oracles.py), met only once no pixel has both u and v positive
+    (canonical slit, seed 1: 1.76295 against 1.54379).
     """
 
     converged: bool
@@ -120,13 +118,6 @@ class SensingSystem:
             object.__setattr__(self, name, arr)
         if self.col_scale.min() <= 0:
             raise ConfigError("column scales must be strictly positive")
-
-    @classmethod
-    def from_arrays(cls, rows: np.ndarray, rhs: np.ndarray) -> "SensingSystem":
-        """Raw system A = rows (zero column means, unit column scales), e.g. for solver tests."""
-        rows = np.asarray(rows, dtype=float)
-        n = rows.shape[1] if rows.ndim == 2 else 0
-        return cls(rows, rhs, np.ones(n), np.zeros(n))
 
     @property
     def m(self) -> int:
@@ -194,11 +185,6 @@ def build_sensing(ms: MeasurementSet) -> SensingSystem:
     return SensingSystem(_Owned(rows), rhs, col_scale, col_mean)
 
 
-def lasso_objective(system: SensingSystem, x: np.ndarray, tau: float) -> float:
-    resid = system.matvec(x) - system.rhs
-    return float(0.5 * (resid @ resid) + tau * np.abs(x).sum())
-
-
 def kkt_residual(x: np.ndarray, grad: np.ndarray, tau: float) -> float:
     """Infinity-norm violation of the l1 least-squares optimality conditions.
 
@@ -206,10 +192,6 @@ def kkt_residual(x: np.ndarray, grad: np.ndarray, tau: float) -> float:
     """
     violation = np.where(x != 0, np.abs(grad + np.sign(x) * tau), np.abs(grad) - tau)
     return float(violation.max(initial=0.0))
-
-
-def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
 def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, SolveReport]:
@@ -275,55 +257,6 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
 
     converged = history[-1][2] <= kkt_stop
     return u - v, SolveReport(converged, tuple(history), atb_inf)
-
-
-def ista_reference(system: SensingSystem, tau: float, kkt_tol: float,
-                   max_iters: int = 100_000, on_iterate=None) -> np.ndarray:
-    """Independent proximal-gradient oracle: soft-threshold steps of size 1/L.
-
-    L bounds the largest squared singular value of A (power iteration with a
-    small safety margin).  Deterministic from x0 = 0; takes at most
-    max_iters steps (on_iterate(i, x) sees each one) and returns the first
-    iterate whose KKT residual is within kkt_tol, or the last one with a
-    warning, not fatal, when none is.
-    """
-    if tau < 0:
-        raise ConfigError("tau must be non-negative")
-    lipschitz = _gram_spectral_bound(system) * 1.02
-    if lipschitz <= 0:
-        lipschitz = 1.0
-
-    x = np.zeros(system.n_pix)
-    for it in range(max_iters + 1):
-        grad = system.rmatvec(system.matvec(x) - system.rhs)
-        if kkt_residual(x, grad, tau) <= kkt_tol:
-            return x
-        if it == max_iters:
-            break
-        x = soft_threshold(x - grad / lipschitz, tau / lipschitz)
-        if not np.isfinite(x).all():
-            raise SolverError("non-finite iterate in the proximal-gradient oracle")
-        if on_iterate is not None:
-            on_iterate(it, x)
-    warnings.warn(f"proximal-gradient oracle hit the {max_iters}-iteration cap", stacklevel=2)
-    return x
-
-
-def _gram_spectral_bound(system: SensingSystem, iters: int = 500,
-                         tol: float = 1e-12) -> float:
-    n = system.n_pix
-    vec = np.full(n, 1.0 / np.sqrt(n))
-    estimate = 0.0
-    for _ in range(iters):
-        image = system.rmatvec(system.matvec(vec))
-        norm = float(np.linalg.norm(image))
-        if norm == 0.0:
-            return 0.0
-        vec = image / norm
-        if abs(norm - estimate) <= tol * norm:
-            return norm
-        estimate = norm
-    return estimate
 
 
 def gics_reconstruct(ms: MeasurementSet, params: GicsParams) -> tuple[np.ndarray, SolveReport]:

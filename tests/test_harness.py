@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 import os
 import re
 import stat
@@ -605,6 +606,16 @@ class TestCli:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.txt")]) == 2
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.txt"
+        path.write_bytes(SMALL_SCENARIO.encode() + b"# slit 100 \xb5m wide\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ghostbench: parse error")
+        assert str(path) in lines[0]
+        assert not out.exists()
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         path = self.write_scenario(tmp_path)
         monkeypatch.chdir(tmp_path)
@@ -828,3 +839,54 @@ class TestSchema:
     def test_readme_canonical_scenario_parses(self, tmp_path):
         block = README.split("The canonical double slit", 1)[1].split("```\n")[1]
         self.assert_canonical_recipe(block, tmp_path)
+
+
+def test_readme_library_sketch_runs(capsys):
+    """Both python blocks under README "Library sketch" run as written."""
+    section = README.split("## Library sketch", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.split()) == 2  # recon_snr and the iteration count
+
+
+SMALL_CONFIG = optics.OpticalConfig(100e-6, 48, 15e-6)
+SMALL_MASK = optics.make_double_slit(SMALL_CONFIG, optics.SlitGeometry(60e-6, 240e-6, 120e-6))
+
+# Each real-valued field a caller sets, by entry point: the name its errors
+# give, a valid value, and a build that returns the field as stored.
+REAL_FIELDS = {
+    "coherence_length": ("coherence_length", 1e-4,
+                         lambda v: optics.OpticalConfig(v, 48, 15e-6).coherence_length),
+    "pixel_pitch": ("pixel_pitch", 15e-6, lambda v: optics.OpticalConfig(1e-4, 48, v).pixel_pitch),
+    "slit_width": ("slit width", 1e-4, lambda v: optics.SlitGeometry(v, 1e-3, 2e-4).width),
+    "slit_separation": ("slit separation", 2e-4,
+                        lambda v: optics.SlitGeometry(1e-4, 1e-3, v).separation),
+    "slit_center": ("slit center", 5e-6,
+                    lambda v: optics.SlitGeometry(1e-4, 1e-3, 2e-4, center=(0.0, v)).center[1]),
+    "tau": ("tau", 1e-3, lambda v: recon_gics.GicsParams(tau=v).tau),
+    "measurement_set": ("noise_sigma", 0.1, lambda v: forward.MeasurementSet(
+        np.ones((2, 4, 4)), [1.0, 1.0], noise_sigma=v).noise_sigma),
+    "campaign": ("noise_sigma", 0.1, lambda v: forward.run_campaign(
+        SMALL_CONFIG, SMALL_MASK, 2, 1, noise_sigma=v).noise_sigma),
+    "scenario": ("noise_sigma", 0.1, lambda v: dataclasses.replace(
+        harness.parse_scenario_text(SMALL_SCENARIO), noise_sigma=v).noise_sigma),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_FIELDS)
+@pytest.mark.parametrize("kind", ["str", "none", "bool", "nan", "huge_int"])
+def test_real_field_refuses_what_is_not_a_finite_real(entry, kind):
+    name, valid, build = REAL_FIELDS[entry]
+    bad = {"str": str(valid), "none": None, "bool": True, "nan": math.nan,
+           "huge_int": 10**400}[kind]
+    with pytest.raises(ConfigError, match=f"{name} must be a finite"):
+        build(bad)
+
+
+@pytest.mark.parametrize("entry", REAL_FIELDS)
+def test_real_field_stores_a_numpy_float_as_a_python_float(entry):
+    _, valid, build = REAL_FIELDS[entry]
+    stored = build(np.float32(valid))
+    assert type(stored) is float and stored == float(np.float32(valid))

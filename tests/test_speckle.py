@@ -5,7 +5,9 @@ import pytest
 
 from ghostbench.errors import ConfigError
 from ghostbench.optics import OpticalConfig
-from ghostbench.speckle import aperture_sample_count, intensity_stats, synthesize_frame
+from ghostbench.speckle import aperture_sample_count, synthesize_frame
+
+from oracles import intensity_stats
 
 
 def config_for(lc, grid_n=64, pitch=15e-6, oversample=4):
