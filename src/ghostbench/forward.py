@@ -13,36 +13,28 @@ each frame is synthesized in place into its row of the block.  A block's
 frames are made on the usable CPUs with the process's OpenBLAS held to one
 thread (see ``campaign_blocks``); frames are pure in (seed, index), so the
 bytes do not depend on the thread count.  A consumer that needs only running
-sums (GI) folds the blocks and never holds more than one.
-``run_campaign`` alone stores them, into one read-only pixel-major stack,
-which GICS needs whole: row p of the (grid_n**2, m) array holds pixel p's m
-values, so the sensing operator reads the pixels it needs as contiguous
-m-vectors.  The frames are seen as the stack's (m, grid_n, grid_n) view,
-whose frames are strided, so every elementwise pass over a frame (checks,
-bucket, GI fold) runs on the contiguous block that is stored, never on the
-stack.
+sums (GI) folds the blocks and never holds more than one.  GICS needs the
+whole record: ``recon_gics.run_campaign`` stores the blocks as they arrive.
 """
 from __future__ import annotations
 
 import functools
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .optics import ObjectMask, OpticalConfig, _Owned, _frozen, _integer, _real
+from .optics import ObjectMask, OpticalConfig, _integer, _real
 from .speckle import _checked_seed, synthesize_frame
 
 # Extra entropy word separating the bucket-noise stream from the frame stream.
 _NOISE_STREAM = 0x4255434B
 
 # Frames per block of every campaign: a streamed consumer holds one block at a
-# time, a stacked campaign one block beside its stack.
+# time, a stored campaign one block beside its stack.
 _BLOCK_FRAMES = 8
 
 # OpenBLAS thread-count getters, as numpy's scipy-openblas wheels (ILP64 or not)
@@ -74,8 +66,8 @@ def _check_measurements(intensities: np.ndarray, buckets: np.ndarray,
     non-negative when there is no noise.
 
     ``intensities`` is a (b, n, n) stack, ``buckets`` its b bucket values.
-    The same checks serve a whole ``MeasurementSet`` and each block of a
-    streamed campaign.
+    The same checks serve a caller's whole record (``recon_gics.build_sensing``)
+    and each block of a campaign.
     """
     bucket_min = _finite_min(buckets, "bucket values")
     if _finite_min(intensities, "frame intensities") < 0:
@@ -90,68 +82,16 @@ def _check_noise_sigma(noise_sigma: float) -> float:
     return _real(noise_sigma, "noise_sigma", "non-negative")
 
 
-def _frames_of(stack: np.ndarray, grid_n: int) -> np.ndarray:
-    """The (m, grid_n, grid_n) frame view of a pixel-major (grid_n**2, m) stack."""
-    return stack.T.reshape(-1, grid_n, grid_n)
-
-
 def _check_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                    noise_sigma: float) -> None:
+                    noise_sigma: float) -> float:
+    """ConfigError unless the campaign's arguments are valid; returns noise_sigma as a float."""
     if _integer(m, "m") < 1:
         raise ConfigError("a campaign needs m >= 1 measurements")
     if mask.grid_n != config.grid_n:
         raise ConfigError(
             f"mask grid {mask.grid_n} does not match config grid {config.grid_n}")
     _checked_seed(master_seed)
-    _check_noise_sigma(noise_sigma)
-
-
-@dataclass(frozen=True)
-class MeasurementSet:
-    """One record: row i of ``intensities`` is reference frame i, ``buckets[i]`` its bucket.
-
-    ``intensities`` is a read-only (m, grid_n, grid_n) stack, the record's only
-    grid, and ``buckets`` a read-only length-m vector of finite values, which
-    may be negative only when ``noise_sigma`` is positive.  The stack is always
-    the frame view of a pixel-major (grid_n**2, m) array (see ``_frames_of``).
-    A caller's stack is checked whole and copied into that layout, and the
-    buckets are copied too.  Only the stack that ``run_campaign`` allocates is
-    handed over uncopied; its blocks passed the same checks as they were made,
-    so it is not checked again.
-    """
-
-    intensities: np.ndarray
-    buckets: np.ndarray
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        owned = isinstance(self.intensities, _Owned)
-        given = self.intensities.array if owned else np.asarray(self.intensities, dtype=float)
-        buckets = _frozen(self.buckets)
-        if given.ndim != 3 or given.shape[1] != given.shape[2]:
-            raise ConfigError(f"intensities must be an (m, n, n) stack, got {given.shape}")
-        if given.shape[0] < 1:
-            raise ConfigError("a measurement set needs at least one frame")
-        if buckets.shape != (given.shape[0],):
-            raise ConfigError(
-                f"need one bucket per frame: {buckets.shape} buckets for "
-                f"{given.shape[0]} frames")
-        object.__setattr__(self, "noise_sigma", _check_noise_sigma(self.noise_sigma))
-        if owned:
-            intensities = _frozen(self.intensities)
-        else:
-            _check_measurements(given, buckets, self.noise_sigma)
-            stack = np.empty((given.shape[1] * given.shape[2], given.shape[0]))
-            intensities = _frames_of(stack, given.shape[1])
-            intensities[...] = given
-            stack.flags.writeable = False
-            intensities.flags.writeable = False
-        object.__setattr__(self, "intensities", intensities)
-        object.__setattr__(self, "buckets", buckets)
-
-    @property
-    def m(self) -> int:
-        return self.intensities.shape[0]
+    return _check_noise_sigma(noise_sigma)
 
 
 @functools.cache
@@ -252,8 +192,8 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
     it, plus additive Gaussian noise of std ``noise_sigma``; frame and noise
     draw depend on (master_seed, i) alone.  Each block passes
     ``_check_measurements`` before it is yielded.  ``m`` and ``master_seed``
-    must be integers.  The blocks are not stored: ``run_campaign`` stores
-    them.
+    must be integers.  The blocks are not stored: ``recon_gics.run_campaign``
+    stores them.
 
     A block's frames are made on ``min(_frame_workers(), m)`` threads, the
     calling thread among them (see ``_make_frames``), with the loaded OpenBLAS
@@ -266,7 +206,7 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
     are done in the calling thread, in frame order, at the inherited count;
     no output bit depends on how the frames were made.
     """
-    _check_campaign(config, mask, m, master_seed, noise_sigma)
+    noise_sigma = _check_campaign(config, mask, m, master_seed, noise_sigma)
     workers = min(_frame_workers(), m)
     with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # no thread until a submit
         for start in range(0, m, _BLOCK_FRAMES):
@@ -284,35 +224,3 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
             buckets.flags.writeable = False
             yield frames, buckets
             del frames, buckets  # one block alive at a time
-
-
-def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
-                 noise_sigma: float = 0.0, fold=None):
-    """The whole campaign of ``campaign_blocks`` as one ``MeasurementSet``.
-
-    The only writer of a campaign's stack: each checked block is stored
-    straight into its columns of the set's pixel-major stack, which is handed
-    over uncopied.  ``fold``, a consumer of the block iterator such as
-    ``recon_gi.gi_from_blocks``, sees each block after it is stored, while it
-    is still contiguous; with it, the result is ``(ms, fold(blocks))``.
-    """
-    _check_campaign(config, mask, m, master_seed, noise_sigma)
-    stack = np.empty((config.grid_n ** 2, m))
-    bucket_blocks = []
-
-    def stored_blocks():
-        start = 0
-        for frames, buckets in campaign_blocks(config, mask, m, master_seed, noise_sigma):
-            stack[:, start:start + len(frames)] = frames.reshape(len(frames), -1).T
-            start += len(frames)
-            bucket_blocks.append(buckets)
-            yield frames, buckets
-            del frames, buckets  # the next block is made without this one
-
-    blocks = stored_blocks()
-    folded = None if fold is None else fold(blocks)
-    deque(blocks, maxlen=0)  # store whatever the fold left unread
-    stack.flags.writeable = False
-    ms = MeasurementSet(_Owned(_frames_of(stack, config.grid_n)), np.concatenate(bucket_blocks),
-                        noise_sigma)
-    return ms if fold is None else (ms, folded)

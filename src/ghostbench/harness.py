@@ -37,7 +37,7 @@ The (l_c, seed) jobs run one at a time, in order, so no other thread uses BLAS
 while a campaign holds it to one thread (see ``forward.campaign_blocks``).
 Each campaign is made in blocks of ``forward._BLOCK_FRAMES`` (8) frames, each
 on the usable CPUs, with one set of synthesis temporaries per frame thread.  A
-run with gics holds its campaign as one pixel-major (grid_n**2, m) stack, on
+run with gics holds its campaign as one stack (``recon_gics.run_campaign``), on
 which GICS solves, plus one block while it is filled; a GI-only run folds the
 campaign block by block and holds O(grid_n**2) plus one block, whatever m is.
 """
@@ -56,9 +56,9 @@ import numpy as np
 
 from . import ioutil, metrics, optics, recon_gi, recon_gics
 from .errors import ConfigError
-from .forward import _check_noise_sigma, campaign_blocks, run_campaign
+from .forward import _check_noise_sigma, campaign_blocks
 from .optics import ObjectMask, OpticalConfig, SlitGeometry, _integer
-from .recon_gics import GicsParams
+from .recon_gics import GicsParams, run_campaign
 from .speckle import _checked_seed, aperture_sample_count
 
 METRICS_HEADER = "scenario,lc_m,m,method,seed,snr,mse,psnr,dip_ratio,resolved"
@@ -273,28 +273,28 @@ def _run_seed(scenario: Scenario, config: OpticalConfig, seed: int,
     """Run the seed's campaign at ``config``, reconstruct with the requested
     methods, write the seed's files to <job_dir>/<seed>/ and return its metric rows.
 
-    GICS needs the whole stack, so with "gics" requested the campaign is one
-    ``MeasurementSet``, and GI folds its blocks while they are stored.  GI
+    GICS needs the whole stack, so with "gics" requested ``run_campaign``
+    stores the campaign, and GI folds its blocks while they are stored.  GI
     alone folds the campaign's blocks as they are made and no stack is
     allocated.  Both give the same GI image.  The seed's directory is made
     once all of its work has succeeded; it must not exist yet.
     """
     lc = config.coherence_length
     campaign = (config, scenario.mask, scenario.m, seed, scenario.noise_sigma)
-    ms = gi = None
+    system = gi = None
     if "gics" not in scenario.methods:
         gi = recon_gi.gi_from_blocks(campaign_blocks(*campaign))
     elif "gi" in scenario.methods:
-        ms, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks)
+        system, gi = run_campaign(*campaign, fold=recon_gi.gi_from_blocks)
     else:
-        ms = run_campaign(*campaign)
+        system = run_campaign(*campaign)
     rows = []
     images = {}
     for method in scenario.methods:
         if method == "gi":
             raw = gi
         else:
-            raw, report = recon_gics.gics_reconstruct(ms, scenario.gics)
+            raw, report = recon_gics.gics_reconstruct(system, scenario.gics)
             if not report.converged:
                 stop = (f"at its {report.iterations}-iteration cap without converging"
                         if report.iterations == scenario.gics.max_iters else
@@ -320,7 +320,7 @@ def _run_seed(scenario: Scenario, config: OpticalConfig, seed: int,
             "dip_ratio": dip_ratio,
             "resolved": resolved,
         })
-    del ms  # free the campaign stack before the files are written
+    del system  # free the campaign stack before the files are written
 
     seed_dir = job_dir / str(seed)
     seed_dir.mkdir(parents=True)

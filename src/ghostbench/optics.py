@@ -153,7 +153,12 @@ class SlitGeometry:
         for name in ("width", "height"):
             object.__setattr__(self, name, _real(getattr(self, name), f"slit {name}", "positive"))
         object.__setattr__(self, "separation", _real(self.separation, "slit separation"))
-        object.__setattr__(self, "center", tuple(_real(c, "slit center") for c in self.center))
+        try:
+            x, y = self.center
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ConfigError(f"slit center must be an (x, y) pair of finite numbers, "
+                              f"got {self.center!r}") from None
+        object.__setattr__(self, "center", (_real(x, "slit center"), _real(y, "slit center")))
         if self.separation <= self.width:
             raise ConfigError(
                 f"slit separation {self.separation!r} must exceed slit width {self.width!r} "

@@ -3,9 +3,9 @@
 The estimator needs only three running sums over the frames, so its one
 entry point, ``gi_from_blocks``, folds a campaign frame by frame: a streamed
 campaign is imaged in O(grid_n**2) memory plus one block, whatever m is.  A
-stored campaign is imaged while it is made, by
-``run_campaign(..., fold=gi_from_blocks)``; a caller-built ``MeasurementSet``
-ms by ``gi_from_blocks([(ms.intensities, ms.buckets)])``.
+campaign that GICS also needs is imaged while ``recon_gics.run_campaign``
+stores it, by ``run_campaign(..., fold=gi_from_blocks)``; a caller's record of
+(m, n, n) frames and m buckets by ``gi_from_blocks([(frames, buckets)])``.
 """
 from __future__ import annotations
 

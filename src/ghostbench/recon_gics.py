@@ -1,13 +1,16 @@
 """Sparse reconstruction from bucket data: l1-regularized least squares.
 
-build_sensing turns a campaign into the linear system A x ~ rhs, where rhs
-is the mean-removed buckets and A = (rows - col_mean) / col_scale is the
-(m, grid_n**2) reference stack with its column (pixel) means removed and its
-columns scaled to unit RMS.  A is never formed: SensingSystem applies it as
-an operator (matvec, rmatvec) on the campaign's own read-only stack, which
-is pixel-major, so each column of A is one contiguous m-vector.  matvec
-reads only the columns where its argument is non-zero when they are few, as
-they are for most GPSR steps in the regularised regime.
+GICS solves on the whole reference record, so this module alone stores it:
+run_campaign stores a campaign's blocks, and build_sensing copies a caller's
+(m, n, n) record, into one read-only pixel-major (n**2, m) stack, row p
+holding pixel p of every frame.  build_sensing returns the linear system
+A x ~ rhs, where rhs is the mean-removed buckets and A = (rows - col_mean) /
+col_scale is the (m, n**2) record with its column (pixel) means removed and
+its columns scaled to unit RMS.  A is never formed: SensingSystem applies it
+as an operator (matvec, rmatvec) on the stack itself, each column of A one
+contiguous m-vector.  matvec reads only the columns where its argument is
+non-zero when they are few, as they are for most GPSR steps in the
+regularised regime.
 gpsr_solve minimizes 0.5 ||rhs - A x||^2 + tau ||x||_1 by gradient
 projection on the split x = u - v (u, v >= 0) with Barzilai-Borwein step
 lengths.  Its one stopping rule is the optimality (KKT) residual within
@@ -19,14 +22,17 @@ and the iteration cap; the other solver constants are fixed here.
 """
 from __future__ import annotations
 
+import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .forward import MeasurementSet, _finite_min
-from .optics import _Owned, _frozen, _real
+from .forward import (_check_campaign, _check_measurements, _check_noise_sigma, _finite_min,
+                      campaign_blocks)
+from .optics import ObjectMask, OpticalConfig, _Owned, _frozen, _real
 
 # GPSR converges once its KKT residual is at most this times ||A.T rhs||_inf.
 _KKT_REL_TOL = 1e-6
@@ -88,8 +94,8 @@ class SensingSystem:
 
     ``rows`` is the (m, n) raw matrix, ``col_mean`` is subtracted from every
     row and ``col_scale`` divides every column; matvec and rmatvec apply A and
-    A.T.  A solution x maps to the image x / col_scale.  For a campaign,
-    ``rows`` is a read-only view of its pixel-major stack, so ``rows.T`` is
+    A.T.  A solution x maps to the image x / col_scale.  From build_sensing,
+    ``rows`` is a read-only view of a pixel-major stack, so ``rows.T`` is
     C-contiguous and a column of ``rows`` is one contiguous m-vector.  Any
     other array is copied in its own layout, where matvec gives the same
     values from strided columns.
@@ -151,38 +157,87 @@ class SensingSystem:
         return (self.rows.T @ r - self.col_mean * r.sum()) / self.col_scale
 
 
-def build_sensing(ms: MeasurementSet) -> SensingSystem:
-    """The campaign's stack as a centred, unit-RMS-column operator; rhs the centred buckets.
+def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
+                 noise_sigma: float = 0.0, fold=None):
+    """The whole campaign of ``forward.campaign_blocks`` as its ``SensingSystem``.
 
-    ``rows`` is the (m, grid_n**2) view of the read-only pixel-major stack
-    itself, not a copy.  The column means and scales come from blocks of
-    about _BLOCK_BYTES of contiguous pixel rows (columns of ``rows``), so no
-    (m, n) temporary exists.  For a noiseless campaign of mask t,
-    A @ (col_scale * t) = rhs.  A zero-variance column (dead pixel) keeps
-    scale 1 and triggers a warning.
+    The only writer of a campaign's stack: each checked block is stored
+    straight into its columns of one pixel-major (grid_n**2, m) stack, which
+    ``build_sensing`` adopts uncopied.  ``fold``, a consumer of the block
+    iterator such as ``recon_gi.gi_from_blocks``, sees each block after it is
+    stored, while it is still contiguous; with it, the result is
+    ``(system, fold(blocks))``.
     """
-    rows = ms.intensities.reshape(ms.m, -1)
-    pixels = rows.T
-    n = pixels.shape[0]
+    noise_sigma = _check_campaign(config, mask, m, master_seed, noise_sigma)
+    stack = np.empty((config.grid_n ** 2, m))
+    bucket_blocks = []
+
+    def stored_blocks():
+        start = 0
+        for frames, buckets in campaign_blocks(config, mask, m, master_seed, noise_sigma):
+            stack[:, start:start + len(frames)] = frames.reshape(len(frames), -1).T
+            start += len(frames)
+            bucket_blocks.append(buckets)
+            yield frames, buckets
+            del frames, buckets  # the next block is made without this one
+
+    blocks = stored_blocks()
+    folded = None if fold is None else fold(blocks)
+    deque(blocks, maxlen=0)  # store whatever the fold left unread
+    stack.flags.writeable = False
+    system = build_sensing(_Owned(stack), np.concatenate(bucket_blocks))
+    return system if fold is None else (system, folded)
+
+
+def build_sensing(frames, buckets, noise_sigma: float = 0.0) -> SensingSystem:
+    """A record's frames as a centred, unit-RMS-column operator; rhs its centred buckets.
+
+    ``frames`` is an (m, n, n) stack, frame i with bucket value ``buckets[i]``,
+    which ``forward._check_measurements`` checks whole (buckets may be
+    negative only when ``noise_sigma`` is positive) before it is copied into a
+    read-only pixel-major (n**2, m) stack.  ``rows`` is the (m, n**2) view of
+    that stack.  Only ``run_campaign`` hands over its own stack, wrapped in
+    ``_Owned``: it is adopted uncopied, and not checked again, since its
+    blocks were checked as they were made.  The column means and scales come
+    from blocks of about _BLOCK_BYTES of contiguous pixel rows (columns of
+    ``rows``), so no (m, n**2) temporary exists.  For a noiseless record of
+    mask t, A @ (col_scale * t) = rhs.  A zero-variance column (dead pixel)
+    keeps scale 1 and triggers a warning.
+    """
+    rhs = np.array(buckets, dtype=float)
+    if isinstance(frames, _Owned):
+        pixels = frames.array
+    else:
+        given = np.asarray(frames, dtype=float)
+        if given.ndim != 3 or given.shape[1] != given.shape[2]:
+            raise ConfigError(f"frames must be an (m, n, n) stack, got {given.shape}")
+        if given.shape[0] < 1:
+            raise ConfigError("a record needs at least one frame")
+        if rhs.shape != (given.shape[0],):
+            raise ConfigError(
+                f"need one bucket per frame: {rhs.shape} buckets for {given.shape[0]} frames")
+        _check_measurements(given, rhs, _check_noise_sigma(noise_sigma))
+        pixels = np.array(given.reshape(given.shape[0], -1).T, order="C")  # always a copy
+        pixels.flags.writeable = False
+    n, m = pixels.shape
     col_mean = np.empty(n)
     sum_sq = np.empty(n)
     step = max(1, _BLOCK_BYTES // pixels[0].nbytes)
-    block = np.empty((min(step, n), ms.m))
+    block = np.empty((min(step, n), m))
     for start in range(0, n, step):
         chunk = pixels[start:start + step]
         mean = np.mean(chunk, axis=1, out=col_mean[start:start + step])
         centred = np.subtract(chunk, mean[:, None], out=block[:len(chunk)])
         np.einsum("ij,ij->i", centred, centred, out=sum_sq[start:start + step])
-    col_scale = np.sqrt(sum_sq / ms.m)
+    col_scale = np.sqrt(sum_sq / m)
     dead = col_scale == 0
     if dead.any():
         warnings.warn(f"{int(dead.sum())} zero-variance column(s); scale left at 1",
                       stacklevel=2)
         col_scale[dead] = 1.0
 
-    rhs = np.array(ms.buckets, dtype=float)
     rhs -= rhs.mean()
-    return SensingSystem(_Owned(rows), rhs, col_scale, col_mean)
+    return SensingSystem(_Owned(pixels.T), rhs, col_scale, col_mean)
 
 
 def kkt_residual(x: np.ndarray, grad: np.ndarray, tau: float) -> float:
@@ -259,18 +314,22 @@ def gpsr_solve(system: SensingSystem, params: GicsParams) -> tuple[np.ndarray, S
     return u - v, SolveReport(converged, tuple(history), atb_inf)
 
 
-def gics_reconstruct(ms: MeasurementSet, params: GicsParams) -> tuple[np.ndarray, SolveReport]:
-    """Centred, column-scaled sensing operator, GPSR solve, map back to mask units.
+def gics_reconstruct(system: SensingSystem,
+                     params: GicsParams) -> tuple[np.ndarray, SolveReport]:
+    """GPSR solve of ``build_sensing``'s system, mapped back to mask units.
 
-    Returns a read-only image on the frames' (grid_n, grid_n) grid and the solve report.
-    Negative transmittance estimates are clamped to zero after the solve (the
-    program itself is unconstrained).  Removing the means drops the DC mode
-    (the system has rank at most m - 1), so a full-rank inversion needs
-    m > n_pix.
+    Returns a read-only square image of side sqrt(n_pix), the frames' grid,
+    and the solve report; a system whose column count is not a square is a
+    ConfigError.  Negative transmittance estimates are clamped to zero after
+    the solve (the program itself is unconstrained).  Removing the means drops
+    the DC mode (the system has rank at most m - 1), so a full-rank inversion
+    needs m > n_pix.
     """
-    system = build_sensing(ms)
+    side = math.isqrt(system.n_pix)
+    if side * side != system.n_pix:
+        raise ConfigError(f"{system.n_pix} columns are not the pixels of a square image")
     solution, report = gpsr_solve(system, params)
-    physical = (solution / system.col_scale).reshape(ms.intensities.shape[1:])
+    physical = (solution / system.col_scale).reshape(side, side)
     image = np.maximum(physical, 0.0)
     image.flags.writeable = False
     return image, report

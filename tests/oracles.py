@@ -8,7 +8,10 @@ No run calls these, so they live beside the tests rather than in ``ghostbench``:
   the program on a plain matrix;
 - ``intensity_stats``, the sampled ensemble statistics of a speckle stack
   (mean, contrast, covariance profile and the coherence length it measures),
-  which check ``speckle.synthesize_frame`` against the thermal-light laws.
+  which check ``speckle.synthesize_frame`` against the thermal-light laws;
+- ``campaign_record``, a campaign's whole record as one (m, n, n) frame stack
+  and its m buckets, joined from ``forward.campaign_blocks``, which the
+  stored campaign of ``recon_gics.run_campaign`` is compared against.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ghostbench.errors import ConfigError, SolverError
+from ghostbench.forward import campaign_blocks
 from ghostbench.optics import _frozen
 from ghostbench.recon_gics import SensingSystem, kkt_residual
 
@@ -27,6 +31,12 @@ def raw_system(rows: np.ndarray, rhs: np.ndarray) -> SensingSystem:
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1] if rows.ndim == 2 else 0
     return SensingSystem(rows, rhs, np.ones(n), np.zeros(n))
+
+
+def campaign_record(*campaign, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    """(frames, buckets) of ``campaign_blocks(*campaign, **kwargs)``, joined in frame order."""
+    blocks = list(campaign_blocks(*campaign, **kwargs))
+    return np.concatenate([f for f, _ in blocks]), np.concatenate([b for _, b in blocks])
 
 
 def lasso_objective(system: SensingSystem, x: np.ndarray, tau: float) -> float:

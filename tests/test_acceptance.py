@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from ghostbench import forward, harness, metrics, optics, recon_gi, recon_gics, speckle
-from ghostbench.forward import run_campaign
 from ghostbench.optics import ObjectMask, SlitGeometry
-from ghostbench.recon_gics import GicsParams, gpsr_solve
+from ghostbench.recon_gics import GicsParams, gpsr_solve, run_campaign
 
-from oracles import intensity_stats, ista_reference, lasso_objective, raw_system
+from oracles import campaign_record, intensity_stats, ista_reference, lasso_objective, raw_system
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,8 +61,8 @@ def fig_slit_runs():
         cfg = config_at(lc)
         start = time.perf_counter()
         for seed in SEEDS:
-            ms, gi_raw = run_campaign(cfg, mask, FIG3.m, seed, fold=recon_gi.gi_from_blocks)
-            gics_img, _ = recon_gics.gics_reconstruct(ms, FIG3.gics)
+            system, gi_raw = run_campaign(cfg, mask, FIG3.m, seed, fold=recon_gi.gi_from_blocks)
+            gics_img, _ = recon_gics.gics_reconstruct(system, FIG3.gics)
             runs[(lc, seed)] = {
                 "gi": gi_raw,
                 "gi_mse": metrics.mse(metrics.minmax_normalize(gi_raw), mask),
@@ -246,12 +245,13 @@ gics.max_iters = 200
 
     cfg = config_at(100e-6)
     mask = optics.make_double_slit(config_at(100e-6), SlitGeometry(60e-6, 240e-6, 120e-6))
-    ms = run_campaign(cfg, mask, 10, 5)
+    stored = run_campaign(cfg, mask, 10, 5).rows.reshape(10, cfg.grid_n, cfg.grid_n)
+    _, buckets = campaign_record(cfg, mask, 10, 5)
     order_independent = True
     for i in reversed(range(10)):
         frame = speckle.synthesize_frame(cfg, 5, i)
-        order_independent &= bool(np.array_equal(ms.intensities[i], frame))
-        order_independent &= bool(ms.buckets[i] == forward.bucket_measure(frame, mask))
+        order_independent &= bool(np.array_equal(stored[i], frame))
+        order_independent &= bool(buckets[i] == forward.bucket_measure(frame, mask))
     print(f"  rerun identical: {rerun_identical}; threads identical: {threads_identical}; "
           f"campaign frames order-independent: {order_independent}")
     report(8, "artifact determinism",

@@ -10,15 +10,27 @@ from hypothesis import strategies as st
 
 from ghostbench import forward, harness, optics, recon_gics, speckle
 from ghostbench.errors import ConfigError
-from ghostbench.forward import (_BLOCK_FRAMES, MeasurementSet, bucket_measure, campaign_blocks,
-                                run_campaign)
+from ghostbench.forward import _BLOCK_FRAMES, bucket_measure, campaign_blocks
 from ghostbench.recon_gi import gi_from_blocks
+from ghostbench.recon_gics import build_sensing, run_campaign
 from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
 from ghostbench.speckle import synthesize_frame
+
+from oracles import campaign_record
 
 CFG = OpticalConfig(120e-6, 32, 15e-6)
 FRAME = synthesize_frame(CFG, 42, 0)
 N = CFG.grid_n
+
+
+def varied(m):
+    """m frames of ones times 1, 2, ..., m: every pixel varies, so no column is dead."""
+    return np.arange(1.0, m + 1)[:, None, None] * np.ones((m, N, N))
+
+
+def stored_frames(system):
+    """The (m, N, N) frames of a system's pixel-major stack."""
+    return system.rows.reshape(system.m, N, N)
 
 
 def two_loop_bucket(frame, mask):
@@ -77,39 +89,46 @@ class TestCampaign:
     MASK = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
 
     def test_single_record_composition(self):
-        ms = run_campaign(CFG, self.MASK, 1, 42)
-        assert ms.m == 1
+        frames, buckets = campaign_record(CFG, self.MASK, 1, 42)
+        assert frames.shape == (1, N, N) and buckets.shape == (1,)
         frame = synthesize_frame(CFG, 42, 0)
-        assert ms.buckets[0] == pytest.approx(bucket_measure(frame, self.MASK))
+        assert buckets[0] == pytest.approx(bucket_measure(frame, self.MASK))
 
     def test_frames_depend_only_on_seed_and_index(self):
-        ms = run_campaign(CFG, self.MASK, 12, 3)
+        stored = stored_frames(run_campaign(CFG, self.MASK, 12, 3))
+        _, buckets = campaign_record(CFG, self.MASK, 12, 3)
         for i in reversed(range(12)):
             frame = synthesize_frame(CFG, 3, i)
-            assert np.array_equal(ms.intensities[i], frame)
-            assert ms.buckets[i] == bucket_measure(frame, self.MASK)
+            assert np.array_equal(stored[i], frame)
+            assert buckets[i] == bucket_measure(frame, self.MASK)
 
     def test_noise_is_deterministic_and_additive(self):
-        clean = run_campaign(CFG, self.MASK, 6, 3)
-        noisy1 = run_campaign(CFG, self.MASK, 6, 3, noise_sigma=2.5)
-        noisy2 = run_campaign(CFG, self.MASK, 6, 3, noise_sigma=2.5)
-        assert np.array_equal(noisy1.buckets, noisy2.buckets)
-        assert not np.array_equal(noisy1.buckets, clean.buckets)
+        _, clean = campaign_record(CFG, self.MASK, 6, 3)
+        _, noisy1 = campaign_record(CFG, self.MASK, 6, 3, noise_sigma=2.5)
+        _, noisy2 = campaign_record(CFG, self.MASK, 6, 3, noise_sigma=2.5)
+        assert np.array_equal(noisy1, noisy2)
+        assert not np.array_equal(noisy1, clean)
         # noise draw is independent of sigma magnitude: residuals scale exactly
-        noisy_half = run_campaign(CFG, self.MASK, 6, 3, noise_sigma=1.25)
-        resid_full = noisy1.buckets - clean.buckets
-        resid_half = noisy_half.buckets - clean.buckets
+        _, noisy_half = campaign_record(CFG, self.MASK, 6, 3, noise_sigma=1.25)
+        resid_full = noisy1 - clean
+        resid_half = noisy_half - clean
         assert np.allclose(resid_full, 2.0 * resid_half, rtol=1e-12)
 
+    def test_numpy_noise_sigma_gives_the_bits_of_its_python_float(self):
+        sigma = np.float32(0.1)
+        _, numpy_sigma = campaign_record(CFG, self.MASK, 6, 3, noise_sigma=sigma)
+        _, python_sigma = campaign_record(CFG, self.MASK, 6, 3, noise_sigma=float(sigma))
+        assert np.array_equal(numpy_sigma, python_sigma)
+
     def test_noiseless_buckets_nonnegative(self):
-        ms = run_campaign(CFG, self.MASK, 8, 1)
-        assert (ms.buckets >= 0).all()
+        _, buckets = campaign_record(CFG, self.MASK, 8, 1)
+        assert (buckets >= 0).all()
 
     def test_three_hundred_observation_campaign(self):
-        ms = run_campaign(CFG, self.MASK, 300, 2)
-        assert ms.m == 300
-        assert ms.intensities.shape == (300, 32, 32)
-        assert ms.buckets.shape == (300,)
+        system = run_campaign(CFG, self.MASK, 300, 2)
+        assert system.m == 300
+        assert system.rows.shape == (300, N * N)
+        assert system.rhs.shape == (300,)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ConfigError):
@@ -121,18 +140,20 @@ class TestCampaign:
             run_campaign(CFG, mask, 4, 1)
 
     def test_measurement_set_validation(self):
+        # a caller's record of frames, buckets and noise_sigma, given to build_sensing
         stack = FRAME[None]
         with pytest.raises(ConfigError, match="negative"):
-            MeasurementSet(stack, [-1.0], noise_sigma=0.0)
-        # negative buckets fine under noise
-        MeasurementSet(stack, [-1.0], noise_sigma=1.0)
+            build_sensing(stack, [-1.0], noise_sigma=0.0)
+        # negative buckets fine under noise; one frame leaves every column dead
+        with pytest.warns(UserWarning, match="zero-variance"):
+            build_sensing(stack, [-1.0], noise_sigma=1.0)
         with pytest.raises(ConfigError):
-            MeasurementSet(np.empty((0, 32, 32)), [])
+            build_sensing(np.empty((0, 32, 32)), [])
         with pytest.raises(ConfigError):
-            MeasurementSet(stack, [1.0], noise_sigma=-1.0)
+            build_sensing(stack, [1.0], noise_sigma=-1.0)
         for flag in (True, np.bool_(False)):
             with pytest.raises(ConfigError, match="noise_sigma"):
-                MeasurementSet(np.ones((2, 4, 4)), [1.0, 1.0], noise_sigma=flag)
+                build_sensing(np.ones((2, 4, 4)), [1.0, 1.0], noise_sigma=flag)
 
     @pytest.mark.parametrize("frame,bucket", [
         (np.full((N, N), -1.0), 1.0), (np.zeros((N, N)), 1.0),
@@ -142,15 +163,15 @@ class TestCampaign:
     def test_rejects_bad_frame_values(self, frame, bucket):
         stack = np.stack([np.ones((N, N)), frame])
         with pytest.raises(ConfigError):
-            MeasurementSet(stack, [1.0, bucket])
+            build_sensing(stack, [1.0, bucket])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigError, match="stack"):
-            MeasurementSet(np.ones((8, 8)), [1.0] * 8)
+            build_sensing(np.ones((8, 8)), [1.0] * 8)
         with pytest.raises(ConfigError, match="stack"):
-            MeasurementSet(np.ones((2, 8, 6)), [1.0, 1.0])
+            build_sensing(np.ones((2, 8, 6)), [1.0, 1.0])
         with pytest.raises(ConfigError, match="one bucket per frame"):
-            MeasurementSet(np.ones((3, 8, 8)), [1.0, 1.0])
+            build_sensing(np.ones((3, 8, 8)), [1.0, 1.0])
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.7, 2.9, True, np.float64(1.2), "1"])
     def test_rejects_bad_seed(self, seed):
@@ -167,48 +188,50 @@ class TestCampaign:
             next(campaign_blocks(CFG, self.MASK, m, 1))
 
     def test_numpy_integers_are_accepted(self):
-        ms = run_campaign(CFG, self.MASK, np.int32(3), np.uint64(5))
-        assert np.array_equal(ms.intensities, run_campaign(CFG, self.MASK, 3, 5).intensities)
+        system = run_campaign(CFG, self.MASK, np.int32(3), np.uint64(5))
+        assert np.array_equal(system.rows, run_campaign(CFG, self.MASK, 3, 5).rows)
 
     def test_caller_mutation_does_not_leak(self):
-        stack = np.ones((2, N, N))
+        stack = varied(2)
         buckets = np.array([1.0, 2.0])
-        ms = MeasurementSet(stack, buckets)
+        system = build_sensing(stack, buckets)
         stack[0, 0, 0] = 5.0
         buckets[0] = 5.0
-        assert ms.intensities[0, 0, 0] == 1.0
-        assert ms.buckets[0] == 1.0
-        assert not ms.intensities.flags.writeable
-        assert not ms.buckets.flags.writeable
+        assert system.rows[0, 0] == 1.0
+        assert system.rhs[0] == -0.5
+        assert not system.rows.flags.writeable
+        assert not system.rhs.flags.writeable
 
     def test_read_only_view_of_writeable_base_is_copied(self):
-        base = np.ones((2, N, N))
+        base = varied(2)
         view = base[:]
         view.flags.writeable = False
-        ms = MeasurementSet(view, [1.0, 2.0])
+        system = build_sensing(view, [1.0, 2.0])
         base[0, 0, 0] = 5.0
-        assert ms.intensities[0, 0, 0] == 1.0
+        assert system.rows[0, 0] == 1.0
 
     def test_read_only_owner_made_writeable_does_not_leak(self):
         # whoever owns an array can switch writes back on, so read-only is no promise
-        owner = np.ones((2, N, N))
+        owner = varied(2)
         owner.flags.writeable = False
-        ms = MeasurementSet(owner, [64.0, 64.0])
+        system = build_sensing(owner, [64.0, 64.0])
         owner.flags.writeable = True
         owner[0, 0, 0] = -5.0
-        assert ms.intensities[0, 0, 0] == 1.0
+        assert system.rows[0, 0] == 1.0
 
-    def test_campaign_stack_is_not_copied(self):
-        # the stack run_campaign allocates is handed over: peak is one stack, not two
+    def test_campaign_stack_is_not_copied(self, monkeypatch):
+        # the stack run_campaign allocates is handed over: peak is one stack, not two.
+        # build_sensing centres it in blocks of 8 pixel rows, so its block stays small.
         m = 40
+        monkeypatch.setattr(recon_gics, "_BLOCK_BYTES", 8 * m * 8)
         synthesize_frame(CFG, 11, 0)  # warm the DFT-factor cache outside the trace
         tracemalloc.start()
         try:
-            ms = run_campaign(CFG, self.MASK, m, 11)
+            system = run_campaign(CFG, self.MASK, m, 11)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * ms.intensities.nbytes
+        assert peak < 1.5 * system.rows.nbytes
 
     @pytest.mark.parametrize("fold", [None, gi_from_blocks], ids=["stack", "stack_and_fold"])
     def test_each_frame_is_checked_once(self, monkeypatch, fold):
@@ -224,11 +247,10 @@ class TestCampaign:
 
     def test_stack_is_pixel_major(self):
         # row p of the stack holds pixel p of every frame, contiguously
-        for ms in (run_campaign(CFG, self.MASK, 11, 2),
-                   MeasurementSet(np.ones((3, N, N)), [1.0] * 3)):
-            pixels = ms.intensities.reshape(ms.m, -1).T
+        for system in (run_campaign(CFG, self.MASK, 11, 2), build_sensing(varied(3), [1.0] * 3)):
+            pixels = system.rows.T
             assert pixels.flags.c_contiguous
-            assert np.shares_memory(pixels, ms.intensities)
+            assert pixels.base.shape == (N * N, system.m)
             assert not pixels.base.flags.writeable
 
     def test_fold_sees_contiguous_blocks_in_frame_order(self):
@@ -237,14 +259,17 @@ class TestCampaign:
         def fold(blocks):
             return [(np.array(frames), frames.flags.c_contiguous) for frames, _ in blocks]
 
-        ms, seen = run_campaign(CFG, self.MASK, m, 4, fold=fold)
+        system, seen = run_campaign(CFG, self.MASK, m, 4, fold=fold)
         assert all(contiguous for _, contiguous in seen)
-        assert np.array_equal(np.concatenate([frames for frames, _ in seen]), ms.intensities)
+        assert np.array_equal(np.concatenate([frames for frames, _ in seen]),
+                              stored_frames(system))
 
     def test_fold_that_stops_early_still_gets_a_whole_stack(self):
-        ms, first = run_campaign(CFG, self.MASK, 20, 4, fold=lambda blocks: next(iter(blocks)))
+        system, first = run_campaign(CFG, self.MASK, 20, 4, fold=lambda blocks: next(iter(blocks)))
         assert len(first[1]) == _BLOCK_FRAMES
-        assert np.array_equal(ms.intensities, run_campaign(CFG, self.MASK, 20, 4).intensities)
+        whole = run_campaign(CFG, self.MASK, 20, 4)
+        assert np.array_equal(system.rows, whole.rows)
+        assert np.array_equal(system.rhs, whole.rhs)
 
 
 class TestCampaignBlocks:
@@ -259,9 +284,9 @@ class TestCampaignBlocks:
         buckets = np.concatenate([b for _, b in blocks])
         for i in (0, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, m - 1):
             assert np.array_equal(frames[i], synthesize_frame(CFG, 3, i))
-        ms = run_campaign(CFG, self.MASK, m, 3, noise_sigma=0.5)
-        assert np.array_equal(frames, ms.intensities)
-        assert np.array_equal(buckets, ms.buckets)
+        system = run_campaign(CFG, self.MASK, m, 3, noise_sigma=0.5)
+        assert np.array_equal(frames, stored_frames(system))
+        assert np.array_equal(buckets - buckets.mean(), system.rhs)
 
     def test_streamed_and_stacked_campaigns_share_block_sizes(self):
         m = 2 * _BLOCK_FRAMES + 3
@@ -297,7 +322,7 @@ class TestCampaignBlocks:
             bad, FRAME)
         bucket = -1.0 if bad == "negative_bucket" else 1.0
         with pytest.raises(ConfigError) as stacked:
-            MeasurementSet(np.stack([FRAME, frame]), [1.0, bucket])
+            build_sensing(np.stack([FRAME, frame]), [1.0, bucket])
         bad_index = _BLOCK_FRAMES + 6  # in the second block: the first one passes
         monkeypatch.setattr(forward, "synthesize_frame",
                             lambda config, seed, i, out: np.copyto(
@@ -345,11 +370,11 @@ class TestFrameWorkers:
         try:
             for workers in (1, 2, 3):
                 frame_workers(monkeypatch, workers)
-                ms, gi = run_campaign(CFG, self.MASK, m, 7, noise_sigma=0.5,
-                                      fold=gi_from_blocks)
+                system, gi = run_campaign(CFG, self.MASK, m, 7, noise_sigma=0.5,
+                                          fold=gi_from_blocks)
                 streamed = gi_from_blocks(campaign_blocks(CFG, self.MASK, m, 7, noise_sigma=0.5))
-                assert np.array_equal(ms.intensities, serial.intensities)
-                assert np.array_equal(ms.buckets, serial.buckets)
+                assert np.array_equal(system.rows, serial.rows)
+                assert np.array_equal(system.rhs, serial.rhs)
                 assert np.array_equal(gi, serial_gi)
                 assert np.array_equal(streamed, serial_gi)
         finally:
@@ -456,8 +481,7 @@ class TestBlasThreadCount:
         matvec sums in the order of OpenBLAS's threads, so it is left out."""
         scenario = harness.load_scenario(
             Path(__file__).resolve().parents[1] / "experiments" / "trend_bench.scn")
-        system = recon_gics.build_sensing(
-            run_campaign(scenario.configs[0], scenario.mask, scenario.m, 1))
+        system = run_campaign(scenario.configs[0], scenario.mask, scenario.m, 1)
         rng = np.random.default_rng(0)
         r = rng.standard_normal(system.m)
         x = np.zeros(system.n_pix)

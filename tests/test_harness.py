@@ -182,8 +182,8 @@ class TestRunScenario:
     def test_solve_csv_is_the_solve_history(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
         harness.run_scenario(scenario, tmp_path / "out")
-        ms = forward.run_campaign(scenario.configs[0], scenario.mask, scenario.m, 3)
-        _, report = recon_gics.gics_reconstruct(ms, scenario.gics)
+        system = recon_gics.run_campaign(scenario.configs[0], scenario.mask, scenario.m, 3)
+        _, report = recon_gics.gics_reconstruct(system, scenario.gics)
         lines = (tmp_path / "out" / "smoke" / "3" / "solve.csv").read_text().splitlines()
         assert lines[0] == "iter,objective,kkt_residual"
         assert len(lines) == len(report.history) + 1
@@ -250,7 +250,7 @@ class TestRunScenario:
             jobs.append(args)
             if len(jobs) == 2:
                 raise RuntimeError("second job failed")
-            return forward.run_campaign(*args, **kwargs)
+            return recon_gics.run_campaign(*args, **kwargs)
 
         monkeypatch.setattr(harness, "run_campaign", fail_second)
         with pytest.raises(RuntimeError, match="second job failed"):
@@ -856,7 +856,7 @@ SMALL_MASK = optics.make_double_slit(SMALL_CONFIG, optics.SlitGeometry(60e-6, 24
 
 # Each real-valued field a caller sets, by entry point: the name its errors
 # give, a valid value, and a build that returns the field as stored.
-REAL_FIELDS = {
+STORED_REAL_FIELDS = {
     "coherence_length": ("coherence_length", 1e-4,
                          lambda v: optics.OpticalConfig(v, 48, 15e-6).coherence_length),
     "pixel_pitch": ("pixel_pitch", 15e-6, lambda v: optics.OpticalConfig(1e-4, 48, v).pixel_pitch),
@@ -866,12 +866,17 @@ REAL_FIELDS = {
     "slit_center": ("slit center", 5e-6,
                     lambda v: optics.SlitGeometry(1e-4, 1e-3, 2e-4, center=(0.0, v)).center[1]),
     "tau": ("tau", 1e-3, lambda v: recon_gics.GicsParams(tau=v).tau),
-    "measurement_set": ("noise_sigma", 0.1, lambda v: forward.MeasurementSet(
-        np.ones((2, 4, 4)), [1.0, 1.0], noise_sigma=v).noise_sigma),
-    "campaign": ("noise_sigma", 0.1, lambda v: forward.run_campaign(
-        SMALL_CONFIG, SMALL_MASK, 2, 1, noise_sigma=v).noise_sigma),
     "scenario": ("noise_sigma", 0.1, lambda v: dataclasses.replace(
         harness.parse_scenario_text(SMALL_SCENARIO), noise_sigma=v).noise_sigma),
+}
+# And the entry points that check a field without storing it: a caller's
+# measurement record given to build_sensing, and a campaign.
+REAL_FIELDS = {
+    **STORED_REAL_FIELDS,
+    "measurement_set": ("noise_sigma", 0.1, lambda v: recon_gics.build_sensing(
+        np.ones((2, 4, 4)), [1.0, 1.0], noise_sigma=v)),
+    "campaign": ("noise_sigma", 0.1, lambda v: recon_gics.run_campaign(
+        SMALL_CONFIG, SMALL_MASK, 2, 1, noise_sigma=v)),
 }
 
 
@@ -885,8 +890,8 @@ def test_real_field_refuses_what_is_not_a_finite_real(entry, kind):
         build(bad)
 
 
-@pytest.mark.parametrize("entry", REAL_FIELDS)
+@pytest.mark.parametrize("entry", STORED_REAL_FIELDS)
 def test_real_field_stores_a_numpy_float_as_a_python_float(entry):
-    _, valid, build = REAL_FIELDS[entry]
+    _, valid, build = STORED_REAL_FIELDS[entry]
     stored = build(np.float32(valid))
     assert type(stored) is float and stored == float(np.float32(valid))

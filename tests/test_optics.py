@@ -81,7 +81,8 @@ class TestDoubleSlit:
     @pytest.mark.parametrize("bad", [
         {"width": math.nan}, {"height": math.inf}, {"separation": math.nan},
         {"center": (math.nan, 0.0)}, {"center": (0.0, -math.inf)},
-        {"width": True, "separation": 2.0}, {"center": (False, 0.0)}])
+        {"width": True, "separation": 2.0}, {"center": (False, 0.0)},
+        {"center": (0.0,)}, {"center": None}, {"center": (0.0, 0.0, 0.0)}])
     def test_non_finite_geometry_rejected(self, bad):
         with pytest.raises(ConfigError, match="finite"):
             SlitGeometry(**{"width": 1e-4, "height": 1e-3, "separation": 2e-4, **bad})

@@ -5,31 +5,33 @@ import pytest
 
 from ghostbench import optics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import _BLOCK_FRAMES, MeasurementSet, campaign_blocks, run_campaign
+from ghostbench.forward import _BLOCK_FRAMES, campaign_blocks
 from ghostbench.metrics import minmax_normalize, recon_snr
 from ghostbench.optics import ObjectMask, OpticalConfig, SlitGeometry
 from ghostbench.recon_gi import gi_from_blocks
+from ghostbench.recon_gics import run_campaign
 from ghostbench.speckle import synthesize_frame
+
+from oracles import campaign_record
 
 CFG = OpticalConfig(120e-6, 64, 15e-6)
 
 
-def measurement_set_from(frames, buckets):
-    return MeasurementSet(np.stack(frames), buckets)
+def record(frames, buckets):
+    """A caller's record as one block: the frames stacked, the buckets as an array."""
+    return np.stack(frames), np.asarray(buckets, dtype=float)
 
 
 class TestGiReconstruct:
     def test_identical_frames_give_zero_image(self):
         frame = synthesize_frame(CFG, 1, 0)
-        ms = measurement_set_from([frame] * 5, [3.0] * 5)
-        image = gi_from_blocks([(ms.intensities, ms.buckets)])
+        image = gi_from_blocks([record([frame] * 5, [3.0] * 5)])
         assert np.max(np.abs(image)) <= 1e-12 * frame.max() ** 2
 
     def test_needs_two_records(self):
         frame = synthesize_frame(CFG, 1, 0)
-        ms = measurement_set_from([frame], [1.0])
         with pytest.raises(ConfigError):
-            gi_from_blocks([(ms.intensities, ms.buckets)])
+            gi_from_blocks([record([frame], [1.0])])
 
     def test_needs_two_streamed_frames(self):
         mask = ObjectMask(np.ones((64, 64)))
@@ -40,21 +42,24 @@ class TestGiReconstruct:
         mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
         m = 2 * _BLOCK_FRAMES + 22
         streamed = gi_from_blocks(campaign_blocks(CFG, mask, m, 9))
-        ms = run_campaign(CFG, mask, m, 9)
-        assert np.array_equal(streamed, gi_from_blocks([(ms.intensities, ms.buckets)]))
+        frames, buckets = campaign_record(CFG, mask, m, 9)
+        assert np.array_equal(streamed, gi_from_blocks([(frames, buckets)]))
         assert not streamed.flags.writeable
         # the closed-form estimator over the whole stack, to rounding
-        oracle = np.tensordot(ms.buckets, ms.intensities, axes=(0, 0)) / m \
-            - ms.buckets.mean() * ms.intensities.mean(axis=0)
+        oracle = np.tensordot(buckets, frames, axes=(0, 0)) / m \
+            - buckets.mean() * frames.mean(axis=0)
         assert np.allclose(streamed, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
 
     def test_image_folded_while_stacking_is_the_streamed_image(self):
         mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
         m = _BLOCK_FRAMES + 13
-        ms, folded = run_campaign(CFG, mask, m, 5, noise_sigma=0.3, fold=gi_from_blocks)
+        system, folded = run_campaign(CFG, mask, m, 5, noise_sigma=0.3, fold=gi_from_blocks)
         streamed = gi_from_blocks(campaign_blocks(CFG, mask, m, 5, noise_sigma=0.3))
         assert np.array_equal(folded, streamed)
-        assert np.array_equal(folded, gi_from_blocks([(ms.intensities, ms.buckets)]))
+        # the frames as stored, whose pixel-major layout makes each frame strided
+        _, buckets = campaign_record(CFG, mask, m, 5, noise_sigma=0.3)
+        stored = system.rows.reshape(m, CFG.grid_n, CFG.grid_n)
+        assert np.array_equal(folded, gi_from_blocks([(stored, buckets)]))
 
     def test_bits_do_not_depend_on_block_size(self):
         rng = np.random.default_rng(8)
@@ -75,21 +80,19 @@ class TestGiReconstruct:
         buckets_b = [float(np.sum(f * mask_b.values)) for f in frames]
         alpha, beta = 0.6, 0.3
         combo = [alpha * a + beta * b for a, b in zip(buckets_a, buckets_b)]
-        sets = [measurement_set_from(frames, b) for b in (buckets_a, buckets_b, combo)]
-        img_a, img_b, img_c = (gi_from_blocks([(ms.intensities, ms.buckets)]) for ms in sets)
+        img_a, img_b, img_c = (gi_from_blocks([record(frames, b)])
+                               for b in (buckets_a, buckets_b, combo))
         assert np.allclose(img_c, alpha * img_a + beta * img_b, rtol=1e-10, atol=1e-12)
 
     def test_background_mean_vanishes_at_large_m(self):
         mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
-        ms = run_campaign(CFG, mask, 2000, 4)
-        image = gi_from_blocks([(ms.intensities, ms.buckets)])
+        image = gi_from_blocks(campaign_blocks(CFG, mask, 2000, 4))
         background = image[mask.values <= 0.5]
         assert abs(background.mean()) <= 3 * background.std()
 
     def test_normalize_flag(self):
         mask = optics.make_double_slit(CFG, SlitGeometry(6e-5, 3e-4, 1.2e-4))
-        ms = run_campaign(CFG, mask, 50, 4)
-        image = gi_from_blocks([(ms.intensities, ms.buckets)])
+        image = gi_from_blocks(campaign_blocks(CFG, mask, 50, 4))
         normalized = minmax_normalize(image)
         assert normalized.min() == 0.0
         assert normalized.max() == 1.0
@@ -101,8 +104,7 @@ class TestGiReconstruct:
         mask = ObjectMask(values)
         avg = None
         for seed in (1, 2):
-            ms = run_campaign(CFG, mask, 800, seed)
-            img = gi_from_blocks([(ms.intensities, ms.buckets)])
+            img = gi_from_blocks(campaign_blocks(CFG, mask, 800, seed))
             avg = img if avg is None else avg + img
         profile = avg[32, :] / avg.max()
         x = np.arange(64)

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from ghostbench import optics, recon_gics
 from ghostbench.errors import ConfigError
-from ghostbench.forward import MeasurementSet, run_campaign
-from ghostbench.optics import OpticalConfig, SlitGeometry
+from ghostbench.optics import OpticalConfig, SlitGeometry, _Owned
 from ghostbench.recon_gi import gi_from_blocks
 from ghostbench.recon_gics import (GicsParams, SensingSystem, build_sensing,
-                                   gics_reconstruct, gpsr_solve, kkt_residual)
+                                   gics_reconstruct, gpsr_solve, kkt_residual, run_campaign)
 
-from oracles import ista_reference, lasso_objective, raw_system
+from oracles import campaign_record, ista_reference, lasso_objective, raw_system
 
 CFG = OpticalConfig(90e-6, 16, 15e-6)
 SLIT = SlitGeometry(6e-5, 1.5e-4, 1.2e-4)
@@ -33,9 +32,10 @@ def sparse_instance(seed, m=50, n=200, k=10):
 
 
 def synthetic_measurements(rng, m, grid_n, truth):
+    """(frames, buckets): m uniform frames and their noiseless buckets behind ``truth``."""
     intensities = rng.uniform(0.5, 1.5, size=(m, grid_n, grid_n))
     buckets = [float(np.sum(intensity * truth)) for intensity in intensities]
-    return MeasurementSet(intensities, buckets)
+    return intensities, buckets
 
 
 def dense_operator(system):
@@ -45,40 +45,51 @@ def dense_operator(system):
 
 class TestBuildSensing:
     def test_centered_columns_have_zero_mean(self):
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 12, 3)
-        system = build_sensing(ms)
-        column_means = system.rmatvec(np.ones(ms.m)) / ms.m
+        campaign = (CFG, optics.make_double_slit(CFG, SLIT), 12, 3)
+        system = run_campaign(*campaign)
+        _, buckets = campaign_record(*campaign)
+        column_means = system.rmatvec(np.ones(system.m)) / system.m
         assert np.max(np.abs(column_means)) <= 1e-12
-        assert abs(system.rhs.mean()) <= 1e-9 * abs(np.mean(ms.buckets))
+        assert abs(system.rhs.mean()) <= 1e-9 * abs(np.mean(buckets))
 
     def test_forward_consistency_noiseless(self):
         # for the true mask t, the centered, scaled system satisfies
         # A @ (col_scale * t) = rhs
         mask = optics.make_double_slit(CFG, SLIT)
-        ms = run_campaign(CFG, mask, 10, 5)
-        system = build_sensing(ms)
+        system = run_campaign(CFG, mask, 10, 5)
         predicted = system.matvec(system.col_scale * mask.values.ravel())
         assert np.allclose(predicted, system.rhs, rtol=1e-12)
 
     def test_uncentering_and_unscaling_reproduce_original(self):
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 9, 7)
-        system = build_sensing(ms)
-        original = ms.intensities.reshape(ms.m, -1)
-        operator = np.array([system.rmatvec(e) for e in np.eye(ms.m)])
+        campaign = (CFG, optics.make_double_slit(CFG, SLIT), 9, 7)
+        system = run_campaign(*campaign)
+        frames, buckets = campaign_record(*campaign)
+        original = frames.reshape(system.m, -1)
+        operator = np.array([system.rmatvec(e) for e in np.eye(system.m)])
         restored = operator * system.col_scale + original.mean(axis=0)
         assert np.allclose(restored, original, rtol=1e-12, atol=1e-15)
-        assert np.allclose(system.rhs + np.mean(ms.buckets), ms.buckets, rtol=1e-12)
+        assert np.allclose(system.rhs + np.mean(buckets), buckets, rtol=1e-12)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+    def test_caller_record_of_a_campaign_is_the_campaign_system(self, noise_sigma):
+        # the copied caller path and the adopted campaign stack give the same bits
+        campaign = (CFG, optics.make_double_slit(CFG, SLIT), 2 * 8 + 5, 6)
+        stored = run_campaign(*campaign, noise_sigma=noise_sigma)
+        given = build_sensing(*campaign_record(*campaign, noise_sigma=noise_sigma),
+                              noise_sigma=noise_sigma)
+        for name in ("rows", "rhs", "col_scale", "col_mean"):
+            assert np.array_equal(getattr(given, name), getattr(stored, name)), name
+        assert given.rows.T.flags.c_contiguous
 
     def test_columns_have_unit_rms(self, monkeypatch):
         # blocks of 68 pixel rows: 256 pixels make three full blocks and a short one
         monkeypatch.setattr(recon_gics, "_BLOCK_BYTES", 4 * CFG.grid_n**2 * 8)
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 15, 8)
-        rms = np.sqrt(np.mean(dense_operator(build_sensing(ms)) ** 2, axis=0))
+        system = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 15, 8)
+        rms = np.sqrt(np.mean(dense_operator(system) ** 2, axis=0))
         assert np.allclose(rms, 1.0, rtol=1e-12)
 
     def test_operator_matches_dense_matrix(self):
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 11, 4)
-        system = build_sensing(ms)
+        system = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 11, 4)
         dense = dense_operator(system)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(system.n_pix)
@@ -99,11 +110,13 @@ class TestBuildSensing:
         assert abs(system.matvec(x) @ r - x @ system.rmatvec(r)) <= 1e-12 * bound
 
     def test_rows_are_the_campaign_stack(self):
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
-        system = build_sensing(ms)
-        assert np.shares_memory(system.rows, ms.intensities)
-        assert system.rows.shape == (ms.m, CFG.grid_n**2)
-        assert not system.rows.flags.writeable
+        # a view of the read-only (grid_n**2, m) stack the campaign was stored in
+        system = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
+        stack = system.rows.base
+        assert stack.shape == (CFG.grid_n**2, 5) and stack.flags.c_contiguous
+        assert np.shares_memory(system.rows, stack)
+        assert system.rows.shape == (5, CFG.grid_n**2)
+        assert not system.rows.flags.writeable and not stack.flags.writeable
 
     def test_read_only_rows_made_writeable_do_not_leak(self):
         rows = np.ones((3, 4))
@@ -117,9 +130,8 @@ class TestBuildSensing:
         rng = np.random.default_rng(0)
         intensities = rng.uniform(0.5, 1.5, (6, 16, 16))
         intensities[:, 3, 4] = 0.5  # constant column (binary-exact): zero variance after centering
-        ms = MeasurementSet(intensities, [float(v.sum()) for v in intensities])
         with pytest.warns(UserWarning, match="zero-variance"):
-            system = build_sensing(ms)
+            system = build_sensing(intensities, [float(v.sum()) for v in intensities])
         dead_col = 3 * 16 + 4
         assert system.col_scale[dead_col] == 1.0
 
@@ -149,18 +161,16 @@ class TestBuildSensing:
 
     def test_campaign_stack_not_rescanned(self, monkeypatch):
         # run_campaign checked the stack block by block as it was made
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
         scanned = []
         monkeypatch.setattr(recon_gics, "_finite_min",
                             lambda arr, what: scanned.append(what) or 0.0)
-        build_sensing(ms)
+        run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
         assert scanned == ["sensing rhs", "sensing col_scale", "sensing col_mean"]
 
     def test_columns_are_contiguous_pixel_rows(self):
-        ms = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
-        system = build_sensing(ms)
+        system = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), 5, 2)
         assert system.rows.T.flags.c_contiguous
-        assert np.shares_memory(system.rows.T, ms.intensities)
+        assert np.shares_memory(system.rows.T, system.rows.base)
 
     def test_raw_system_operator_is_the_matrix(self):
         rng = np.random.default_rng(12)
@@ -179,7 +189,7 @@ class TestGatheredMatvec:
     @pytest.fixture
     def system(self, monkeypatch):
         monkeypatch.setattr(recon_gics, "_BLOCK_BYTES", self.CHUNK * self.M * 8)
-        return build_sensing(run_campaign(CFG, optics.make_double_slit(CFG, SLIT), self.M, 3))
+        return run_campaign(CFG, optics.make_double_slit(CFG, SLIT), self.M, 3)
 
     @staticmethod
     def sparse_vector(n, size, seed=0):
@@ -212,7 +222,7 @@ class TestGatheredMatvec:
     def test_gathered_peak_memory_is_one_block(self, monkeypatch):
         m, chunk = 200, 8
         monkeypatch.setattr(recon_gics, "_BLOCK_BYTES", chunk * m * 8)
-        system = build_sensing(run_campaign(CFG, optics.make_double_slit(CFG, SLIT), m, 3))
+        system = run_campaign(CFG, optics.make_double_slit(CFG, SLIT), m, 3)
         x = self.sparse_vector(system.n_pix, 60)  # 60 columns: 96 kB if gathered at once
         tracemalloc.start()
         try:
@@ -318,7 +328,7 @@ class TestKktStop:
     @pytest.fixture(scope="class")
     def slit_system(self):
         mask = optics.make_double_slit(SLIT_CFG, SlitGeometry(1e-4, 240e-6, 2e-4))
-        return build_sensing(run_campaign(SLIT_CFG, mask, 60, 1))
+        return run_campaign(SLIT_CFG, mask, 60, 1)
 
     def test_default_converges_on_kkt_residual(self, slit_system):
         params = GicsParams(tau=1e-3)
@@ -449,10 +459,10 @@ class TestGicsReconstruct:
         grid_n = 8
         truth = np.zeros((grid_n, grid_n))
         truth[2, 3], truth[5, 1], truth[6, 6] = 1.0, 0.7, 0.4
-        ms = synthetic_measurements(np.random.default_rng(77), 2 * grid_n**2, grid_n, truth)
-        system = build_sensing(ms)
+        system = build_sensing(
+            *synthetic_measurements(np.random.default_rng(77), 2 * grid_n**2, grid_n, truth))
         tau = 1e-10 * float(np.abs(system.rmatvec(system.rhs)).max())
-        image, report = gics_reconstruct(ms, GicsParams(tau=tau))
+        image, report = gics_reconstruct(system, GicsParams(tau=tau))
         assert report.converged
         assert np.max(np.abs(image - truth)) <= 1e-4
 
@@ -464,41 +474,48 @@ class TestGicsReconstruct:
         intensities = rng.uniform(0.5, 1.5, (2 * grid_n**2, grid_n, grid_n))
         intensities[:, 4, 4] = 0.75  # binary-exact constant: zero variance after centering
         buckets = [float(np.sum(intensity * truth)) for intensity in intensities]
-        ms = MeasurementSet(intensities, buckets)
         with pytest.warns(UserWarning, match="zero-variance"):
-            image, _ = gics_reconstruct(ms, GicsParams(tau=1e-3))
+            image, _ = gics_reconstruct(build_sensing(intensities, buckets), GicsParams(tau=1e-3))
         assert image[4, 4] == 0.0
         assert image[2, 3] > 0.5
 
     def test_peak_memory_below_one_stack(self):
-        ms = synthetic_measurements(np.random.default_rng(79), 200, 32, np.eye(32))
+        # the centring and the solve on a stack handed over as run_campaign hands over its own
+        frames, buckets = synthetic_measurements(np.random.default_rng(79), 200, 32, np.eye(32))
+        stack = np.array(frames.reshape(200, -1).T, order="C")
         tracemalloc.start()
         try:
-            gics_reconstruct(ms, GicsParams(tau=1e-3, max_iters=20))
+            gics_reconstruct(build_sensing(_Owned(stack), buckets),
+                             GicsParams(tau=1e-3, max_iters=20))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < ms.intensities.nbytes
+        assert peak < stack.nbytes
 
     def test_record_without_optics_is_imaged_at_its_frame_grid(self):
         # a recorded experiment's frames and buckets, with no OpticalConfig anywhere
         truth = np.zeros((12, 12))
         truth[3:9, 4] = truth[3:9, 7] = 1.0
-        ms = synthetic_measurements(np.random.default_rng(80), 60, 12, truth)
-        gi = gi_from_blocks([(ms.intensities, ms.buckets)])
-        gics, _ = gics_reconstruct(ms, GicsParams())
+        frames, buckets = synthetic_measurements(np.random.default_rng(80), 60, 12, truth)
+        gi = gi_from_blocks([(frames, buckets)])
+        gics, _ = gics_reconstruct(build_sensing(frames, buckets), GicsParams())
         assert gi.shape == gics.shape == (12, 12)
 
     def test_all_zero_buckets_give_zero_image(self):
         rng = np.random.default_rng(30)
-        ms = MeasurementSet(rng.uniform(0.5, 1.5, (10, 16, 16)), np.zeros(10))
-        image, _ = gics_reconstruct(ms, GicsParams(tau=1e-3))
+        system = build_sensing(rng.uniform(0.5, 1.5, (10, 16, 16)), np.zeros(10))
+        image, _ = gics_reconstruct(system, GicsParams(tau=1e-3))
         assert not image.any()
+
+    def test_system_of_a_non_square_image_rejected(self):
+        system = raw_system(np.random.default_rng(31).standard_normal((5, 12)), np.ones(5))
+        with pytest.raises(ConfigError, match="square"):
+            gics_reconstruct(system, GicsParams(tau=1e-3))
 
     def test_output_is_clamped_nonnegative(self):
         mask = optics.make_double_slit(CFG, SLIT)
-        ms = run_campaign(CFG, mask, 40, 2)
-        image, report = gics_reconstruct(ms, GicsParams(tau=1e-3, max_iters=200))
+        image, report = gics_reconstruct(run_campaign(CFG, mask, 40, 2),
+                                         GicsParams(tau=1e-3, max_iters=200))
         assert image.min() >= 0.0
         assert report.history[-1][1] >= 0.0
 
