@@ -78,10 +78,6 @@ def _check_measurements(intensities: np.ndarray, buckets: np.ndarray,
         raise ConfigError("noiseless buckets cannot be negative")
 
 
-def _check_noise_sigma(noise_sigma: float) -> float:
-    return _real(noise_sigma, "noise_sigma", "non-negative")
-
-
 def _check_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
                     noise_sigma: float) -> float:
     """ConfigError unless the campaign's arguments are valid; returns noise_sigma as a float."""
@@ -91,7 +87,7 @@ def _check_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
         raise ConfigError(
             f"mask grid {mask.grid_n} does not match config grid {config.grid_n}")
     _checked_seed(master_seed)
-    return _check_noise_sigma(noise_sigma)
+    return _real(noise_sigma, "noise_sigma", "non-negative")
 
 
 @functools.cache
@@ -183,17 +179,18 @@ def bucket_measure(intensity: np.ndarray, mask: ObjectMask) -> float:
 
 def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: int,
                     noise_sigma: float = 0.0):
-    """Yield the campaign's m frames and buckets as read-only ``(frames, buckets)`` blocks.
+    """An iterator of the campaign's m frames and buckets, as read-only blocks.
 
-    Blocks hold ``_BLOCK_FRAMES`` frames (the last one may hold fewer), arrive
-    in frame order, and are new contiguous (b, grid_n, grid_n) arrays.  Frame
-    i is ``synthesize_frame(config, master_seed, i)`` (0-based), written in
-    place into its row of the block, and its bucket is ``bucket_measure`` of
-    it, plus additive Gaussian noise of std ``noise_sigma``; frame and noise
-    draw depend on (master_seed, i) alone.  Each block passes
-    ``_check_measurements`` before it is yielded.  ``m`` and ``master_seed``
-    must be integers.  The blocks are not stored: ``recon_gics.run_campaign``
-    stores them.
+    The arguments are checked (``_check_campaign``) when this is called, so a
+    bad one raises there, not at the first block.  Blocks are ``(frames,
+    buckets)`` pairs of ``_BLOCK_FRAMES`` frames (the last one may hold
+    fewer), arrive in frame order, and are new contiguous (b, grid_n, grid_n)
+    arrays.  Frame i is ``synthesize_frame(config, master_seed, i)``
+    (0-based), written in place into its row of the block, and its bucket is
+    ``bucket_measure`` of it, plus additive Gaussian noise of std
+    ``noise_sigma``; frame and noise draw depend on (master_seed, i) alone.
+    Each block passes ``_check_measurements`` before it is yielded.  The
+    blocks are not stored: ``recon_gics.run_campaign`` stores them.
 
     A block's frames are made on ``min(_frame_workers(), m)`` threads, the
     calling thread among them (see ``_make_frames``), with the loaded OpenBLAS
@@ -207,20 +204,23 @@ def campaign_blocks(config: OpticalConfig, mask: ObjectMask, m: int, master_seed
     no output bit depends on how the frames were made.
     """
     noise_sigma = _check_campaign(config, mask, m, master_seed, noise_sigma)
-    workers = min(_frame_workers(), m)
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # no thread until a submit
-        for start in range(0, m, _BLOCK_FRAMES):
-            stop = min(start + _BLOCK_FRAMES, m)
-            frames = np.empty((stop - start, config.grid_n, config.grid_n))
-            _make_frames(config, master_seed, start, frames, pool, workers)
-            buckets = np.empty(stop - start)
-            for j, i in enumerate(range(start, stop)):
-                buckets[j] = bucket_measure(frames[j], mask)
-                if noise_sigma > 0:
-                    rng = np.random.default_rng([int(master_seed), i, _NOISE_STREAM])
-                    buckets[j] += noise_sigma * rng.standard_normal()
-            _check_measurements(frames, buckets, noise_sigma)
-            frames.flags.writeable = False
-            buckets.flags.writeable = False
-            yield frames, buckets
-            del frames, buckets  # one block alive at a time
+    def blocks():
+        workers = min(_frame_workers(), m)
+        with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # no thread until a submit
+            for start in range(0, m, _BLOCK_FRAMES):
+                stop = min(start + _BLOCK_FRAMES, m)
+                frames = np.empty((stop - start, config.grid_n, config.grid_n))
+                _make_frames(config, master_seed, start, frames, pool, workers)
+                buckets = np.empty(stop - start)
+                for j, i in enumerate(range(start, stop)):
+                    buckets[j] = bucket_measure(frames[j], mask)
+                    if noise_sigma > 0:
+                        rng = np.random.default_rng([int(master_seed), i, _NOISE_STREAM])
+                        buckets[j] += noise_sigma * rng.standard_normal()
+                _check_measurements(frames, buckets, noise_sigma)
+                frames.flags.writeable = False
+                buckets.flags.writeable = False
+                yield frames, buckets
+                del frames, buckets  # one block alive at a time
+
+    return blocks()

@@ -8,14 +8,8 @@ any other key is rejected.  Of the GICS solver a scenario sets only
 length on the object plane, ``optics.lc_target_m``; a physical setup converts
 with l_c = lambda * z / D.  Give ``scenario.mask_pgm`` (relative to the file)
 when ``scenario.mask = pgm``.  A file that cannot be read or is not UTF-8
-text is a parse error, and so is whatever ``Scenario`` rejects:
-a seed list that is empty, outside [0, 2**64) or repeated, a repeated method,
-a repeated coherence length, one whose source aperture spans fewer than
-``speckle.MIN_APERTURE_SAMPLES`` source samples, a sweep with one seed, a
-name outside [A-Za-z0-9._-]+ or . or .., a mask that ``metrics.truth_support``
-refuses, and (in code) a mask on another grid than the configs, a slit
-geometry the mask is not the double slit of, and ``gics`` that is not a
-``GicsParams``.
+text is a parse error, and so is a value its key's parser refuses and a
+scenario that ``Scenario`` refuses: it holds every rule, for files and code.
 
 ``optics.lc_target_m`` is a comma list of distinct coherence lengths.  With
 one, ``run_scenario`` writes <out>/<name>/<seed>/: truth.pgm, metrics.csv and
@@ -44,7 +38,6 @@ campaign block by block and holds O(grid_n**2) plus one block, whatever m is.
 from __future__ import annotations
 
 import logging
-import math
 import os
 import re
 import shutil
@@ -56,8 +49,8 @@ import numpy as np
 
 from . import ioutil, metrics, optics, recon_gi, recon_gics
 from .errors import ConfigError
-from .forward import _check_noise_sigma, campaign_blocks
-from .optics import ObjectMask, OpticalConfig, SlitGeometry, _integer
+from .forward import _check_campaign, campaign_blocks
+from .optics import ObjectMask, OpticalConfig, SlitGeometry, _integer, _real
 from .recon_gics import GicsParams, run_campaign
 from .speckle import _checked_seed, aperture_sample_count
 
@@ -81,8 +74,15 @@ class Key:
 
 def _name(text: str) -> str:
     if not isinstance(text, str) or not _NAME_RE.fullmatch(text) or text in (".", ".."):
-        raise ValueError("must match [A-Za-z0-9._-]+ and not be . or ..")
+        raise ConfigError(f"scenario name {text!r} must match [A-Za-z0-9._-]+ and not be . or ..")
     return text
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        return _integer(text, "value")  # refuses the text, naming the integer rule
 
 
 def _comma_list(text: str) -> list[str]:
@@ -90,15 +90,11 @@ def _comma_list(text: str) -> list[str]:
 
 
 def _methods(text: str) -> tuple[str, ...]:
-    # sorted is the canonical gi,gics order; Scenario rejects unknown and repeated ones
-    return tuple(sorted(token.lower() for token in _comma_list(text)))
+    return tuple(token.lower() for token in _comma_list(text))
 
 
 def _length(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError("must be a positive finite length")
-    return value
+    return _real(float(text), "length", "positive")
 
 
 def _lengths(text: str) -> tuple[float, ...]:
@@ -109,20 +105,17 @@ def _lengths(text: str) -> tuple[float, ...]:
 
 
 def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
+    return _real(float(text), "value")
 
 
 def _seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(token) for token in _comma_list(text))
+    return tuple(_int(token) for token in _comma_list(text))
 
 
 SCHEMA: dict[str, Key] = {
     "scenario.name": Key(_name, REQUIRED,
                          "run name and output directory, [A-Za-z0-9._-]+ but not . or .."),
-    "scenario.m": Key(int, REQUIRED, "measurements per seed (>= 2 when gi is requested)"),
+    "scenario.m": Key(_int, REQUIRED, "measurements per seed (>= 2 when gi is requested)"),
     "scenario.seeds": Key(_seeds, REQUIRED, "comma list of distinct master seeds in [0, 2**64)"),
     "scenario.methods": Key(_methods, ("gi", "gics"), "comma list, subset of gi,gics"),
     "scenario.noise_sigma": Key(float, 0.0, "std of additive Gaussian bucket noise"),
@@ -135,12 +128,12 @@ SCHEMA: dict[str, Key] = {
     "scenario.slit_center_y_m": Key(_finite, 0.0, "y of the slit centers"),
     "optics.lc_target_m": Key(_lengths, REQUIRED,
                               "comma list of distinct coherence lengths l_c; 2+ make a sweep"),
-    "optics.grid_n": Key(int, REQUIRED, "pixels per side of the object and reference grids"),
+    "optics.grid_n": Key(_int, REQUIRED, "pixels per side of the object and reference grids"),
     "optics.pixel_pitch_m": Key(_length, REQUIRED, "pixel pitch on both grids"),
-    "optics.source_oversample": Key(int, OpticalConfig.source_oversample,
+    "optics.source_oversample": Key(_int, OpticalConfig.source_oversample,
                                     "source-plane samples per grid pixel"),
     "gics.tau": Key(float, GicsParams.tau, "l1 weight of the convex program"),
-    "gics.max_iters": Key(int, GicsParams.max_iters, "iteration cap of the GPSR-BB solve"),
+    "gics.max_iters": Key(_int, GicsParams.max_iters, "iteration cap of the GPSR-BB solve"),
 }
 
 
@@ -149,7 +142,8 @@ class Scenario:
     """A run's inputs, checked when built (from a file or in code) by the rules its run applies.
 
     ``configs`` holds one ``OpticalConfig`` per coherence length, on one grid,
-    stored in descending l_c order; two or more make a sweep.
+    stored in descending l_c order; two or more make a sweep.  ``methods`` is
+    stored in the gi, gics order.
     """
 
     name: str
@@ -163,31 +157,28 @@ class Scenario:
     noise_sigma: float
 
     def __post_init__(self):
-        try:
-            _name(self.name)
-        except ValueError as exc:
-            raise ConfigError(f"scenario name {self.name!r} {exc}") from None
-        if _integer(self.m, "scenario m") < 1:
-            raise ConfigError("scenario m must be >= 1")
-        methods = set(self.methods)
-        if not methods or len(methods) != len(self.methods) or not methods <= {"gi", "gics"}:
+        _name(self.name)
+        methods = _tuple(self.methods, "methods")
+        if (not methods or not all(method in ("gi", "gics") for method in methods)
+                or len(set(methods)) != len(methods)):
             raise ConfigError(f"methods {self.methods!r} are not distinct members of gi, gics")
-        if "gi" in self.methods and self.m < 2:
-            raise ConfigError("gi reconstruction needs m >= 2")
-        seeds = tuple(_checked_seed(seed) for seed in self.seeds)
+        seeds = tuple(_checked_seed(seed) for seed in _tuple(self.seeds, "seeds"))
         if not seeds:
             raise ConfigError("scenario needs at least one seed")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("scenario seed list contains duplicates")
-        object.__setattr__(self, "noise_sigma", _check_noise_sigma(self.noise_sigma))
-        configs = tuple(sorted(self.configs, key=lambda c: c.coherence_length, reverse=True))
+        configs = tuple(_typed(config, OpticalConfig, "configs item")
+                        for config in _tuple(self.configs, "configs"))
+        configs = tuple(sorted(configs, key=lambda c: c.coherence_length, reverse=True))
         if len({(c.grid_n, c.pixel_pitch, c.source_oversample) for c in configs}) != 1:
             raise ConfigError("scenario needs at least one coherence length, all on one grid")
-        if self.mask.grid_n != configs[0].grid_n:
-            raise ConfigError(f"mask grid {self.mask.grid_n} does not match the configs' grid "
-                              f"{configs[0].grid_n}")
-        if not isinstance(self.gics, GicsParams):
-            raise ConfigError(f"scenario gics must be GicsParams, got {self.gics!r}")
+        _typed(self.mask, ObjectMask, "mask")
+        if self.slit_geometry is not None:
+            _typed(self.slit_geometry, SlitGeometry, "slit_geometry")
+        _typed(self.gics, GicsParams, "gics")
+        noise_sigma = _check_campaign(configs[0], self.mask, self.m, seeds[0], self.noise_sigma)
+        if "gi" in methods and self.m < 2:
+            raise ConfigError("gi reconstruction needs m >= 2")
         lcs = [config.coherence_length for config in configs]
         if len(set(lcs)) != len(lcs):
             raise ConfigError(f"coherence lengths {lcs!r} must be distinct")
@@ -202,8 +193,23 @@ class Scenario:
         if self.slit_geometry is not None and not np.array_equal(
                 self.mask.values, optics.make_double_slit(configs[0], self.slit_geometry).values):
             raise ConfigError("mask is not the double slit of the scenario's slit geometry")
+        object.__setattr__(self, "methods", tuple(sorted(methods)))
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "configs", configs)
+        object.__setattr__(self, "noise_sigma", noise_sigma)
+
+
+def _tuple(value, what: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"scenario {what} must be iterable, got {value!r}") from None
+
+
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"scenario {what} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
@@ -220,7 +226,7 @@ def parse_scenario_text(text: str, base_dir: str | Path = ".") -> Scenario:
             continue
         try:
             values[key] = row.parse(pairs[key])
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{key} = {pairs[key]!r}: {exc}") from None
 
     configs = tuple(OpticalConfig(lc, values["optics.grid_n"], values["optics.pixel_pitch_m"],

@@ -198,17 +198,11 @@ def make_double_slit(config: OpticalConfig, geometry: SlitGeometry) -> ObjectMas
 def load_mask_pgm(path: str | Path, config: OpticalConfig) -> ObjectMask:
     """Load a P2/P5 graymap as a transmittance mask (samples scaled by 1/maxval).
 
-    The image must be square and match ``config.grid_n`` exactly; no resampling.
+    ``ObjectMask`` refuses an image that is not square or has no positive
+    sample; the image must also match ``config.grid_n`` exactly (no resampling).
     """
     samples, maxval = ioutil.read_pgm(path)
-    height, width = samples.shape
-    if height != width:
-        raise ConfigError(f"mask graymap must be square, got {width}x{height}")
-    if height != config.grid_n:
-        raise ConfigError(
-            f"mask graymap is {width}x{height} but the grid is "
-            f"{config.grid_n}x{config.grid_n}")
-    if not samples.any():
-        raise ConfigError("mask graymap is all zero")
-    return ObjectMask(samples / float(maxval))
-
+    mask = ObjectMask(samples / float(maxval))
+    if mask.grid_n != config.grid_n:
+        raise ConfigError(f"mask grid {mask.grid_n} does not match config grid {config.grid_n}")
+    return mask

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .forward import (_check_campaign, _check_measurements, _check_noise_sigma, _finite_min,
-                      campaign_blocks)
-from .optics import ObjectMask, OpticalConfig, _Owned, _frozen, _real
+from .forward import _check_measurements, _finite_min, campaign_blocks
+from .optics import ObjectMask, OpticalConfig, _Owned, _frozen, _integer, _real
 
 # GPSR converges once its KKT residual is at most this times ||A.T rhs||_inf.
 _KKT_REL_TOL = 1e-6
@@ -58,8 +57,7 @@ class GicsParams:
 
     def __post_init__(self):
         object.__setattr__(self, "tau", _real(self.tau, "tau", "non-negative"))
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
-                or self.max_iters < 1):
+        if _integer(self.max_iters, "max_iters") < 1:
             raise ConfigError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
@@ -168,13 +166,13 @@ def run_campaign(config: OpticalConfig, mask: ObjectMask, m: int, master_seed: i
     stored, while it is still contiguous; with it, the result is
     ``(system, fold(blocks))``.
     """
-    noise_sigma = _check_campaign(config, mask, m, master_seed, noise_sigma)
+    campaign = campaign_blocks(config, mask, m, master_seed, noise_sigma)  # checks the arguments
     stack = np.empty((config.grid_n ** 2, m))
     bucket_blocks = []
 
     def stored_blocks():
         start = 0
-        for frames, buckets in campaign_blocks(config, mask, m, master_seed, noise_sigma):
+        for frames, buckets in campaign:
             stack[:, start:start + len(frames)] = frames.reshape(len(frames), -1).T
             start += len(frames)
             bucket_blocks.append(buckets)
@@ -216,7 +214,7 @@ def build_sensing(frames, buckets, noise_sigma: float = 0.0) -> SensingSystem:
         if rhs.shape != (given.shape[0],):
             raise ConfigError(
                 f"need one bucket per frame: {rhs.shape} buckets for {given.shape[0]} frames")
-        _check_measurements(given, rhs, _check_noise_sigma(noise_sigma))
+        _check_measurements(given, rhs, _real(noise_sigma, "noise_sigma", "non-negative"))
         pixels = np.array(given.reshape(given.shape[0], -1).T, order="C")  # always a copy
         pixels.flags.writeable = False
     n, m = pixels.shape

@@ -57,12 +57,20 @@ def at_lcs(scenario, lcs):
         dataclasses.replace(scenario.configs[0], coherence_length=lc) for lc in lcs))
 
 
-def gray_mask_text(tmp_path: Path, sample: int) -> str:
+def gray_mask_text(tmp_path: Path, sample: int, width: int = 48, height: int = 48) -> str:
     """SMALL_SCENARIO on a uniform 8-bit P5 mask of ``sample``, written into tmp_path."""
     name = f"gray{sample}.pgm"
-    (tmp_path / name).write_bytes(b"P5\n48 48\n255\n" + bytes([sample]) * (48 * 48))
+    (tmp_path / name).write_bytes(f"P5\n{width} {height}\n255\n".encode()
+                                  + bytes([sample]) * (width * height))
     return SMALL_SCENARIO.replace("scenario.mask = double_slit",
                                   f"scenario.mask = pgm\nscenario.mask_pgm = {name}")
+
+
+def with_line(line: str) -> str:
+    """SMALL_SCENARIO with the key of ``line`` set by ``line``."""
+    key = line.split("=")[0].strip()
+    return "".join(kv + "\n" for kv in SMALL_SCENARIO.splitlines()
+                   if not kv.startswith(key + " ")) + line + "\n"
 
 
 def verdict_rows(csv_text: str) -> dict:
@@ -157,6 +165,48 @@ class TestParsing:
                        if not kv.startswith(key + " ")) + line + "\n"
         with pytest.raises(ConfigError, match=re.escape(f"{key} = {value!r}")):
             harness.parse_scenario_text(text, tmp_path)
+
+    # Each rule reached once from a scenario file and once from code: the file's
+    # ConfigError and the code's name the same rule, which has one home.
+    @pytest.mark.parametrize("file_text,code,rule", [
+        (lambda tmp: with_line("scenario.slit_width_m = 0"),
+         lambda scenario: optics.SlitGeometry(0.0, 240e-6, 120e-6),
+         "must be a finite positive number"),
+        (lambda tmp: with_line("scenario.slit_center_x_m = nan"),
+         lambda scenario: optics.SlitGeometry(60e-6, 240e-6, 120e-6, center=(math.nan, 0.0)),
+         "must be a finite number"),
+        (lambda tmp: with_line("scenario.m = 0"),
+         lambda scenario: dataclasses.replace(scenario, m=0),
+         "a campaign needs m >= 1 measurements"),
+        (lambda tmp: gray_mask_text(tmp, 200, 16, 16),
+         lambda scenario: dataclasses.replace(
+             scenario, mask=optics.ObjectMask(np.full((16, 16), 200 / 255))),
+         "mask grid 16 does not match config grid 48"),
+        (lambda tmp: with_line("scenario.noise_sigma = -1"),
+         lambda scenario: dataclasses.replace(scenario, noise_sigma=-1.0),
+         "noise_sigma must be a finite non-negative number"),
+        (lambda tmp: with_line("gics.max_iters = 0"),
+         lambda scenario: dataclasses.replace(scenario.gics, max_iters=0),
+         "max_iters must be a positive integer"),
+        (lambda tmp: with_line("gics.max_iters = 2.5"),
+         lambda scenario: dataclasses.replace(scenario.gics, max_iters=2.5),
+         "must be an integer, got"),
+        (lambda tmp: gray_mask_text(tmp, 0),
+         lambda scenario: dataclasses.replace(
+             scenario, mask=optics.ObjectMask(np.zeros((48, 48)))),
+         "mask is entirely opaque"),
+        (lambda tmp: gray_mask_text(tmp, 200, 48, 47),
+         lambda scenario: optics.ObjectMask(np.full((47, 48), 200 / 255)),
+         "mask must be a square 2-D array")],
+        ids=["nonpositive_length", "nonfinite_slit_center", "zero_m", "mask_on_other_grid",
+             "negative_noise", "zero_max_iters", "fractional_max_iters", "all_zero_graymap",
+             "non_square_graymap"])
+    def test_file_and_code_are_refused_by_the_same_rule(self, tmp_path, file_text, code, rule):
+        with pytest.raises(ConfigError, match=re.escape(rule)):
+            harness.parse_scenario_text(file_text(tmp_path), tmp_path)
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        with pytest.raises(ConfigError, match=re.escape(rule)):
+            code(scenario)
 
 
 class TestRunScenario:
@@ -527,12 +577,14 @@ class TestTrend:
         {"name": "smoke\n"},
         {"slit_geometry": optics.SlitGeometry(30e-6, 120e-6, 90e-6)},
         {"slit_geometry": optics.SlitGeometry(60e-6, 240e-6, 120e-6, center=(5e-3, 0.0))},
-        {"gics": None}],
+        {"gics": None}, {"mask": np.ones((48, 48))}, {"configs": ("config",)},
+        {"slit_geometry": "slits"}, {"seeds": 3}],
         ids=["bool_seed", "float_seed", "float_m", "bool_m", "negative_noise", "nan_noise",
              "inf_noise", "unknown_method", "repeated_method", "no_method", "repeated_lc",
              "negative_lc", "undersampled_lc", "no_lc", "one_seed_sweep", "mask_on_other_grid",
              "empty_name", "dot_name", "dotdot_name", "space_name", "slash_name",
-             "newline_name", "slits_not_in_mask", "slits_off_grid", "no_gics"])
+             "newline_name", "slits_not_in_mask", "slits_off_grid", "no_gics", "array_mask",
+             "str_config", "str_slit_geometry", "int_seeds"])
     def test_code_built_scenario_is_checked_before_anything_is_written(self, tmp_path, change,
                                                                         monkeypatch):
         """``lcs`` sets the coherence lengths (see ``at_lcs``); the rest are fields."""
@@ -560,6 +612,16 @@ class TestTrend:
             out = tmp_path / "out"
             assert cli.main(["run", str(path), "--out", str(out)]) == 2
             assert not out.exists()
+
+    def test_methods_are_stored_as_a_sorted_tuple(self, tmp_path):
+        assert harness.SCHEMA["scenario.methods"].parse("GICS, gi") == ("gics", "gi")
+        scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
+        methods = ["gics", "gi"]
+        scenario = dataclasses.replace(scenario, methods=methods)
+        methods.append("gi")  # the caller's list is not kept
+        assert scenario.methods == ("gi", "gics")
+        rows = harness._run_seed(scenario, scenario.configs[0], 3, tmp_path)
+        assert [row["method"] for row in rows] == ["gi", "gics"]
 
     def test_numpy_seeds_are_stored_as_ints(self, tmp_path):
         scenario = harness.parse_scenario_text(SMALL_SCENARIO, tmp_path)
@@ -811,7 +873,7 @@ class TestSchema:
         assert harness.SCHEMA["scenario.seeds"].parse("1,2,") == (1, 2)
         assert harness.SCHEMA["scenario.methods"].parse("gi,") == ("gi",)
 
-    @given(key=rows_parsed_by(int), value=st.integers())
+    @given(key=rows_parsed_by(harness._int), value=st.integers())
     def test_int_rows_roundtrip(self, key, value):
         assert harness.SCHEMA[key].parse(str(value)) == value
 

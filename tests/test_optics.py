@@ -175,7 +175,7 @@ class TestPgm:
     def test_all_zero_rejected(self, tmp_path):
         path = tmp_path / "p.pgm"
         path.write_bytes(b"P2\n8 8\n255\n" + (b"0 " * 64))
-        with pytest.raises(ConfigError, match="all zero"):
+        with pytest.raises(ConfigError, match="entirely opaque"):
             optics.load_mask_pgm(path, make_config(grid_n=8))
 
     def test_dimension_mismatch_rejected(self, tmp_path):

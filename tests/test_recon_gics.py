@@ -234,10 +234,13 @@ class TestGatheredMatvec:
 
 
 class TestGicsParams:
-    @pytest.mark.parametrize("bad", [2.5, True, "3", None, 0, -1, 3.0],
+    @pytest.mark.parametrize("bad,rule", [(2.5, "an integer"), (True, "an integer"),
+                                          ("3", "an integer"), (None, "an integer"),
+                                          (0, "a positive integer"), (-1, "a positive integer"),
+                                          (3.0, "an integer")],
                              ids=["fraction", "bool", "str", "none", "zero", "negative", "float"])
-    def test_bad_max_iters_rejected(self, bad):
-        with pytest.raises(ConfigError, match="max_iters must be a positive integer"):
+    def test_bad_max_iters_rejected(self, bad, rule):
+        with pytest.raises(ConfigError, match=f"max_iters must be {rule}, got"):
             GicsParams(max_iters=bad)
 
     @pytest.mark.parametrize("bad", [True, "1", None, 1j, -1.0, np.nan, np.inf],
